@@ -169,14 +169,6 @@ class Instance:
 
         return self._cache(("theta_pow", x, n), build)
 
-    def proj_pow(self, i: int, x: Space, k: int) -> PolyMap:
-        acc = self.identity(x)
-        level = x
-        for _ in range(k):
-            acc = self.compose(acc, self.proj(i, level))
-            level = self.d_object(level)
-        return acc
-
     def lift(self, x: Space) -> PolyMap:
         """l = <<pi0, 0>, <0, pi1>> : DX -> D^2 X."""
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from .ccdc import LawConfig, check_axioms
 from .gen import (
@@ -21,11 +20,13 @@ from .gen import (
     generate_typed_terms,
     law_generators,
 )
-from .objects import atom_from_str, atom_key, atom_str, space_str, web
+from .objects import atom_key, atom_str, space_str, web
 from .parser import ParseError, parse_program
 from .pcs import (
     ModelError,
     PcsInstance,
+    _parse_atom,
+    _parse_rational,
     build_symbol_matrix,
     corrupted_sigma_instance,
     membership,
@@ -170,9 +171,7 @@ def _parse_point(text: str) -> dict:
         if "=" not in piece:
             raise ModelError(f"bad point entry {piece!r}, want atom=p/q")
         path, _, value = piece.partition("=")
-        num, _, den = value.partition("/")
-        frac = Fraction(int(num), int(den)) if den else Fraction(int(num))
-        point[atom_from_str(path.strip())] = frac
+        point[_parse_atom(path.strip())] = _parse_rational(value)
     return point
 
 

@@ -86,6 +86,7 @@ def peel_product(space: Space, arity: int) -> list[Space]:
     return slots
 
 
+@lru_cache(maxsize=None)
 def atom_key(a: Atom):
     """Total order on atoms; ground strings sort before tagged atoms."""
     if isinstance(a, str):
@@ -94,6 +95,7 @@ def atom_key(a: Atom):
     return (1, tag, atom_key(inner))
 
 
+@lru_cache(maxsize=None)
 def tag_d(i: int, a: Atom) -> Atom:
     """Prefix a D tag, pushing it under any product tags."""
     if isinstance(a, tuple) and a[0] in _PROD_TAGS:
@@ -126,10 +128,6 @@ def web(space: Space) -> tuple[Atom, ...]:
     else:
         atoms = [tag_d(i, a) for i in (0, 1) for a in web(space.inner)]
     return tuple(sorted(atoms, key=atom_key))
-
-
-def dim(space: Space) -> int:
-    return len(web(space))
 
 
 def atom_str(a: Atom) -> str:

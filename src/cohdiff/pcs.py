@@ -272,6 +272,13 @@ def _parse_rational(text: str) -> Fraction:
         raise ModelError(f"bad rational {text!r}: {exc}") from None
 
 
+def _parse_atom(text: str) -> Atom:
+    try:
+        return atom_from_str(text)
+    except ValueError as exc:
+        raise ModelError(str(exc)) from None
+
+
 class PcsModelFile:
     """Parsed model file: named ground spaces and symbol matrices."""
 
@@ -377,12 +384,12 @@ def build_symbol_matrix(
             )
         if coeff <= 0:
             raise ModelError(f"interp {name!r}: coefficients must be positive")
-        out_atom = atom_from_str(out_text)
+        out_atom = _parse_atom(out_text)
         if out_atom not in cod_web:
             raise ModelError(f"interp {name!r}: {out_text!r} not in codomain web")
         mono_atoms = []
         for i, text in enumerate(slot_atoms):
-            atom = atom_from_str(text)
+            atom = _parse_atom(text)
             if atom not in slot_webs[i]:
                 raise ModelError(
                     f"interp {name!r}: atom {text!r} not in slot {i} web"

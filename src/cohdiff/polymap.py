@@ -6,6 +6,18 @@ of X (a sorted tuple).  Evaluation reads the entry (m, b) as the coefficient
 of x^m in the power series for coordinate b.  Composition is formal
 substitution of series, exact over Fraction.
 
+Composition has a fast path for substitutions: when every entry of f is a
+one-atom monomial with coefficient 1 and no output atom repeats (projections,
+injections, var_proj, the strengths and their pairings), g . f renames the
+atoms of g's monomials.  A monomial that reads a coordinate f does not
+produce is dropped; the others are re-sorted and their coefficients summed,
+with no series multiplication.  Every other map takes the series path.
+
+The engine relies on one invariant: a monomial is sorted by atom_key, and
+tag_d(0, -) preserves that order, so D-tagging a sorted monomial leaves it
+sorted.  atom_key and tag_d are cached, since the sorts call them for every
+atom of every monomial.
+
 The probabilistic backend restricts coefficients to be positive; the
 polynomial backend allows any nonzero rational.  Both use the same engine.
 """
@@ -36,7 +48,6 @@ Entries = dict  # {(Mono, Atom): Fraction}
 
 DEGREE_CAP = 16
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -50,14 +61,6 @@ class ShapeError(Exception):
 
 def mono(atoms: Iterable[Atom]) -> Mono:
     return tuple(sorted(atoms, key=atom_key))
-
-
-def mono_mul(m1: Mono, m2: Mono) -> Mono:
-    return tuple(sorted(m1 + m2, key=atom_key))
-
-
-def mono_str(m: Mono) -> str:
-    return "[" + ", ".join(atom_str(a) for a in m) + "]"
 
 
 class PolyMap:
@@ -101,17 +104,17 @@ class PolyMap:
 
     def eval(self, x: dict) -> dict:
         """Evaluate the power series at a point (sparse atom -> Fraction)."""
+        nonzero = {a: v for a, v in x.items() if v != 0}
         out: dict = {}
         for (m, b), c in self.entries.items():
             val = c
             for a in m:
-                xa = x.get(a, _ZERO)
-                if xa == 0:
-                    val = _ZERO
+                xa = nonzero.get(a)
+                if xa is None:
                     break
                 val *= xa
-            if val != 0:
-                out[b] = out.get(b, _ZERO) + val
+            else:
+                _add_to(out, b, val)
         return {b: v for b, v in out.items() if v != 0}
 
     def coordinate_polys(self) -> dict:
@@ -148,7 +151,7 @@ def add(f: PolyMap, g: PolyMap) -> PolyMap:
         raise ShapeError("pointwise sum needs parallel maps")
     entries = dict(f.entries)
     for k, c in g.entries.items():
-        entries[k] = entries.get(k, _ZERO) + c
+        _add_to(entries, k, c)
     return PolyMap(f.dom, f.cod, entries)
 
 
@@ -156,16 +159,20 @@ def scale(f: PolyMap, factor: Fraction) -> PolyMap:
     return PolyMap(f.dom, f.cod, {k: c * factor for k, c in f.entries.items()})
 
 
+def _add_to(acc: dict, key, c) -> None:
+    """acc[key] += c, without the Fraction addition to zero for a new key."""
+    prev = acc.get(key)
+    acc[key] = c if prev is None else prev + c
+
+
 def _poly_mul(p: dict, q: dict, cap: int) -> dict:
     out: dict = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
             if len(m1) + len(m2) > cap:
-                raise DegreeCapError(
-                    f"monomial degree {len(m1) + len(m2)} exceeds cap {cap}"
-                )
-            m = mono_mul(m1, m2)
-            out[m] = out.get(m, _ZERO) + c1 * c2
+                raise _cap_error(len(m1) + len(m2), cap)
+            m = tuple(sorted(m1 + m2, key=atom_key)) if m1 else m2
+            _add_to(out, m, c1 * c2)
     return {m: c for m, c in out.items() if c != 0}
 
 
@@ -175,6 +182,16 @@ def compose(g: PolyMap, f: PolyMap, cap: int = DEGREE_CAP) -> PolyMap:
         raise ShapeError(
             f"cannot compose: {space_str(g.dom)} expected, got {space_str(f.cod)}"
         )
+    renaming = _substitution(f)
+    if renaming is None:
+        entries = _series_entries(g, f, cap)
+    else:
+        entries = _renamed_entries(g, renaming, cap)
+    return PolyMap(f.dom, g.cod, entries)
+
+
+def _series_entries(g: PolyMap, f: PolyMap, cap: int) -> Entries:
+    """The entries of g . f by multiplying out f's coordinate series."""
     f_polys = f.coordinate_polys()
     entries: Entries = {}
     # Cache powers of each coordinate series of f as they are needed.
@@ -193,17 +210,62 @@ def compose(g: PolyMap, f: PolyMap, cap: int = DEGREE_CAP) -> PolyMap:
 
     for (p, c_out), coeff in g.entries.items():
         acc = {(): coeff}
-        counts: dict = {}
-        for b in p:
-            counts[b] = counts.get(b, 0) + 1
-        for b, k in counts.items():
+        for b, k in _counts(p).items():
             acc = _poly_mul(acc, coord_pow(b, k), cap)
             if not acc:
                 break
         for m, c in acc.items():
-            key = (m, c_out)
-            entries[key] = entries.get(key, _ZERO) + c
-    return PolyMap(f.dom, g.cod, entries)
+            _add_to(entries, (m, c_out), c)
+    return entries
+
+
+def _counts(p: Mono) -> dict:
+    """{atom: multiplicity} in order of first occurrence."""
+    counts: dict = {}
+    for b in p:
+        counts[b] = counts.get(b, 0) + 1
+    return counts
+
+
+def _substitution(f: PolyMap) -> Optional[dict]:
+    """{output atom: input atom} when f is a substitution, else None."""
+    renaming: dict = {}
+    for (m, b), c in f.entries.items():
+        if len(m) != 1 or c != 1 or b in renaming:
+            return None
+        renaming[b] = m[0]
+    return renaming
+
+
+def _renamed_entries(g: PolyMap, renaming: dict, cap: int) -> Entries:
+    """The entries of g . f for a substitution f, in the series path's order."""
+    entries: Entries = {}
+    for (p, c_out), coeff in g.entries.items():
+        if len(p) > cap:
+            _check_renamed_cap(p, renaming, cap)
+        try:
+            m = tuple(sorted([renaming[b] for b in p], key=atom_key))
+        except KeyError:
+            continue  # p reads a coordinate f does not produce
+        _add_to(entries, (m, c_out), coeff)
+    return entries
+
+
+def _check_renamed_cap(p: Mono, renaming: dict, cap: int) -> None:
+    """Raise the DegreeCapError the series path raises on p, if any."""
+    degree = 0
+    for b, k in _counts(p).items():
+        if b not in renaming:
+            return
+        if k > cap:
+            raise _cap_error(cap + 1, cap)
+        degree += k
+        if degree > cap:
+            raise _cap_error(degree, cap)
+
+
+def _cap_error(degree: int, cap: int) -> DegreeCapError:
+    return DegreeCapError(f"monomial degree {degree} exceeds cap {cap}")
 
 
 def differential(f: PolyMap) -> PolyMap:
@@ -212,20 +274,15 @@ def differential(f: PolyMap) -> PolyMap:
     dc = d_space(f.cod)
     entries: Entries = {}
     for (m, b), c in f.entries.items():
-        base = mono(tag_d(0, a) for a in m)
-        key = (base, tag_d(0, b))
-        entries[key] = entries.get(key, _ZERO) + c
-        seen = set()
+        base = tuple([tag_d(0, a) for a in m])  # stays sorted
+        _add_to(entries, (base, tag_d(0, b)), c)
+        d_out = tag_d(1, b)
         for idx, a in enumerate(m):
-            if a in seen:
-                continue
-            seen.add(a)
+            if idx and m[idx - 1] == a:
+                continue  # equal atoms are adjacent; count each once
+            mm = mono(base[:idx] + base[idx + 1 :] + (tag_d(1, a),))
             mult = m.count(a)
-            rest = list(m)
-            rest.remove(a)
-            mm = mono([tag_d(0, r) for r in rest] + [tag_d(1, a)])
-            key = (mm, tag_d(1, b))
-            entries[key] = entries.get(key, _ZERO) + c * mult
+            _add_to(entries, (mm, d_out), c * mult if mult > 1 else c)
     return PolyMap(dd, dc, entries)
 
 

@@ -57,9 +57,6 @@ class TermMultiset:
     def size(self) -> int:
         return sum(k for _, k in self.items)
 
-    def is_empty(self) -> bool:
-        return not self.items
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TermMultiset):
             return NotImplemented
@@ -200,10 +197,6 @@ def step(t: Term) -> Optional[TermMultiset]:
     """One contextual step; absent when no redex is soundly contractible."""
     info = _step_term(t, False)
     return TermMultiset(info.result) if info is not None else None
-
-
-def step_detail(t: Term) -> Optional[StepInfo]:
-    return _step_term(t, False)
 
 
 def step_multiset(ms: TermMultiset) -> Optional[TermMultiset]:

@@ -1,6 +1,8 @@
 import io
 from pathlib import Path
 
+import pytest
+
 from cohdiff.cli import main
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
@@ -97,6 +99,46 @@ def test_eval_model_error_exit_code(tmp_path):
     )
     assert code == 3
     assert "model error" in text
+
+
+@pytest.mark.parametrize(
+    "at, message",
+    [
+        ("L.0=abc", "bad rational 'abc'"),
+        ("L.0=1/0", "bad rational '1/0'"),
+        ("Q.0=1", "unknown atom tag 'Q'"),
+    ],
+)
+def test_eval_bad_point_is_model_error(at, message):
+    code, text = run(
+        "eval",
+        str(DEMO / "nat.cohdiff"),
+        "--model",
+        str(DEMO / "nat.pcsmodel"),
+        "--term",
+        "branch",
+        "--at",
+        at,
+    )
+    assert code == 3
+    last = text.strip().splitlines()[-1]
+    assert last.startswith("model error: ") and message in last
+
+
+def test_model_file_unknown_atom_tag_is_model_error(tmp_path):
+    bad = tmp_path / "bad.pcsmodel"
+    text = (DEMO / "nat.pcsmodel").read_text()
+    bad.write_text(text.replace("entry (0, L.0)", "entry (0, Q.0)"))
+    code, text = run(
+        "eval",
+        str(DEMO / "nat.cohdiff"),
+        "--model",
+        str(bad),
+        "--term",
+        "branch",
+    )
+    assert code == 3
+    assert text.strip() == "model error: unknown atom tag 'Q' in 'Q.0'"
 
 
 def test_laws_pass_and_determinism():

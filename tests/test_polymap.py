@@ -160,3 +160,130 @@ def test_d_tags_push_under_product_tags():
 def test_zero_absorbs_composition_on_the_left():
     f = pm.PolyMap(N, ONE, {(("0",), "*"): F(1, 2)})
     assert pm.compose(pm.zero(ONE, N), f) == pm.zero(N, N)
+
+
+# ---------------------------------------------------------------------------
+# Substitution fast path against the series path
+
+SPACES = [
+    N,
+    product(N, ONE),
+    d_space(N),
+    d_space(d_space(ONE)),
+    product(d_space(N), product(ONE, N)),
+    d_space(product(d_space(ONE), N)),
+]
+
+
+def _series(g, f, cap=pm.DEGREE_CAP):
+    return pm.PolyMap(f.dom, g.cod, pm._series_entries(g, f, cap))
+
+
+def _random_substitution(rng, dom, cod):
+    """Partial and, when the domain is small, non-injective."""
+    ins = web(dom)
+    outs = [b for b in web(cod) if rng.random() < 0.8]
+    return pm.PolyMap(dom, cod, {((rng.choice(ins),), b): F(1) for b in outs})
+
+
+def _random_map(rng, dom, cod, max_degree=4):
+    ins = web(dom)
+    entries = {}
+    for _ in range(rng.randint(1, 8)):
+        m = pm.mono(rng.choice(ins) for _ in range(rng.randint(0, max_degree)))
+        entries[(m, rng.choice(web(cod)))] = F(rng.randint(-3, 5), rng.randint(1, 4))
+    return pm.PolyMap(dom, cod, entries)
+
+
+def _random_point(rng, space):
+    return {a: F(rng.randint(0, 3), rng.randint(1, 5)) for a in web(space)}
+
+
+def test_substitution_matches_series_on_random_maps():
+    rng = random.Random(20)
+    seen_partial = seen_repeat = 0
+    for _ in range(300):
+        x, y, z = (rng.choice(SPACES) for _ in range(3))
+        f = _random_substitution(rng, x, y)
+        g = _random_map(rng, y, z)
+        assert pm._substitution(f) is not None
+        fast, ref = pm.compose(g, f), _series(g, f)
+        assert fast == ref
+        assert list(fast.entries) == list(ref.entries)
+        for _ in range(3):
+            p = _random_point(rng, x)
+            assert fast.eval(p) == g.eval(f.eval(p))
+        outs = {b for _, b in f.entries}
+        seen_partial += len(outs) < len(web(y))
+        seen_repeat += len({m for m, _ in f.entries}) < len(outs)
+    assert seen_partial and seen_repeat
+
+
+def test_substitution_of_structural_maps():
+    rng = random.Random(21)
+    x = product(d_space(N), ONE)
+    dx = d_space(x)
+    for f in [
+        pm.proj(0, x),
+        pm.proj(1, d_space(N)),
+        pm.injection(1, x),
+        pm.prod_proj(1, N, x),
+        pm.prod_pair(pm.proj(1, x), pm.proj(0, x)),
+        pm.identity(dx),
+    ]:
+        g = _random_map(rng, f.cod, N)
+        assert pm._substitution(f) is not None
+        assert pm.compose(g, f) == _series(g, f)
+    # sigma sums two atoms into each output; 2x is not a renaming.
+    assert pm._substitution(pm.sigma(N)) is None
+    assert pm._substitution(pm.scale(pm.identity(N), F(2))) is None
+
+
+def test_substitution_repeated_atoms_collapse_and_cancel():
+    # x0 x1 and x1 x0 under the swap of a D-pair land on one monomial.
+    dn = d_space(ONE)
+    a0, a1 = web(dn)
+    swap = pm.PolyMap(dn, dn, {((a1,), a0): F(1), ((a0,), a1): F(1)})
+    g = pm.PolyMap(
+        dn, ONE, {((a0, a0, a1), "*"): F(1), ((a0, a1, a1), "*"): F(-1)}
+    )
+    diag = pm.PolyMap(dn, dn, {((a0,), a0): F(1), ((a0,), a1): F(1)})
+    assert pm.compose(g, swap) == pm.PolyMap(
+        dn, ONE, {((a0, a1, a1), "*"): F(1), ((a0, a0, a1), "*"): F(-1)}
+    )
+    assert pm.compose(g, diag) == pm.zero(dn, ONE) == _series(g, diag)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except pm.DegreeCapError as exc:
+        return ("cap", str(exc))
+
+
+def test_substitution_degree_cap_matches_series():
+    a, b = "0", "1"
+    only_a = pm.PolyMap(N, N, {((a,), a): F(1)})
+    both = pm.identity(N)
+    cases = [
+        (both, (a,) * 4),  # over the cap
+        (both, (a,) * 5),  # the series path stops at the first power over it
+        (both, (a, a, b, b)),  # over the cap across two atoms
+        (only_a, (a, a, a, a, b)),  # mapped prefix already over the cap
+        (only_a, (a, a, b, b, b)),  # missing atom met before the cap
+        (only_a, (a, a, a)),  # at the cap
+    ]
+    for f, m in cases:
+        g = pm.PolyMap(N, ONE, {(m, "*"): F(1)})
+        fast = _outcome(lambda: pm.compose(g, f, cap=3))
+        assert fast == _outcome(lambda: _series(g, f, cap=3))
+    with pytest.raises(pm.DegreeCapError):
+        pm.compose(pm.PolyMap(N, ONE, {((a,) * 17, "*"): F(1)}), both)
+
+
+def test_d_tag_zero_keeps_monomials_sorted():
+    rng = random.Random(22)
+    for space in SPACES:
+        f = _random_map(rng, space, space)
+        for m, _ in pm.differential(f).entries:
+            assert m == pm.mono(m)
