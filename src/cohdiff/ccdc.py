@@ -58,13 +58,6 @@ class Instance:
     def compose(self, g: PolyMap, f: PolyMap) -> PolyMap:
         return pm.compose(g, f, self.degree_cap)
 
-    def compose_all(self, *maps: PolyMap) -> PolyMap:
-        """Compose right to left: compose_all(h, g, f) = h . g . f."""
-        acc = maps[-1]
-        for g in reversed(maps[:-1]):
-            acc = self.compose(g, acc)
-        return acc
-
     def d_morphism(self, f: PolyMap) -> PolyMap:
         return pm.differential(f)
 
@@ -97,9 +90,6 @@ class Instance:
         self, f0: PolyMap, f1: PolyMap, expected_sum: Optional[PolyMap] = None
     ) -> Optional[PolyMap]:
         raise NotImplementedError
-
-    def summable(self, f0: PolyMap, f1: PolyMap) -> bool:
-        return self.pair_witness(f0, f1) is not None
 
     def sum2(self, f0: PolyMap, f1: PolyMap) -> Optional[PolyMap]:
         """The defined sum sigma . <f0, f1>, absent when not summable."""
@@ -311,23 +301,6 @@ class Instance:
         return self._require(
             self.pair_witness(halves[0], halves[1]), "c_n inverse"
         )
-
-
-class TotalInstance(Instance):
-    """Sums always defined: the carrier of a cartesian differential category."""
-
-    name = "poly"
-
-    def pair_witness(self, f0, f1, expected_sum=None):
-        if f0.dom != f1.dom or f0.cod != f1.cod:
-            raise pm.ShapeError("pair_witness needs parallel morphisms")
-        return pm.pair_witness_matrix(f0, f1)
-
-    def family_sum(self, maps, dom, cod, expected=None):
-        total = pm.zero(dom, cod)
-        for f in maps:
-            total = pm.add(total, f)
-        return total
 
 
 # ---------------------------------------------------------------------------

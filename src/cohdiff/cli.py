@@ -1,7 +1,8 @@
 """Batch front-end: check, diff, reduce, eval, laws, theorems.
 
 Exit codes: 0 success, 1 type or program-parse error, 2 fuel exhausted,
-3 model validation error, 4 law or theorem violation, 5 usage error.
+3 model validation error, 4 law or theorem violation, 5 usage error (also
+an input file that cannot be read).
 Reports are deterministic for fixed inputs and seed, and all rationals are
 printed in reduced p/q form.
 """
@@ -39,11 +40,10 @@ from .semantics import (
     check_diff_theorem,
     check_invariance,
     interp_term,
+    interp_type,
 )
 from .syntax import (
-    GroundType,
-    ProductType,
-    Type,
+    Signature,
     TypeCheckError,
     d_type,
     differentiate,
@@ -73,9 +73,20 @@ def _default_fuel() -> int:
     return fuel
 
 
-def _load_program(path: str, out):
-    with open(path, encoding="utf-8") as handle:
-        return parse_program(handle.read())
+def _read_text(path: str) -> str:
+    """A file's text as text-mode open reads it; a byte that is not UTF-8 is
+    a ParseError at its line and column."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        col = exc.start - raw.rfind(b"\n", 0, exc.start)
+        raise ParseError(
+            f"{path} is not UTF-8 text ({exc.reason})", line, col
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _named_term(program, name: str):
@@ -85,7 +96,7 @@ def _named_term(program, name: str):
 
 
 def cmd_check(args, out) -> int:
-    program = _load_program(args.file, out)
+    program = parse_program(_read_text(args.file))
     for name, (ctx, t) in program.terms.items():
         ty = typecheck(program.signature, ctx, t)
         print(f"term {name} : {type_str(ty)}", file=out)
@@ -93,7 +104,7 @@ def cmd_check(args, out) -> int:
 
 
 def cmd_diff(args, out) -> int:
-    program = _load_program(args.file, out)
+    program = parse_program(_read_text(args.file))
     ctx, t = _named_term(program, args.term)
     if all(v != args.var for v, _ in ctx):
         print(f"error: variable {args.var!r} not in the context of {args.term!r}",
@@ -111,7 +122,7 @@ def cmd_diff(args, out) -> int:
 
 
 def cmd_reduce(args, out) -> int:
-    program = _load_program(args.file, out)
+    program = parse_program(_read_text(args.file))
     ctx, t = _named_term(program, args.term)
     typecheck(program.signature, ctx, t)
     fuel = args.fuel if args.fuel is not None else _default_fuel()
@@ -132,34 +143,23 @@ def cmd_reduce(args, out) -> int:
 
 
 def _build_model_from_files(program, model_path: str) -> Model:
+    try:
+        text = _read_text(model_path)
+    except ParseError as exc:
+        raise ModelError(str(exc)) from None
+    parsed = parse_model_file(text)
     inst = PcsInstance()
-    parsed = parse_model_file(open(model_path, encoding="utf-8").read())
-
-    def interp_ground(name: str):
-        if name not in parsed.spaces:
-            raise ModelError(f"ground type {name!r} not declared in the model")
-        return parsed.spaces[name]
-
-    def space_of(ty: Type):
-        if isinstance(ty, GroundType):
-            space = interp_ground(ty.symbol)
-            for _ in range(ty.depth):
-                space = inst.d_object(space)
-            return space
-        assert isinstance(ty, ProductType)
-        return inst.product(space_of(ty.left), space_of(ty.right))
-
+    grounds = Model(inst, parsed.spaces, Signature(), {})  # for interp_type
     symbols = {}
     for name, ftype in program.signature.decls.items():
         if name not in parsed.interps:
             raise ModelError(f"symbol {name!r} has no interp block")
-        slots = [space_of(a) for a in ftype.args]
-        cod = space_of(ftype.result)
+        slots = [interp_type(grounds, a) for a in ftype.args]
+        cod = interp_type(grounds, ftype.result)
         symbols[name] = build_symbol_matrix(
             inst, slots, cod, parsed.interps[name], name
         )
-    grounds = dict(parsed.spaces)
-    return Model(inst, grounds, program.signature, symbols)
+    return Model(inst, dict(parsed.spaces), program.signature, symbols)
 
 
 def _parse_point(text: str) -> dict:
@@ -176,7 +176,7 @@ def _parse_point(text: str) -> dict:
 
 
 def cmd_eval(args, out) -> int:
-    program = _load_program(args.file, out)
+    program = parse_program(_read_text(args.file))
     model = _build_model_from_files(program, args.model)
     ctx, t = _named_term(program, args.term)
     ty = typecheck(program.signature, ctx, t)
@@ -337,7 +337,7 @@ def main(argv=None, out=None) -> int:
     except KeyError as exc:
         print(f"error: no term named {exc.args[0]!r}", file=out)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=out)
         return EXIT_USAGE
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import polymap as pm
 from .ccdc import Instance
-from .objects import Ground, Space, prodn, web
+from .objects import Ground, Space, embed_slot, prodn, web
 from .pcs import PcsInstance, validate_space
 from .poly import PolyInstance, ground_like
 from .polymap import PolyMap
@@ -78,16 +78,17 @@ def _symbol_matrices(base: Ground) -> dict[str, dict]:
     # bil(u, (x, y)) = u_0 * x + (u_1 + ... + u_k) * y, an if-zero branch.
     bil = {}
     for c in atoms:
-        bil[(pm.mono([("L", atoms[0]), ("R", ("L", c))]), c)] = _ONE
-        for m in atoms[1:]:
-            bil[(pm.mono([("L", m), ("R", ("R", c))]), c)] = _ONE
+        for m in atoms:
+            pair_atom = ("L", c) if m == atoms[0] else ("R", c)
+            key = pm.mono([embed_slot(0, 2, m), embed_slot(1, 2, pair_atom)])
+            bil[(key, c)] = _ONE
 
     # tri(u, v, w) = (total mass of u) * (total mass of v) * w.
     tri = {}
     for m in atoms:
         for p in atoms:
             for c in atoms:
-                key = pm.mono([("L", ("L", m)), ("L", ("R", p)), ("R", c)])
+                key = pm.mono([embed_slot(i, 3, a) for i, a in enumerate((m, p, c))])
                 tri[(key, c)] = _ONE
     return {"lin": lin, "bil": bil, "tri": tri}
 
@@ -339,17 +340,9 @@ def random_multilinear(rng: random.Random, slots: list[Space], cod: Space) -> Po
     """A random multilinear matrix, sub-convex so it is always a morphism."""
     arity = len(slots)
     dom = prodn(slots)
-    slot_webs = []
-    for i, s in enumerate(slots):
-        prefix_atoms = []
-        for a in web(s):
-            atom = a
-            if i > 0:
-                atom = ("R", atom)
-            for _ in range(arity - 1 - i):
-                atom = ("L", atom)
-            prefix_atoms.append(atom)
-        slot_webs.append(prefix_atoms)
+    slot_webs = [
+        [embed_slot(i, arity, a) for a in web(s)] for i, s in enumerate(slots)
+    ]
     entries: dict = {}
     budget = Fraction(1)
     for _ in range(rng.randint(1, 5)):

@@ -117,6 +117,27 @@ def tag_prod(side: int, a: Atom) -> Atom:
     return (_PROD_TAGS[side], a)
 
 
+def embed_slot(i: int, arity: int, atom: Atom) -> Atom:
+    """Slot i's atom in prodn: an R tag unless i == 0, then L^(arity-1-i)."""
+    if i > 0:
+        atom = tag_prod(1, atom)
+    for _ in range(arity - 1 - i):
+        atom = tag_prod(0, atom)
+    return atom
+
+
+def slot_of(atom: Atom, arity: int) -> int:
+    """Inverse of embed_slot; a first R at depth >= arity-1 is inside slot 0."""
+    depth = 0
+    a = atom
+    while isinstance(a, tuple) and a[0] in _PROD_TAGS:
+        if a[0] == "R":
+            return max(0, arity - 1 - depth)
+        depth += 1
+        a = a[1]
+    return 0
+
+
 @lru_cache(maxsize=None)
 def web(space: Space) -> tuple[Atom, ...]:
     """All atoms of a space, sorted canonically."""

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .syntax import (
     App,
@@ -63,7 +64,7 @@ _TOKEN_RE = re.compile(
   | (?P<arrow>->)
   | (?P<nat>[0-9]+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct>[:;,=<>&()\[\]^])
+  | (?P<punct>[:;,=<>&()\[\]^{}./])
     """,
     re.VERBOSE,
 )
@@ -147,6 +148,18 @@ class _Parser:
             raise self.error(f"expected {kind}, found {tok.text!r}")
         return self.next()
 
+    def comma_list(self, item: Callable, close: str,
+                   allow_empty: bool = False) -> list:
+        """item ("," item)* close; just close when allow_empty."""
+        items = []
+        if not (allow_empty and self.peek().text == close):
+            items.append(item())
+            while self.peek().text == ",":
+                self.next()
+                items.append(item())
+        self.expect(close)
+        return items
+
     # -- types ---------------------------------------------------------
 
     def parse_type(self) -> Type:
@@ -190,20 +203,11 @@ class _Parser:
             if self.peek().text == "^":
                 self.next()
                 self.expect("[")
-                letters = [int(self.expect_kind("nat").text)]
-                while self.peek().text == ",":
-                    self.next()
-                    letters.append(int(self.expect_kind("nat").text))
-                self.expect("]")
-                word = tuple(letters)
+                word = tuple(self.comma_list(
+                    lambda: int(self.expect_kind("nat").text), "]"
+                ))
             self.expect("(")
-            args: list[Term] = []
-            if self.peek().text != ")":
-                args.append(self.parse_term())
-                while self.peek().text == ",":
-                    self.next()
-                    args.append(self.parse_term())
-            self.expect(")")
+            args = self.comma_list(self.parse_term, ")", allow_empty=True)
             return App(_resolve_fn(name), word, tuple(args))
         raise self.error(f"expected a term, found {tok.text!r}")
 
@@ -230,13 +234,7 @@ class _Parser:
             raise self.error(f"function {name!r} declared twice")
         self.expect(":")
         self.expect("(")
-        args: list[Type] = []
-        if self.peek().text != ")":
-            args.append(self.parse_type())
-            while self.peek().text == ",":
-                self.next()
-                args.append(self.parse_type())
-        self.expect(")")
+        args = self.comma_list(self.parse_type, ")", allow_empty=True)
         self.expect("->")
         result = self.parse_type()
         self.expect(";")
@@ -250,11 +248,7 @@ class _Parser:
         ctx: list[tuple[str, Type]] = []
         if self.peek().text == "[":
             self.next()
-            ctx.append(self.parse_ctxitem())
-            while self.peek().text == ",":
-                self.next()
-                ctx.append(self.parse_ctxitem())
-            self.expect("]")
+            ctx = self.comma_list(self.parse_ctxitem, "]")
         if len({v for v, _ in ctx}) != len(ctx):
             raise self.error(f"duplicate variable in the context of {name!r}")
         self.expect("=")

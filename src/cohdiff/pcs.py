@@ -14,6 +14,10 @@ documented semi-decision: evaluate at a deterministic probe set (zero, the
 per-coordinate suprema, seeded boundary and interior rationals) and check
 membership of each result.  A probe failure refutes exactly; survival
 certifies.
+
+Model files are read with the program tokenizer (parse_model_file), so their
+errors carry line:col, and turned into certified matrices by
+build_symbol_matrix.
 """
 
 from __future__ import annotations
@@ -31,12 +35,15 @@ from .objects import (
     Prod,
     Space,
     atom_from_str,
+    embed_slot,
     fingerprint,
     peel_product,
-    tag_prod,
+    prodn,
+    slot_of,
     untag_d,
     web,
 )
+from .parser import ParseError, _Parser, tokenize
 from .polymap import PolyMap
 
 _ZERO = Fraction(0)
@@ -217,29 +224,13 @@ def is_linear(f: PolyMap) -> bool:
     return all(len(m) == 1 for m, _ in f.entries)
 
 
-def _slot_of(atom: Atom, arity: int) -> int:
-    """Which factor of a left-associated product an atom belongs to.
-
-    Slot i > 0 is embedded under L^(arity-1-i) followed by R, slot 0 under
-    L^(arity-1); a first R at depth >= arity-1 is internal to slot 0.
-    """
-    depth = 0
-    a = atom
-    while isinstance(a, tuple) and a[0] in ("L", "R"):
-        if a[0] == "R":
-            return max(0, arity - 1 - depth)
-        depth += 1
-        a = a[1]
-    return 0
-
-
 def is_multilinear(f: PolyMap, arity: int) -> bool:
     """One atom from each argument slot in every monomial."""
     peel_product(f.dom, arity)  # raises if the domain is not such a product
     for m, _ in f.entries:
         if len(m) != arity:
             return False
-        slots = sorted(_slot_of(a, arity) for a in m)
+        slots = sorted(slot_of(a, arity) for a in m)
         if slots != list(range(arity)):
             return False
     return True
@@ -287,75 +278,111 @@ class PcsModelFile:
         self.interps: dict[str, list[tuple[tuple[str, ...], str, Fraction]]] = {}
 
 
+class _ModelReader(_Parser):
+    """Recursive descent over program tokens; see parse_model_file."""
+
+    def parse_model(self) -> PcsModelFile:
+        model = PcsModelFile()
+        while self.peek().kind != "eof":
+            kind = self.peek().text
+            if kind not in ("object", "interp"):
+                raise self.error(f"expected 'object' or 'interp', found {kind!r}")
+            self.next()
+            blocks = model.spaces if kind == "object" else model.interps
+            if self.peek().text in blocks:
+                raise self.error(f"{kind} {self.peek().text!r} declared twice")
+            name = self.expect_kind("ident").text
+            self.expect("{")
+            if kind == "object":
+                blocks[name] = self.parse_object_body(name)
+            else:
+                blocks[name] = self.parse_interp_body(name)
+            self.expect("}")
+        return model
+
+    def parse_object_body(self, name: str) -> Ground:
+        fields: dict = {}
+        while self.peek().text != "}":
+            key = self.peek().text
+            if key not in ("web", "predual"):
+                raise self.error(f"expected 'web' or 'predual', found {key!r}")
+            if key in fields:
+                raise self.error(f"object {name!r} has a second {key}")
+            self.next()
+            self.expect("=")
+            self.expect("[")
+            item = self.parse_web_atom if key == "web" else self.parse_row
+            fields[key] = tuple(self.comma_list(item, "]", allow_empty=True))
+            self.expect(";")
+        for key in ("web", "predual"):
+            if key not in fields:
+                raise self.error(f"object {name!r} lacks a {key}")
+        space = Ground(name, fields["web"], fields["predual"])
+        try:
+            validate_space(space)
+        except ModelError as exc:
+            raise self.error(str(exc)) from None
+        return space
+
+    def parse_web_atom(self) -> str:
+        tok = self.peek()
+        if tok.kind not in ("ident", "nat"):
+            raise self.error(f"expected an atom, found {tok.text!r}")
+        return self.next().text
+
+    def parse_row(self) -> tuple[Fraction, ...]:
+        self.expect("[")
+        return tuple(self.comma_list(self.parse_rational, "]", allow_empty=True))
+
+    def parse_rational(self) -> Fraction:
+        tok = self.peek()
+        text = self.expect_kind("nat").text
+        if self.peek().text == "/":
+            text += self.next().text + self.expect_kind("nat").text
+        try:
+            return _parse_rational(text)
+        except ModelError as exc:
+            raise ParseError(str(exc), tok.line, tok.col) from None
+
+    def parse_path(self) -> str:
+        path = self.parse_web_atom()
+        while self.peek().text == ".":
+            path += self.next().text + self.parse_web_atom()
+        return path
+
+    def parse_interp_body(self, name: str) -> list:
+        entries = []
+        while self.peek().text != "}":
+            self.expect("entry")
+            self.expect("(")
+            slot_atoms = tuple(
+                self.comma_list(self.parse_path, ")", allow_empty=True)
+            )
+            self.expect("->")
+            out = self.parse_path()
+            self.expect(":")
+            entries.append((slot_atoms, out, self.parse_rational()))
+            self.expect(";")
+        if not entries:
+            raise self.error(f"interp {name!r} has no entries")
+        return entries
+
+
 def parse_model_file(text: str) -> PcsModelFile:
-    """Parse object and interp blocks.
+    """Parse object and interp blocks, with the program file's tokens.
 
     object N { web = [e0, e1]; predual = [[1, 1]]; }
     interp f { entry (a0, ..., an) -> b : p/q; ... }
 
-    Entry atoms are dotted paths (L./R. for products, 0./1. for D tags)
-    ending in a web atom, one per argument slot.
+    Web atoms are identifiers or naturals; entry atoms are dotted paths
+    (L./R. for products, 0./1. for D tags) ending in a web atom, one per
+    argument slot.  Every error, a repeated block or key included, is a
+    ModelError that starts with line:col.
     """
-    import re
-
-    model = PcsModelFile()
-    text = re.sub(r"#[^\n]*", "", text)
-    pos = 0
-    block_re = re.compile(
-        r"\s*(object|interp)\s+([A-Za-z_][A-Za-z0-9_]*)\s*\{([^}]*)\}", re.S
-    )
-    while pos < len(text):
-        if text[pos:].strip() == "":
-            break
-        m = block_re.match(text, pos)
-        if m is None:
-            raise ModelError(f"unreadable model text near {text[pos:pos + 30]!r}")
-        kind, name, body = m.group(1), m.group(2), m.group(3)
-        if kind == "object":
-            model.spaces[name] = _parse_object_body(name, body)
-        else:
-            model.interps[name] = _parse_interp_body(name, body)
-        pos = m.end()
-    return model
-
-
-def _parse_object_body(name: str, body: str) -> Ground:
-    import re
-
-    web_m = re.search(r"web\s*=\s*\[([^\]]*)\]\s*;", body)
-    if web_m is None:
-        raise ModelError(f"object {name!r} lacks a web")
-    atoms = tuple(a.strip() for a in web_m.group(1).split(",") if a.strip())
-    pred_m = re.search(r"predual\s*=\s*\[(.*)\]\s*;", body, re.S)
-    if pred_m is None:
-        raise ModelError(f"object {name!r} lacks a predual")
-    rows = re.findall(r"\[([^\]]*)\]", pred_m.group(1))
-    predual = tuple(
-        tuple(_parse_rational(c) for c in row.split(",") if c.strip())
-        for row in rows
-    )
-    space = Ground(name, atoms, predual)
-    validate_space(space)
-    return space
-
-
-def _parse_interp_body(name: str, body: str):
-    import re
-
-    entries = []
-    entry_re = re.compile(
-        r"entry\s*\(([^)]*)\)\s*->\s*([A-Za-z0-9_.]+)\s*:\s*([0-9/ ]+);"
-    )
-    rest = body
-    for m in entry_re.finditer(body):
-        slot_atoms = tuple(a.strip() for a in m.group(1).split(",") if a.strip())
-        entries.append((slot_atoms, m.group(2).strip(), _parse_rational(m.group(3))))
-        rest = rest.replace(m.group(0), "", 1)
-    if rest.strip():
-        raise ModelError(f"interp {name!r}: unreadable text {rest.strip()[:40]!r}")
-    if not entries:
-        raise ModelError(f"interp {name!r} has no entries")
-    return entries
+    try:
+        return _ModelReader(tokenize(text)).parse_model()
+    except ParseError as exc:
+        raise ModelError(str(exc)) from None
 
 
 def build_symbol_matrix(
@@ -367,12 +394,7 @@ def build_symbol_matrix(
 ) -> PolyMap:
     """Assemble a multilinear matrix from per-slot entries and validate it."""
     arity = len(slots)
-    if arity == 0:
-        dom: Space = inst.terminal()
-    else:
-        from .objects import prodn
-
-        dom = prodn(slots)
+    dom = prodn(slots) if slots else inst.terminal()
     matrix: dict = {}
     slot_webs = [set(web(s)) for s in slots]
     cod_web = set(web(cod))
@@ -394,21 +416,12 @@ def build_symbol_matrix(
                 raise ModelError(
                     f"interp {name!r}: atom {text!r} not in slot {i} web"
                 )
-            # Embed into the left-associated product: an R tag first for any
-            # slot but the leftmost, then L tags out to the root.
-            embedded = atom
-            if i > 0:
-                embedded = tag_prod(1, embedded)
-            for _ in range(arity - 1 - i):
-                embedded = tag_prod(0, embedded)
-            mono_atoms.append(embedded)
+            mono_atoms.append(embed_slot(i, arity, atom))
         key = (pm.mono(mono_atoms), out_atom)
         if key in matrix:
             raise ModelError(f"interp {name!r}: duplicate entry {key}")
         matrix[key] = coeff
     result = PolyMap(dom, cod, matrix)
-    if arity > 0 and not is_multilinear(result, arity):
-        raise ModelError(f"interp {name!r} is not multilinear")
     if not inst.certify(result):
         raise ModelError(f"interp {name!r} escapes the codomain on a probe")
     return result

@@ -15,13 +15,26 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import polymap as pm
-from .ccdc import TotalInstance
+from .ccdc import Instance
 from .objects import Atom, Ground, Space, product, tag_prod, untag_d, web
 from .polymap import PolyMap
 
 
-class PolyInstance(TotalInstance):
+class PolyInstance(Instance):
+    """Sums always defined: the carrier of a cartesian differential category."""
+
     name = "poly"
+
+    def pair_witness(self, f0, f1, expected_sum=None):
+        if f0.dom != f1.dom or f0.cod != f1.cod:
+            raise pm.ShapeError("pair_witness needs parallel morphisms")
+        return pm.pair_witness_matrix(f0, f1)
+
+    def family_sum(self, maps, dom, cod, expected=None):
+        total = pm.zero(dom, cod)
+        for f in maps:
+            total = pm.add(total, f)
+        return total
 
 
 def poly_ground(name: str, dimension: int) -> Ground:

@@ -56,7 +56,7 @@ class DegreeCapError(Exception):
 
 
 class ShapeError(Exception):
-    """Domain/codomain mismatch or an atom outside its web."""
+    """Domain/codomain mismatch."""
 
 
 def mono(atoms: Iterable[Atom]) -> Mono:
@@ -91,16 +91,6 @@ class PolyMap:
 
     def max_degree(self) -> int:
         return max((len(m) for m, _ in self.entries), default=0)
-
-    def check_webs(self) -> None:
-        dom_web = set(web(self.dom))
-        cod_web = set(web(self.cod))
-        for (m, b), _ in self.entries.items():
-            if b not in cod_web:
-                raise ShapeError(f"output atom {atom_str(b)} outside codomain web")
-            for a in m:
-                if a not in dom_web:
-                    raise ShapeError(f"input atom {atom_str(a)} outside domain web")
 
     def eval(self, x: dict) -> dict:
         """Evaluate the power series at a point (sparse atom -> Fraction)."""

@@ -141,6 +141,59 @@ def test_model_file_unknown_atom_tag_is_model_error(tmp_path):
     assert text.strip() == "model error: unknown atom tag 'Q' in 'Q.0'"
 
 
+def test_model_file_duplicate_block_is_model_error(tmp_path):
+    bad = tmp_path / "bad.pcsmodel"
+    text = (DEMO / "nat.pcsmodel").read_text()
+    bad.write_text(text + "interp succ { entry (1) -> 0 : 1/2; }\n")
+    code, out = run(
+        "eval", str(DEMO / "nat.cohdiff"), "--model", str(bad), "--term", "branch"
+    )
+    assert code == 3
+    assert out.strip().splitlines() == [
+        "model error: 21:8: interp 'succ' declared twice"
+    ]
+
+
+def test_model_lacking_a_ground_type_is_model_error(tmp_path):
+    program = tmp_path / "m.cohdiff"
+    program.write_text("fn f : (M) -> M;\nterm t [x: M] = f(x);\n")
+    model = tmp_path / "n.pcsmodel"
+    model.write_text(
+        "object N { web = [0]; predual = [[1]]; }\n"
+        "interp f { entry (0) -> 0 : 1; }\n"
+    )
+    code, out = run("eval", str(program), "--model", str(model), "--term", "t")
+    assert code == 3
+    lines = out.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("model error: ")
+    assert "'M'" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "role, kind, code, prefix",
+    [
+        ("program", "directory", 5, "error: "),
+        ("model", "directory", 5, "error: "),
+        ("program", "undecodable", 1, "parse error: 1:6: "),
+        ("model", "undecodable", 3, "model error: 1:6: "),
+    ],
+)
+def test_unreadable_input_file(tmp_path, role, kind, code, prefix):
+    path = tmp_path
+    if kind == "undecodable":
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"# caf\xe9\n")
+    if role == "program":
+        argv = ["check", str(path)]
+    else:
+        argv = ["eval", str(DEMO / "nat.cohdiff"), "--model", str(path),
+                "--term", "branch"]
+    got, out = run(*argv)
+    lines = out.strip().splitlines()
+    assert got == code
+    assert len(lines) == 1 and lines[0].startswith(prefix)
+
+
 def test_laws_pass_and_determinism():
     code1, text1 = run("laws", "--backend", "pcs", "--seed", "7", "--cases", "4")
     code2, text2 = run("laws", "--backend", "pcs", "--seed", "7", "--cases", "4")

@@ -74,6 +74,14 @@ def test_parse_error_carries_position():
     assert err.value.col == 11
 
 
+def test_empty_word_and_context_rejected():
+    # Argument lists may be empty; a word or a context may not.
+    for text, col in [("term t [] = x;", 9), ("term t = f^[]();", 13)]:
+        with pytest.raises(ParseError) as err:
+            parse_program(text)
+        assert (err.value.line, err.value.col) == (1, col)
+
+
 def test_parse_error_bad_character():
     with pytest.raises(ParseError) as err:
         parse_program("term t = %;")

@@ -1,11 +1,21 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from cohdiff import polymap as pm
 from cohdiff.gen import default_pcs_model, law_generators, truncated_nat
-from cohdiff.objects import Ground, d_space, product, web
+from cohdiff.objects import (
+    Ground,
+    atom_key,
+    d_space,
+    embed_slot,
+    prodn,
+    product,
+    slot_of,
+    web,
+)
 from cohdiff.pcs import (
     ModelError,
     PcsInstance,
@@ -292,3 +302,60 @@ def test_parse_model_file_errors():
         parse_model_file("object X { web = [a]; }")
     with pytest.raises(ModelError):
         parse_model_file("garbage")
+    obj = "object N { web = [a]; predual = [[1]]; }\n"
+    for text, prefix in [
+        (obj + obj, "2:8: object 'N' declared twice"),
+        (
+            obj + "interp f { entry (a) -> a : 1/2; }\n"
+            "interp f { entry (a) -> a : 1; }",
+            "3:8: interp 'f' declared twice",
+        ),
+        ("object N { web = [a b, c]; predual = [[1, 1]]; }", "1:21: "),
+        ("object N { web = [L.0, c]; predual = [[1, 1]]; }", "1:20: "),
+        ("object N { web = [a]; predual = [[1]]; stray }", "1:40: "),
+        (
+            "object N { web = [a];\n web = [b]; predual = [[1]]; }",
+            "2:2: object 'N' has a second web",
+        ),
+    ]:
+        with pytest.raises(ModelError) as err:
+            parse_model_file(text)
+        assert str(err.value).startswith(prefix)
+
+
+def test_parse_model_file_demo_literal():
+    demo = Path(__file__).resolve().parent.parent / "demo" / "nat.pcsmodel"
+    model = parse_model_file(demo.read_text())
+    assert model.spaces == {
+        "N": Ground("N", ("0", "1", "2"), ((F(1), F(1), F(1)),))
+    }
+    assert model.interps == {
+        "succ": [(("1",), "0", F(1)), (("2",), "1", F(1))],
+        "ifz": [
+            (("0", "L.0"), "0", F(1)),
+            (("0", "L.1"), "1", F(1)),
+            (("0", "L.2"), "2", F(1)),
+            (("1", "R.0"), "0", F(1)),
+            (("1", "R.1"), "1", F(1)),
+            (("1", "R.2"), "2", F(1)),
+            (("2", "R.0"), "0", F(1)),
+            (("2", "R.1"), "1", F(1)),
+            (("2", "R.2"), "2", F(1)),
+        ],
+    }
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3, 4])
+def test_embed_slot_round_trip(arity):
+    # Slot atoms carry L/R/0/1 tags of their own, so in slot 0 the first R
+    # can sit at depth >= arity-1, inside the slot atom.
+    a = Ground("a", ("x", "y"), ((F(1), F(1)),))
+    kinds = [product(product(a, a), a), d_space(a), product(d_space(a), a), a]
+    slots = [kinds[i % len(kinds)] for i in range(arity)]
+    embedded = []
+    for i, s in enumerate(slots):
+        for atom in web(s):
+            e = embed_slot(i, arity, atom)
+            assert slot_of(e, arity) == i
+            embedded.append(e)
+    assert sorted(embedded, key=atom_key) == list(web(prodn(slots)))
