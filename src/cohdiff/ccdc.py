@@ -1,11 +1,17 @@
-"""Abstract contract of a cartesian coherent differential category.
+"""Cartesian coherent differential structure over the shared map engine.
 
-An Instance supplies composition, the D functor on objects and maps, the two
-projections pi_0, pi_1 : DX -> X, their sum sigma, the cartesian structure,
-and a partial pairing pair_witness.  Everything else (injections, the monad
-sum theta, the lift l, the swap c, strengths, partial derivatives, n-ary
-sums) is derived here, and check_axioms verifies the axioms and the derived
-theorems on any instance by exact morphism equality.
+The category is PolyMap: composition, D on objects and maps, the projections
+pi_0, pi_1 : DX -> X, their sum sigma and the cartesian structure are the
+functions of polymap and objects, called there.  Instance adds the
+summability structure: pair_witness pairs parallel maps into a witness
+X -> DY, and family_sum adds a family.  Both are total here, as in a
+cartesian differential category (Blute, Cockett and Seely); a backend with
+partial sums overrides them to certify the pointwise sum, and terminal when
+its terminal object differs.  sigma is a method so that a negative control
+can corrupt it.  Everything else (injections, the monad sum theta, the lift
+l, the swap c, strengths, partial derivatives, n-ary sums) is derived here,
+and check_axioms verifies the axioms and the derived theorems on any
+instance by exact morphism equality.
 """
 
 from __future__ import annotations
@@ -28,75 +34,38 @@ class StructureError(Exception):
 
 
 class Instance:
-    """A concrete category with candidate coherent differential structure."""
+    """Summability over PolyMap: total unless a backend certifies sums."""
 
-    name = "abstract"
+    name = "total"
 
-    def __init__(self, degree_cap: int = pm.DEGREE_CAP):
-        self.degree_cap = degree_cap
+    def __init__(self):
         self._derived: dict = {}
-
-    # -- object structure ------------------------------------------------
 
     def terminal(self) -> Space:
         return Ground("top", (), ())
 
-    def product(self, x: Space, y: Space) -> Space:
-        return product(x, y)
-
-    def d_object(self, x: Space) -> Space:
-        return d_space(x)
-
-    # -- morphism structure ----------------------------------------------
-
-    def identity(self, x: Space) -> PolyMap:
-        return pm.identity(x)
-
-    def zero(self, dom: Space, cod: Space) -> PolyMap:
-        return pm.zero(dom, cod)
-
-    def compose(self, g: PolyMap, f: PolyMap) -> PolyMap:
-        return pm.compose(g, f, self.degree_cap)
-
-    def d_morphism(self, f: PolyMap) -> PolyMap:
-        return pm.differential(f)
+    def sigma(self, x: Space) -> PolyMap:
+        return pm.sigma(x)
 
     def d_morphism_n(self, f: PolyMap, n: int) -> PolyMap:
         for _ in range(n):
             f = pm.differential(f)
         return f
 
-    def proj(self, i: int, x: Space) -> PolyMap:
-        return pm.proj(i, x)
-
-    def sigma(self, x: Space) -> PolyMap:
-        return pm.sigma(x)
-
-    def prod_proj(self, i: int, x: Space, y: Space) -> PolyMap:
-        return pm.prod_proj(i, x, y)
-
-    def prod_pair(self, f0: PolyMap, f1: PolyMap) -> PolyMap:
-        return pm.prod_pair(f0, f1)
-
-    def with_map(self, f0: PolyMap, f1: PolyMap) -> PolyMap:
-        return pm.with_map(f0, f1)
-
-    def terminal_map(self, x: Space) -> PolyMap:
-        return pm.zero(x, self.terminal())
-
     # -- summability -------------------------------------------------------
 
-    def pair_witness(
-        self, f0: PolyMap, f1: PolyMap, expected_sum: Optional[PolyMap] = None
-    ) -> Optional[PolyMap]:
-        raise NotImplementedError
+    def pair_witness(self, f0: PolyMap, f1: PolyMap) -> Optional[PolyMap]:
+        """The witness <f0, f1> : X -> DY, absent when not summable."""
+        if f0.dom != f1.dom or f0.cod != f1.cod:
+            raise pm.ShapeError("pair_witness needs parallel morphisms")
+        return pm.pair_witness_matrix(f0, f1)
 
     def sum2(self, f0: PolyMap, f1: PolyMap) -> Optional[PolyMap]:
         """The defined sum sigma . <f0, f1>, absent when not summable."""
         w = self.pair_witness(f0, f1)
         if w is None:
             return None
-        return self.compose(self.sigma(f0.cod), w)
+        return pm.compose(self.sigma(f0.cod), w)
 
     def family_sum(
         self,
@@ -105,8 +74,12 @@ class Instance:
         cod: Space,
         expected: Optional[PolyMap] = None,
     ) -> Optional[PolyMap]:
-        """n-ary sum; the empty family sums to zero."""
-        raise NotImplementedError
+        """n-ary sum; the empty family sums to zero.  expected, a morphism
+        the sum should equal, lets a partial backend certify exactly."""
+        total = pm.zero(dom, cod)
+        for f in maps:
+            total = pm.add(total, f)
+        return total
 
     # -- derived morphisms --------------------------------------------------
 
@@ -124,8 +97,8 @@ class Instance:
         """iota_i = <id, 0> (resp. <0, id>), from the D-zero axiom."""
 
         def build() -> PolyMap:
-            one = self.identity(x)
-            nil = self.zero(x, x)
+            one = pm.identity(x)
+            nil = pm.zero(x, x)
             pair = (one, nil) if i == 0 else (nil, one)
             return self._require(self.pair_witness(*pair), f"iota_{i}")
 
@@ -135,13 +108,13 @@ class Instance:
         """theta = <pi0 pi0, pi1 pi0 + pi0 pi1> : D^2 X -> DX."""
 
         def build() -> PolyMap:
-            dx = self.d_object(x)
-            p0, p1 = self.proj(0, x), self.proj(1, x)
-            q0, q1 = self.proj(0, dx), self.proj(1, dx)
-            inner = self.sum2(self.compose(p1, q0), self.compose(p0, q1))
+            dx = d_space(x)
+            p0, p1 = pm.proj(0, x), pm.proj(1, x)
+            q0, q1 = pm.proj(0, dx), pm.proj(1, dx)
+            inner = self.sum2(pm.compose(p1, q0), pm.compose(p0, q1))
             inner = self._require(inner, "theta inner sum")
             return self._require(
-                self.pair_witness(self.compose(p0, q0), inner), "theta"
+                self.pair_witness(pm.compose(p0, q0), inner), "theta"
             )
 
         return self._cache(("theta", x), build)
@@ -150,11 +123,11 @@ class Instance:
         """theta^n : D^(n+1) X -> DX, the n-fold monad sum."""
 
         def build() -> PolyMap:
-            acc = self.identity(self.d_object(x))
+            acc = pm.identity(d_space(x))
             level = x
             for _ in range(n):
-                acc = self.compose(acc, self.theta(level))
-                level = self.d_object(level)
+                acc = pm.compose(acc, self.theta(level))
+                level = d_space(level)
             return acc
 
         return self._cache(("theta_pow", x, n), build)
@@ -163,8 +136,8 @@ class Instance:
         """l = <<pi0, 0>, <0, pi1>> : DX -> D^2 X."""
 
         def build() -> PolyMap:
-            p0, p1 = self.proj(0, x), self.proj(1, x)
-            nil = self.zero(self.d_object(x), x)
+            p0, p1 = pm.proj(0, x), pm.proj(1, x)
+            nil = pm.zero(d_space(x), x)
             left = self._require(self.pair_witness(p0, nil), "lift left")
             right = self._require(self.pair_witness(nil, p1), "lift right")
             return self._require(self.pair_witness(left, right), "lift")
@@ -175,19 +148,15 @@ class Instance:
         """c = <<pi0 pi0, pi0 pi1>, <pi1 pi0, pi1 pi1>> : D^2 X -> D^2 X."""
 
         def build() -> PolyMap:
-            dx = self.d_object(x)
-            p0, p1 = self.proj(0, x), self.proj(1, x)
-            q0, q1 = self.proj(0, dx), self.proj(1, dx)
+            dx = d_space(x)
+            p0, p1 = pm.proj(0, x), pm.proj(1, x)
+            q0, q1 = pm.proj(0, dx), pm.proj(1, dx)
             top = self._require(
-                self.pair_witness(
-                    self.compose(p0, q0), self.compose(p0, q1)
-                ),
+                self.pair_witness(pm.compose(p0, q0), pm.compose(p0, q1)),
                 "swap top",
             )
             bot = self._require(
-                self.pair_witness(
-                    self.compose(p1, q0), self.compose(p1, q1)
-                ),
+                self.pair_witness(pm.compose(p1, q0), pm.compose(p1, q1)),
                 "swap bottom",
             )
             return self._require(self.pair_witness(top, bot), "swap")
@@ -207,19 +176,19 @@ class Instance:
 
     def c_with(self, x: Space, y: Space) -> PolyMap:
         """<D pr0, D pr1> : D(X & Y) -> DX & DY."""
-        return self.prod_pair(
-            self.d_morphism(self.prod_proj(0, x, y)),
-            self.d_morphism(self.prod_proj(1, x, y)),
+        return pm.prod_pair(
+            pm.differential(pm.prod_proj(0, x, y)),
+            pm.differential(pm.prod_proj(1, x, y)),
         )
 
     def c_with_inv(self, x: Space, y: Space) -> PolyMap:
         """<pi0 & pi0, pi1 & pi1>, the inverse of c_with."""
         def build() -> PolyMap:
-            p = [self.proj(i, x) for i in (0, 1)]
-            q = [self.proj(i, y) for i in (0, 1)]
+            p = [pm.proj(i, x) for i in (0, 1)]
+            q = [pm.proj(i, y) for i in (0, 1)]
             return self._require(
                 self.pair_witness(
-                    self.with_map(p[0], q[0]), self.with_map(p[1], q[1])
+                    pm.with_map(p[0], q[0]), pm.with_map(p[1], q[1])
                 ),
                 "c_with inverse",
             )
@@ -235,37 +204,37 @@ class Instance:
             if j == i:
                 maps.append(g)
             elif fill == "id":
-                maps.append(self.identity(s))
+                maps.append(pm.identity(s))
             else:
-                maps.append(self.zero(s, s))
+                maps.append(pm.zero(s, s))
         acc = maps[0]
         for m in maps[1:]:
-            acc = self.with_map(acc, m)
+            acc = pm.with_map(acc, m)
         return acc
 
     def prod_pair_n(self, maps: Sequence[PolyMap]) -> PolyMap:
         acc = maps[0]
         for m in maps[1:]:
-            acc = self.prod_pair(acc, m)
+            acc = pm.prod_pair(acc, m)
         return acc
 
     def var_proj(self, slots: Sequence[Space], i: int) -> PolyMap:
         """Projection from the left-associated product onto slot i."""
         n = len(slots) - 1
         if n == 0:
-            return self.identity(slots[0])
+            return pm.identity(slots[0])
         prefix = prodn(list(slots[:-1]))
         if i == n:
-            return self.prod_proj(1, prefix, slots[n])
+            return pm.prod_proj(1, prefix, slots[n])
         inner = self.var_proj(slots[:-1], i)
-        return self.compose(inner, self.prod_proj(0, prefix, slots[n]))
+        return pm.compose(inner, pm.prod_proj(0, prefix, slots[n]))
 
     def strength(self, slots: Sequence[Space], i: int) -> PolyMap:
         """phi_i = <(id ... pi0 at i ... id), (0 ... pi1 at i ... 0)>."""
         dslots = list(slots)
-        dslots[i] = self.d_object(slots[i])
-        first = self.single_app(dslots, i, self.proj(0, slots[i]), fill="id")
-        second = self.single_app(dslots, i, self.proj(1, slots[i]), fill="zero")
+        dslots[i] = d_space(slots[i])
+        first = self.single_app(dslots, i, pm.proj(0, slots[i]), fill="id")
+        second = self.single_app(dslots, i, pm.proj(1, slots[i]), fill="zero")
         return pm.pair_witness_matrix(first, second)
 
     def partial_derivative(
@@ -278,7 +247,7 @@ class Instance:
             raise pm.ShapeError(
                 f"slots do not assemble to the domain {space_str(f.dom)}"
             )
-        return self.compose(self.d_morphism(f), self.strength(slots, i))
+        return pm.compose(pm.differential(f), self.strength(slots, i))
 
     def partial_derivative_word(
         self, f: PolyMap, slots: Sequence[Space], word: Sequence[int]
@@ -287,16 +256,16 @@ class Instance:
         slots = list(slots)
         for letter in word:
             f = self.partial_derivative(f, slots, letter)
-            slots[letter] = self.d_object(slots[letter])
+            slots[letter] = d_space(slots[letter])
         return f
 
     def c_n_inv(self, slots: Sequence[Space]) -> PolyMap:
         """<pi0 & ... & pi0, pi1 & ... & pi1> : DX0 & ... & DXn -> D(prod)."""
         halves = []
         for i in (0, 1):
-            acc = self.proj(i, slots[0])
+            acc = pm.proj(i, slots[0])
             for s in slots[1:]:
-                acc = self.with_map(acc, self.proj(i, s))
+                acc = pm.with_map(acc, pm.proj(i, s))
             halves.append(acc)
         return self._require(
             self.pair_witness(halves[0], halves[1]), "c_n inverse"
@@ -422,10 +391,10 @@ def _neq(name: str, lhs: PolyMap, rhs: PolyMap) -> Optional[str]:
 def _law_d_com(env: LawEnv) -> Optional[str]:
     inst = env.inst
     x = env.pick_object()
-    w = inst.pair_witness(inst.proj(1, x), inst.proj(0, x))
+    w = inst.pair_witness(pm.proj(1, x), pm.proj(0, x))
     if w is None:
         return f"pi1, pi0 not summable on {space_str(x)}"
-    total = inst.compose(inst.sigma(x), w)
+    total = pm.compose(inst.sigma(x), w)
     err = _neq("pi1 + pi0 = sigma", total, inst.sigma(x))
     if err:
         return err
@@ -440,18 +409,18 @@ def _law_d_com(env: LawEnv) -> Optional[str]:
 def _law_d_zero(env: LawEnv) -> Optional[str]:
     inst = env.inst
     x = env.pick_object()
-    one = inst.identity(x)
-    nil = inst.zero(x, x)
+    one = pm.identity(x)
+    nil = pm.zero(x, x)
     for pair, label in (((one, nil), "id + 0"), ((nil, one), "0 + id")):
         w = inst.pair_witness(*pair)
         if w is None:
             return f"{label} not summable on {space_str(x)}"
-        total = inst.compose(inst.sigma(x), w)
+        total = pm.compose(inst.sigma(x), w)
         err = _neq(f"{label} = id", total, one)
         if err:
             return err
     f = env.pick_map()
-    s = inst.sum2(f, inst.zero(f.dom, f.cod))
+    s = inst.sum2(f, pm.zero(f.dom, f.cod))
     if s is None:
         return "f + 0 failed to certify"
     return _neq("f + 0 = f", s, f)
@@ -473,15 +442,14 @@ def _law_d_witness(env: LawEnv) -> Optional[str]:
 
 
 def _law_dproj_lin(env: LawEnv) -> Optional[str]:
-    inst = env.inst
     x = env.pick_object()
-    dx = inst.d_object(x)
+    dx = d_space(x)
     for i in (0, 1):
-        p = inst.proj(i, x)
+        p = pm.proj(i, x)
         expected = pm.pair_witness_matrix(
-            inst.compose(p, inst.proj(0, dx)), inst.compose(p, inst.proj(1, dx))
+            pm.compose(p, pm.proj(0, dx)), pm.compose(p, pm.proj(1, dx))
         )
-        err = _neq(f"D pi{i} linear", inst.d_morphism(p), expected)
+        err = _neq(f"D pi{i} linear", pm.differential(p), expected)
         if err:
             return err
     return None
@@ -490,67 +458,66 @@ def _law_dproj_lin(env: LawEnv) -> Optional[str]:
 def _law_dsum_lin(env: LawEnv) -> Optional[str]:
     inst = env.inst
     x = env.pick_object()
-    dx = inst.d_object(x)
+    dx = d_space(x)
     s = inst.sigma(x)
     expected = pm.pair_witness_matrix(
-        inst.compose(s, inst.proj(0, dx)), inst.compose(s, inst.proj(1, dx))
+        pm.compose(s, pm.proj(0, dx)), pm.compose(s, pm.proj(1, dx))
     )
-    err = _neq("D sigma linear", inst.d_morphism(s), expected)
+    err = _neq("D sigma linear", pm.differential(s), expected)
     if err:
         return err
     y = env.pick_object()
-    z = inst.zero(x, y)
+    z = pm.zero(x, y)
     return _neq(
         "D 0 = 0",
-        inst.d_morphism(z),
-        inst.zero(inst.d_object(x), inst.d_object(y)),
+        pm.differential(z),
+        pm.zero(d_space(x), d_space(y)),
     )
 
 
 def _law_d_chain(env: LawEnv) -> Optional[str]:
-    inst = env.inst
     x = env.pick_object()
     err = _neq(
         "D id = id",
-        inst.d_morphism(inst.identity(x)),
-        inst.identity(inst.d_object(x)),
+        pm.differential(pm.identity(x)),
+        pm.identity(d_space(x)),
     )
     if err:
         return err
     g, f = env.pick_composable()
     return _neq(
         "D(g . f) = Dg . Df",
-        inst.d_morphism(inst.compose(g, f)),
-        inst.compose(inst.d_morphism(g), inst.d_morphism(f)),
+        pm.differential(pm.compose(g, f)),
+        pm.compose(pm.differential(g), pm.differential(f)),
     )
 
 
 def _law_d_add(env: LawEnv) -> Optional[str]:
     inst = env.inst
     f = env.pick_map()
-    df = inst.d_morphism(f)
+    df = pm.differential(f)
     err = _neq(
         "Df . iota0 = iota0 . f",
-        inst.compose(df, inst.inj(0, f.dom)),
-        inst.compose(inst.inj(0, f.cod), f),
+        pm.compose(df, inst.inj(0, f.dom)),
+        pm.compose(inst.inj(0, f.cod), f),
     )
     if err:
         return err
     return _neq(
         "Df . theta = theta . D^2 f",
-        inst.compose(df, inst.theta(f.dom)),
-        inst.compose(inst.theta(f.cod), inst.d_morphism(df)),
+        pm.compose(df, inst.theta(f.dom)),
+        pm.compose(inst.theta(f.cod), pm.differential(df)),
     )
 
 
 def _law_d_lin(env: LawEnv) -> Optional[str]:
     inst = env.inst
     f = env.pick_map()
-    df = inst.d_morphism(f)
+    df = pm.differential(f)
     return _neq(
         "D^2 f . l = l . Df",
-        inst.compose(inst.d_morphism(df), inst.lift(f.dom)),
-        inst.compose(inst.lift(f.cod), df),
+        pm.compose(pm.differential(df), inst.lift(f.dom)),
+        pm.compose(inst.lift(f.cod), df),
     )
 
 
@@ -560,26 +527,26 @@ def _law_d_schwarz(env: LawEnv) -> Optional[str]:
     ddf = inst.d_morphism_n(f, 2)
     return _neq(
         "D^2 f . c = c . D^2 f",
-        inst.compose(ddf, inst.swap(f.dom)),
-        inst.compose(inst.swap(f.cod), ddf),
+        pm.compose(ddf, inst.swap(f.dom)),
+        pm.compose(inst.swap(f.cod), ddf),
     )
 
 
 def _law_monad_unit(env: LawEnv) -> Optional[str]:
     inst = env.inst
     x = env.pick_object()
-    dx = inst.d_object(x)
-    ident = inst.identity(dx)
+    dx = d_space(x)
+    ident = pm.identity(dx)
     err = _neq(
         "theta . D iota0 = id",
-        inst.compose(inst.theta(x), inst.d_morphism(inst.inj(0, x))),
+        pm.compose(inst.theta(x), pm.differential(inst.inj(0, x))),
         ident,
     )
     if err:
         return err
     return _neq(
         "theta . iota0 = id",
-        inst.compose(inst.theta(x), inst.inj(0, dx)),
+        pm.compose(inst.theta(x), inst.inj(0, dx)),
         ident,
     )
 
@@ -589,8 +556,8 @@ def _law_monad_assoc(env: LawEnv) -> Optional[str]:
     x = env.pick_object()
     return _neq(
         "theta . D theta = theta . theta",
-        inst.compose(inst.theta(x), inst.d_morphism(inst.theta(x))),
-        inst.compose(inst.theta(x), inst.theta(inst.d_object(x))),
+        pm.compose(inst.theta(x), pm.differential(inst.theta(x))),
+        pm.compose(inst.theta(x), inst.theta(d_space(x))),
     )
 
 
@@ -601,48 +568,48 @@ def _law_c_with_iso(env: LawEnv) -> Optional[str]:
     inv = inst.c_with_inv(x, y)
     err = _neq(
         "c_with . inv = id",
-        inst.compose(fwd, inv),
-        inst.identity(inv.dom),
+        pm.compose(fwd, inv),
+        pm.identity(inv.dom),
     )
     if err:
         return err
     return _neq(
         "inv . c_with = id",
-        inst.compose(inv, fwd),
-        inst.identity(fwd.dom),
+        pm.compose(inv, fwd),
+        pm.identity(fwd.dom),
     )
 
 
 def _law_strength_comm(env: LawEnv) -> Optional[str]:
     inst = env.inst
     x, y = env.pick_object(), env.pick_object()
-    dx, dy = inst.d_object(x), inst.d_object(y)
+    dx, dy = d_space(x), d_space(y)
     # Both paths start at DX & DY and land in D^2 (X & Y).
-    via_left = inst.compose(
-        inst.d_morphism(inst.strength([x, y], 1)), inst.strength([x, dy], 0)
+    via_left = pm.compose(
+        pm.differential(inst.strength([x, y], 1)), inst.strength([x, dy], 0)
     )
-    via_right = inst.compose(
-        inst.d_morphism(inst.strength([x, y], 0)), inst.strength([dx, y], 1)
+    via_right = pm.compose(
+        pm.differential(inst.strength([x, y], 0)), inst.strength([dx, y], 1)
     )
     err = _neq(
         "c . (D phi1 . phi0) = D phi0 . phi1",
-        inst.compose(inst.swap(inst.product(x, y)), via_left),
+        pm.compose(inst.swap(product(x, y)), via_left),
         via_right,
     )
     if err:
         return err
-    p = inst.product(x, y)
+    p = product(x, y)
     inv = inst.c_with_inv(x, y)
     err = _neq(
         "theta . D phi0 . phi1 = c_with_inv",
-        inst.compose(inst.theta(p), via_right),
+        pm.compose(inst.theta(p), via_right),
         inv,
     )
     if err:
         return err
     return _neq(
         "theta . D phi1 . phi0 = c_with_inv",
-        inst.compose(inst.theta(p), via_left),
+        pm.compose(inst.theta(p), via_left),
         inv,
     )
 
@@ -651,14 +618,14 @@ def _law_leibniz(env: LawEnv) -> Optional[str]:
     inst = env.inst
     f, (x, y) = env.pick_product_map()
     inv = inst.c_with_inv(x, y)
-    lhs = inst.compose(inst.d_morphism(f), inv)
+    lhs = pm.compose(pm.differential(f), inv)
     d0d1 = inst.partial_derivative_word(f, [x, y], (1, 0))
     d1d0 = inst.partial_derivative_word(f, [x, y], (0, 1))
     theta = inst.theta(f.cod)
-    err = _neq("Df . c^-1 = theta . D0 D1 f", lhs, inst.compose(theta, d0d1))
+    err = _neq("Df . c^-1 = theta . D0 D1 f", lhs, pm.compose(theta, d0d1))
     if err:
         return err
-    return _neq("Df . c^-1 = theta . D1 D0 f", lhs, inst.compose(theta, d1d0))
+    return _neq("Df . c^-1 = theta . D1 D0 f", lhs, pm.compose(theta, d1d0))
 
 
 def _law_schwarz_partial(env: LawEnv) -> Optional[str]:
@@ -669,7 +636,7 @@ def _law_schwarz_partial(env: LawEnv) -> Optional[str]:
     return _neq(
         "D0 D1 f = c . D1 D0 f",
         d0d1,
-        inst.compose(inst.swap(f.cod), d1d0),
+        pm.compose(inst.swap(f.cod), d1d0),
     )
 
 
@@ -679,9 +646,9 @@ def _law_partial_proj0(env: LawEnv) -> Optional[str]:
     slots = [x, y]
     for i in (0, 1):
         di = inst.partial_derivative(f, slots, i)
-        lhs = inst.compose(inst.proj(0, f.cod), di)
-        rhs = inst.compose(
-            f, inst.single_app([inst.d_object(slots[i]) if j == i else slots[j] for j in range(2)], i, inst.proj(0, slots[i]))
+        lhs = pm.compose(pm.proj(0, f.cod), di)
+        rhs = pm.compose(
+            f, inst.single_app([d_space(slots[i]) if j == i else slots[j] for j in range(2)], i, pm.proj(0, slots[i]))
         )
         err = _neq(f"pi0 . D{i} f = f . (pi0 at {i})", lhs, rhs)
         if err:
@@ -689,21 +656,20 @@ def _law_partial_proj0(env: LawEnv) -> Optional[str]:
     return None
 
 
-def _derivative(inst: Instance, f: PolyMap) -> PolyMap:
-    return inst.compose(inst.proj(1, f.cod), inst.d_morphism(f))
+def _derivative(f: PolyMap) -> PolyMap:
+    return pm.compose(pm.proj(1, f.cod), pm.differential(f))
 
 
 def _law_d_chain_partial(env: LawEnv) -> Optional[str]:
-    inst = env.inst
     g, f = env.pick_composable()
-    lhs = _derivative(inst, inst.compose(g, f))
+    lhs = _derivative(pm.compose(g, f))
     witness = pm.pair_witness_matrix(
-        inst.compose(f, inst.proj(0, f.dom)), _derivative(inst, f)
+        pm.compose(f, pm.proj(0, f.dom)), _derivative(f)
     )
     return _neq(
         "d(g . f) = dg . <f pi0, df>",
         lhs,
-        inst.compose(_derivative(inst, g), witness),
+        pm.compose(_derivative(g), witness),
     )
 
 
@@ -712,27 +678,27 @@ def _law_d_inj0_zero(env: LawEnv) -> Optional[str]:
     f = env.pick_map()
     return _neq(
         "df . iota0 = 0",
-        inst.compose(_derivative(inst, f), inst.inj(0, f.dom)),
-        inst.zero(f.dom, f.cod),
+        pm.compose(_derivative(f), inst.inj(0, f.dom)),
+        pm.zero(f.dom, f.cod),
     )
 
 
 def _law_d_lift(env: LawEnv) -> Optional[str]:
     inst = env.inst
     f = env.pick_map()
-    ddf = _derivative(inst, _derivative(inst, f))
+    ddf = _derivative(_derivative(f))
     return _neq(
         "dd f . l = d f",
-        inst.compose(ddf, inst.lift(f.dom)),
-        _derivative(inst, f),
+        pm.compose(ddf, inst.lift(f.dom)),
+        _derivative(f),
     )
 
 
 def _law_d_swap(env: LawEnv) -> Optional[str]:
     inst = env.inst
     f = env.pick_map()
-    ddf = _derivative(inst, _derivative(inst, f))
-    return _neq("dd f . c = dd f", inst.compose(ddf, inst.swap(f.dom)), ddf)
+    ddf = _derivative(_derivative(f))
+    return _neq("dd f . c = dd f", pm.compose(ddf, inst.swap(f.dom)), ddf)
 
 
 def _law_pair_derivative(env: LawEnv) -> Optional[str]:
@@ -741,11 +707,11 @@ def _law_pair_derivative(env: LawEnv) -> Optional[str]:
     w = inst.pair_witness(f0, f1)
     if w is None:
         return "constructed summable pair failed to certify"
-    lhs = pm.pair_witness_matrix(inst.d_morphism(f0), inst.d_morphism(f1))
+    lhs = pm.pair_witness_matrix(pm.differential(f0), pm.differential(f1))
     return _neq(
         "<D f0, D f1> = c . D <f0, f1>",
         lhs,
-        inst.compose(inst.swap(f0.cod), inst.d_morphism(w)),
+        pm.compose(inst.swap(f0.cod), pm.differential(w)),
     )
 
 
@@ -762,27 +728,27 @@ def _law_left_compat(env: LawEnv) -> Optional[str]:
         return "constructed summable pair failed to certify"
     err = _neq(
         "<f0, f1> . g = <f0 g, f1 g>",
-        inst.compose(w, g),
-        pm.pair_witness_matrix(inst.compose(f0, g), inst.compose(f1, g)),
+        pm.compose(w, g),
+        pm.pair_witness_matrix(pm.compose(f0, g), pm.compose(f1, g)),
     )
     if err:
         return err
-    s_composed = inst.sum2(inst.compose(f0, g), inst.compose(f1, g))
+    s_composed = inst.sum2(pm.compose(f0, g), pm.compose(f1, g))
     if s_composed is None:
         return "composed pair lost summability"
-    return _neq("(f0 + f1) g = f0 g + f1 g", inst.compose(s, g), s_composed)
+    return _neq("(f0 + f1) g = f0 g + f1 g", pm.compose(s, g), s_composed)
 
 
 def _law_proj_sum(env: LawEnv) -> Optional[str]:
     inst = env.inst
     x = env.pick_object()
-    w = inst.pair_witness(inst.proj(0, x), inst.proj(1, x))
+    w = inst.pair_witness(pm.proj(0, x), pm.proj(1, x))
     if w is None:
         return "pi0, pi1 not summable"
-    err = _neq("<pi0, pi1> = id", w, inst.identity(inst.d_object(x)))
+    err = _neq("<pi0, pi1> = id", w, pm.identity(d_space(x)))
     if err:
         return err
-    s = inst.sum2(inst.proj(0, x), inst.proj(1, x))
+    s = inst.sum2(pm.proj(0, x), pm.proj(1, x))
     return _neq("pi0 + pi1 = sigma", s, inst.sigma(x))
 
 
@@ -802,14 +768,14 @@ def _law_family_on_pairs(env: LawEnv) -> Optional[str]:
         return "u + v failed"
     err = _neq(
         "theta . <<x,u>,<v,w>> = <x, u+v>",
-        inst.compose(inst.theta(cod), outer),
+        pm.compose(inst.theta(cod), outer),
         pm.pair_witness_matrix(x, s),
     )
     if err:
         return err
     err = _neq(
         "c . <<x,u>,<v,w>> = <<x,v>,<u,w>>",
-        inst.compose(inst.swap(cod), outer),
+        pm.compose(inst.swap(cod), outer),
         pm.pair_witness_matrix(
             pm.pair_witness_matrix(x, v), pm.pair_witness_matrix(u, w)
         ),
@@ -817,10 +783,10 @@ def _law_family_on_pairs(env: LawEnv) -> Optional[str]:
     if err:
         return err
     pair = inst.pair_witness(x, u)
-    nil = inst.zero(x.dom, cod)
+    nil = pm.zero(x.dom, cod)
     return _neq(
         "l . <x,u> = <<x,0>,<0,u>>",
-        inst.compose(inst.lift(cod), pair),
+        pm.compose(inst.lift(cod), pair),
         pm.pair_witness_matrix(
             pm.pair_witness_matrix(x, nil), pm.pair_witness_matrix(nil, u)
         ),
@@ -832,12 +798,12 @@ def _law_additive_char(env: LawEnv) -> Optional[str]:
     # together imply h distributes over every summable pair.
     inst = env.inst
     h = env.pick_map()
-    if inst.compose(h, inst.zero(h.dom, h.dom)) != inst.zero(h.dom, h.cod):
+    if pm.compose(h, pm.zero(h.dom, h.dom)) != pm.zero(h.dom, h.cod):
         return None
     s = inst.sum2(
-        inst.compose(h, inst.proj(0, h.dom)), inst.compose(h, inst.proj(1, h.dom))
+        pm.compose(h, pm.proj(0, h.dom)), pm.compose(h, pm.proj(1, h.dom))
     )
-    if s is None or s != inst.compose(h, inst.sigma(h.dom)):
+    if s is None or s != pm.compose(h, inst.sigma(h.dom)):
         return None
     candidates = [g for g in env.morphisms if g.cod == h.dom]
     if not candidates:
@@ -847,71 +813,70 @@ def _law_additive_char(env: LawEnv) -> Optional[str]:
     f0 = pm.scale(first, HALF)
     f1 = pm.scale(env.rng.choice(parallel), HALF)
     total = inst.sum2(f0, f1)
-    lhs = inst.sum2(inst.compose(h, f0), inst.compose(h, f1))
+    lhs = inst.sum2(pm.compose(h, f0), pm.compose(h, f1))
     if total is None or lhs is None:
         return "additive h failed to distribute over a summable pair"
-    return _neq("h (f0 + f1) = h f0 + h f1", inst.compose(h, total), lhs)
+    return _neq("h (f0 + f1) = h f0 + h f1", pm.compose(h, total), lhs)
 
 
 def _law_linear_char(env: LawEnv) -> Optional[str]:
     inst = env.inst
     h = env.pick_map()
-    if _derivative(inst, h) != inst.compose(h, inst.proj(1, h.dom)):
+    if _derivative(h) != pm.compose(h, pm.proj(1, h.dom)):
         return None
     # The derivative equation alone must imply the other two diagrams.
     err = _neq(
         "sigma . Dh = h . sigma",
-        inst.compose(inst.sigma(h.cod), inst.d_morphism(h)),
-        inst.compose(h, inst.sigma(h.dom)),
+        pm.compose(inst.sigma(h.cod), pm.differential(h)),
+        pm.compose(h, inst.sigma(h.dom)),
     )
     if err:
         return err
     w = env.pick_object()
     return _neq(
         "h . 0 = 0",
-        inst.compose(h, inst.zero(w, h.dom)),
-        inst.zero(w, h.cod),
+        pm.compose(h, pm.zero(w, h.dom)),
+        pm.zero(w, h.cod),
     )
 
 
-def _is_dlinear(inst: Instance, h: PolyMap) -> bool:
-    return _derivative(inst, h) == inst.compose(h, inst.proj(1, h.dom))
+def _is_dlinear(h: PolyMap) -> bool:
+    return _derivative(h) == pm.compose(h, pm.proj(1, h.dom))
 
 
 def _law_linear_closure(env: LawEnv) -> Optional[str]:
     inst = env.inst
     x = env.pick_object()
-    dx = inst.d_object(x)
     y = env.pick_object()
     structural = [
-        inst.proj(0, x),
-        inst.proj(1, x),
+        pm.proj(0, x),
+        pm.proj(1, x),
         inst.sigma(x),
         inst.inj(0, x),
         inst.inj(1, x),
         inst.theta(x),
         inst.lift(x),
         inst.swap(x),
-        inst.prod_proj(0, x, y),
-        inst.prod_proj(1, x, y),
+        pm.prod_proj(0, x, y),
+        pm.prod_proj(1, x, y),
     ]
     for m in structural:
-        if not _is_dlinear(inst, m):
+        if not _is_dlinear(m):
             return f"structural morphism not D-linear: {m!r}"
     # Closure under composition: two linear maps of matching type.
-    comp = inst.compose(inst.proj(0, x), inst.theta(x))
-    if not _is_dlinear(inst, comp):
+    comp = pm.compose(pm.proj(0, x), inst.theta(x))
+    if not _is_dlinear(comp):
         return f"composite of linear maps not linear: {comp!r}"
     # Closure under witness pairing and sum, on a scaled linear pair.
-    f0 = pm.scale(inst.proj(0, x), HALF)
-    f1 = pm.scale(inst.proj(1, x), HALF)
+    f0 = pm.scale(pm.proj(0, x), HALF)
+    f1 = pm.scale(pm.proj(1, x), HALF)
     w = inst.pair_witness(f0, f1)
     s = inst.sum2(f0, f1)
     if w is None or s is None:
         return "scaled projections failed to certify"
-    if not _is_dlinear(inst, w):
+    if not _is_dlinear(w):
         return "witness pairing of linear maps not linear"
-    if not _is_dlinear(inst, s):
+    if not _is_dlinear(s):
         return "sum of linear maps not linear"
     return None
 
@@ -922,10 +887,10 @@ def _multilinear_equation(
     """First slot violating pi1 . D_i f = f . (pi1 at i), or None."""
     for i in range(len(slots)):
         di = inst.partial_derivative(f, slots, i)
-        lhs = inst.compose(inst.proj(1, f.cod), di)
+        lhs = pm.compose(pm.proj(1, f.cod), di)
         dslots = list(slots)
-        dslots[i] = inst.d_object(slots[i])
-        rhs = inst.compose(f, inst.single_app(dslots, i, inst.proj(1, slots[i])))
+        dslots[i] = d_space(slots[i])
+        rhs = pm.compose(f, inst.single_app(dslots, i, pm.proj(1, slots[i])))
         if lhs != rhs:
             return i
     return None
@@ -937,7 +902,7 @@ def _law_multilinear_partial(env: LawEnv) -> Optional[str]:
     i = env.rng.randrange(len(slots))
     di = inst.partial_derivative(f, list(slots), i)
     new_slots = list(slots)
-    new_slots[i] = inst.d_object(slots[i])
+    new_slots[i] = d_space(slots[i])
     bad = _multilinear_equation(inst, di, new_slots)
     if bad is not None:
         return f"D_{i} f lost linearity in slot {bad}"
@@ -948,7 +913,7 @@ def _law_multilinear_compose(env: LawEnv) -> Optional[str]:
     inst = env.inst
     f, slots = env.rng.choice(env.multilinear)
     h = inst.inj(env.rng.randrange(2), f.cod)
-    composed = inst.compose(h, f)
+    composed = pm.compose(h, f)
     bad = _multilinear_equation(inst, composed, slots)
     if bad is not None:
         return f"h . f lost linearity in slot {bad}"
@@ -966,21 +931,18 @@ def _law_proj_commute(env: LawEnv) -> Optional[str]:
     lhs_inner = inst.partial_derivative_word(f, list(slots), [i] + tail)
     h = sum(1 for letter in tail if letter == i)
     for k in (0, 1):
-        pk = inst.proj(k, f.cod)
-        lhs = inst.compose(inst.d_morphism_n(pk, d), lhs_inner)
+        pk = pm.proj(k, f.cod)
+        lhs = pm.compose(inst.d_morphism_n(pk, d), lhs_inner)
         rhs_inner = inst.partial_derivative_word(f, list(slots), tail)
         # Slot i of the left side's domain carries h + 1 D's; the right side
         # composes with D^h pi_k at that slot.
         rhs_slots = list(slots)
         for letter in tail:
-            rhs_slots[letter] = inst.d_object(rhs_slots[letter])
+            rhs_slots[letter] = d_space(rhs_slots[letter])
         arg_slots = list(rhs_slots)
-        arg_slots[i] = inst.d_object(arg_slots[i])
-        level = slots[i]
-        for _ in range(h):
-            level = inst.d_object(level)
-        pk_h = inst.d_morphism_n(inst.proj(k, slots[i]), h)
-        rhs = inst.compose(rhs_inner, inst.single_app(arg_slots, i, pk_h))
+        arg_slots[i] = d_space(arg_slots[i])
+        pk_h = inst.d_morphism_n(pm.proj(k, slots[i]), h)
+        rhs = pm.compose(rhs_inner, inst.single_app(arg_slots, i, pk_h))
         if lhs != rhs:
             return (
                 f"projection commutation failed: k={k} d={d} i={i} tail={tail}"
@@ -996,8 +958,8 @@ def _law_leibniz_n(env: LawEnv) -> Optional[str]:
         return None
     alpha = list(range(n + 1))
     env.rng.shuffle(alpha)
-    lhs = inst.compose(inst.d_morphism(f), inst.c_n_inv(list(slots)))
-    rhs = inst.compose(
+    lhs = pm.compose(pm.differential(f), inst.c_n_inv(list(slots)))
+    rhs = pm.compose(
         inst.theta_pow(f.cod, n),
         inst.partial_derivative_word(f, list(slots), alpha),
     )
@@ -1010,12 +972,12 @@ def _law_bilinear_expansion(env: LawEnv) -> Optional[str]:
     if not candidates:
         return None
     f, (x, y) = env.rng.choice(candidates)
-    lhs = inst.compose(
-        inst.proj(1, f.cod),
-        inst.compose(inst.d_morphism(f), inst.c_with_inv(x, y)),
+    lhs = pm.compose(
+        pm.proj(1, f.cod),
+        pm.compose(pm.differential(f), inst.c_with_inv(x, y)),
     )
-    term0 = inst.compose(f, inst.with_map(inst.proj(1, x), inst.proj(0, y)))
-    term1 = inst.compose(f, inst.with_map(inst.proj(0, x), inst.proj(1, y)))
+    term0 = pm.compose(f, pm.with_map(pm.proj(1, x), pm.proj(0, y)))
+    term1 = pm.compose(f, pm.with_map(pm.proj(0, x), pm.proj(1, y)))
     return _neq(
         "bilinear derivative expands to Phi(x,v) + Phi(u,y)",
         lhs,
@@ -1043,7 +1005,7 @@ def _law_n_ary_sum(env: LawEnv) -> Optional[str]:
     if grouped is None or grouped != total:
         return "partition grouping changed the sum"
     empty = inst.family_sum([], f.dom, f.cod)
-    if empty != inst.zero(f.dom, f.cod):
+    if empty != pm.zero(f.dom, f.cod):
         return "empty family must sum to zero"
     single = inst.family_sum([f], f.dom, f.cod)
     if single != f:
@@ -1088,15 +1050,20 @@ ALL_LAWS: list[tuple[str, Law]] = [
 ]
 
 
+CLOSURE_MAX_POOL = 160
+CLOSURE_MAX_DEGREE = 4
+
+
 def close_generators(
     inst: Instance,
     generators: Sequence[PolyMap],
     rng: random.Random,
     depth: int = 2,
-    max_pool: int = 160,
-    max_degree: int = 4,
 ) -> list[PolyMap]:
-    """Close a generator set under composition, pairing and D, boundedly."""
+    """Close a generator set under composition, pairing and D, boundedly:
+    composite degrees stay within CLOSURE_MAX_DEGREE and the pool within
+    CLOSURE_MAX_POOL maps.  These are the same in every instance, so inst is
+    not read."""
     pool = list(generators)
     for _ in range(depth):
         fresh: list[PolyMap] = []
@@ -1111,20 +1078,20 @@ def close_generators(
                     for g in pool
                     if g.dom == f.cod
                     and max(1, g.max_degree()) * max(1, f.max_degree())
-                    <= max_degree
+                    <= CLOSURE_MAX_DEGREE
                 ]
                 if candidates:
-                    fresh.append(inst.compose(rng.choice(candidates), f))
+                    fresh.append(pm.compose(rng.choice(candidates), f))
             elif choice == 1:
                 candidates = [g for g in pool if g.dom == f.dom]
                 if candidates:
-                    fresh.append(inst.prod_pair(f, rng.choice(candidates)))
+                    fresh.append(pm.prod_pair(f, rng.choice(candidates)))
             else:
-                if f.max_degree() <= max_degree:
-                    fresh.append(inst.d_morphism(f))
+                if f.max_degree() <= CLOSURE_MAX_DEGREE:
+                    fresh.append(pm.differential(f))
         pool.extend(fresh)
-        if len(pool) > max_pool:
-            pool = pool[:max_pool]
+        if len(pool) > CLOSURE_MAX_POOL:
+            pool = pool[:CLOSURE_MAX_POOL]
     return pool
 
 

@@ -36,7 +36,6 @@ from .pcs import (
 from .rewrite import DEFAULT_FUEL, FuelExhausted, normalize
 from .semantics import (
     Model,
-    ModelValidationError,
     check_diff_theorem,
     check_invariance,
     interp_term,
@@ -148,6 +147,9 @@ def _build_model_from_files(program, model_path: str) -> Model:
     except ParseError as exc:
         raise ModelError(str(exc)) from None
     parsed = parse_model_file(text)
+    for name, ((line, col), _) in parsed.where.items():
+        if name not in program.signature:
+            raise ModelError(f"{line}:{col}: interp {name!r} names no declared fn")
     inst = PcsInstance()
     grounds = Model(inst, parsed.spaces, Signature(), {})  # for interp_type
     symbols = {}
@@ -157,7 +159,7 @@ def _build_model_from_files(program, model_path: str) -> Model:
         slots = [interp_type(grounds, a) for a in ftype.args]
         cod = interp_type(grounds, ftype.result)
         symbols[name] = build_symbol_matrix(
-            inst, slots, cod, parsed.interps[name], name
+            inst, slots, cod, parsed.interps[name], name, parsed.where[name]
         )
     return Model(inst, dict(parsed.spaces), program.signature, symbols)
 
@@ -310,8 +312,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None, out=None) -> int:
-    out = out or sys.stdout
+def _run(argv, out) -> int:
     parser = build_arg_parser()
     try:
         args = parser.parse_args(argv)
@@ -325,20 +326,38 @@ def main(argv=None, out=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args, out)
+    except RecursionError:
+        print("error: input nested too deeply to process", file=out)
+        return EXIT_TYPE
     except ParseError as exc:
         print(f"parse error: {exc}", file=out)
         return EXIT_TYPE
     except TypeCheckError as exc:
         print(f"type error: {exc}", file=out)
         return EXIT_TYPE
-    except (ModelError, ModelValidationError) as exc:
+    except ModelError as exc:
         print(f"model error: {exc}", file=out)
         return EXIT_MODEL
     except KeyError as exc:
         print(f"error: no term named {exc.args[0]!r}", file=out)
         return EXIT_USAGE
-    except OSError as exc:
+    except OSError as exc:  # a closed pipe fails again here or at the flush
         print(f"error: {exc}", file=out)
+        return EXIT_USAGE
+
+
+def main(argv=None, out=None) -> int:
+    out = out or sys.stdout
+    try:
+        code = _run(argv, out)
+        out.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Nothing more goes to stdout; /dev/null takes the flush at exit.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: output pipe closed", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import polymap as pm
 from .ccdc import Instance
-from .objects import Ground, Space, embed_slot, prodn, web
+from .objects import Ground, Space, d_space, embed_slot, prodn, product, web
 from .pcs import PcsInstance, validate_space
 from .poly import PolyInstance, ground_like
 from .polymap import PolyMap
@@ -273,20 +273,20 @@ def law_generators(model: Model, seed: int = 0):
     rng = random.Random(seed)
     base = model.grounds["N"]
     unit = Ground("one", ("*",), ((Fraction(1),),) if isinstance(inst, PcsInstance) else ())
-    nn = inst.product(base, base)
-    objects = [unit, base, nn, inst.d_object(base), inst.product(base, inst.d_object(base))]
+    nn = product(base, base)
+    objects = [unit, base, nn, d_space(base), product(base, d_space(base))]
 
     morphisms: list[PolyMap] = []
     for x in objects:
-        morphisms.append(inst.identity(x))
-        morphisms.append(inst.proj(0, x))
-        morphisms.append(inst.proj(1, x))
+        morphisms.append(pm.identity(x))
+        morphisms.append(pm.proj(0, x))
+        morphisms.append(pm.proj(1, x))
         morphisms.append(inst.sigma(x))
         morphisms.append(inst.inj(0, x))
-    morphisms.append(inst.zero(base, base))
+    morphisms.append(pm.zero(base, base))
     morphisms += list(model.symbols.values())
-    morphisms.append(inst.prod_proj(0, base, base))
-    morphisms.append(inst.prod_proj(1, base, base))
+    morphisms.append(pm.prod_proj(0, base, base))
+    morphisms.append(pm.prod_proj(1, base, base))
 
     if not isinstance(inst, PcsInstance):
         # Total-sum backend: exercise left-only compatibility with maps that
@@ -305,7 +305,7 @@ def law_generators(model: Model, seed: int = 0):
 
     # Random sub-convex matrices: scaled monomial maps are always morphisms
     # over webs whose coordinate suprema are 1.
-    spaces = [base, nn, inst.d_object(base)]
+    spaces = [base, nn, d_space(base)]
     for _ in range(14):
         dom = rng.choice(spaces)
         cod = rng.choice([base, nn])

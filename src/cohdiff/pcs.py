@@ -7,6 +7,11 @@ componentwise, and a D-space via pi0(z) + pi1(z).  Analytic morphisms are
 the shared sparse matrices with positive coefficients, evaluated as power
 series.
 
+PcsInstance is ccdc.Instance with two differences: a pair or family is
+summable only when its pointwise sum certifies as a morphism, and the
+terminal object (the empty web) carries one empty predual row, so that it
+is a valid PCS.
+
 Whether an arbitrary non-negative matrix is a morphism is a sup of a
 posynomial over a polytope and is not decided here.  Certification is exact
 when the candidate equals a compositionally known morphism, and otherwise a
@@ -17,7 +22,7 @@ certifies.
 
 Model files are read with the program tokenizer (parse_model_file), so their
 errors carry line:col, and turned into certified matrices by
-build_symbol_matrix.
+build_symbol_matrix, whose faults carry the line:col of their entry.
 """
 
 from __future__ import annotations
@@ -51,7 +56,8 @@ _ONE = Fraction(1)
 
 
 class ModelError(Exception):
-    """A PCS object or interpretation failed validation."""
+    """A model failed validation: a PCS object, an interpretation, or the
+    assignment of objects and matrices to a signature."""
 
 
 def validate_space(space: Space) -> None:
@@ -169,11 +175,8 @@ class PcsInstance(Instance):
 
     name = "pcs"
 
-    def __init__(self, degree_cap: int = pm.DEGREE_CAP, probe_seed: int = 0,
-                 probe_count: int = 6):
-        super().__init__(degree_cap)
-        self.probe_seed = probe_seed
-        self.probe_count = probe_count
+    def __init__(self):
+        super().__init__()
         self._probes: dict = {}
 
     def terminal(self) -> Space:
@@ -181,9 +184,7 @@ class PcsInstance(Instance):
 
     def probes(self, space: Space) -> list[dict]:
         if space not in self._probes:
-            self._probes[space] = probe_points(
-                space, self.probe_seed, self.probe_count
-            )
+            self._probes[space] = probe_points(space)
         return self._probes[space]
 
     def certify(self, candidate: PolyMap,
@@ -198,25 +199,16 @@ class PcsInstance(Instance):
                 return False
         return True
 
-    def pair_witness(self, f0: PolyMap, f1: PolyMap,
-                     expected_sum: Optional[PolyMap] = None) -> Optional[PolyMap]:
-        if f0.dom != f1.dom or f0.cod != f1.cod:
-            raise pm.ShapeError("pair_witness needs parallel morphisms")
-        total = pm.add(f0, f1)
-        if not self.certify(total, expected_sum):
-            return None
-        return pm.pair_witness_matrix(f0, f1)
+    def pair_witness(self, f0: PolyMap, f1: PolyMap) -> Optional[PolyMap]:
+        w = super().pair_witness(f0, f1)
+        return w if self.certify(pm.add(f0, f1)) else None
 
     def family_sum(self, maps: Sequence[PolyMap], dom: Space, cod: Space,
                    expected: Optional[PolyMap] = None) -> Optional[PolyMap]:
         """Coefficients are non-negative, so a family is summable exactly
         when its pointwise total is a morphism; partial sums are dominated."""
-        total = pm.zero(dom, cod)
-        for f in maps:
-            total = pm.add(total, f)
-        if not self.certify(total, expected):
-            return None
-        return total
+        total = super().family_sum(maps, dom, cod)
+        return total if self.certify(total, expected) else None
 
 
 def is_linear(f: PolyMap) -> bool:
@@ -236,7 +228,7 @@ def is_multilinear(f: PolyMap, arity: int) -> bool:
     return True
 
 
-def corrupted_sigma_instance(**kwargs) -> PcsInstance:
+def corrupted_sigma_instance() -> PcsInstance:
     """Negative control: sigma replaced by the first projection."""
 
     class CorruptedInstance(PcsInstance):
@@ -245,7 +237,7 @@ def corrupted_sigma_instance(**kwargs) -> PcsInstance:
         def sigma(self, x: Space) -> PolyMap:
             return pm.proj(0, x)
 
-    return CorruptedInstance(**kwargs)
+    return CorruptedInstance()
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +262,20 @@ def _parse_atom(text: str) -> Atom:
         raise ModelError(str(exc)) from None
 
 
+Pos = tuple[int, int]  # line, column
+
+
 class PcsModelFile:
-    """Parsed model file: named ground spaces and symbol matrices."""
+    """Parsed model file: named ground spaces and symbol matrices.
+
+    where[f] holds the line:col of interp f's header and of each entry, in
+    the order of interps[f].
+    """
 
     def __init__(self):
         self.spaces: dict[str, Ground] = {}
         self.interps: dict[str, list[tuple[tuple[str, ...], str, Fraction]]] = {}
+        self.where: dict[str, tuple[Pos, list[Pos]]] = {}
 
 
 class _ModelReader(_Parser):
@@ -287,7 +287,7 @@ class _ModelReader(_Parser):
             kind = self.peek().text
             if kind not in ("object", "interp"):
                 raise self.error(f"expected 'object' or 'interp', found {kind!r}")
-            self.next()
+            header = self.next()
             blocks = model.spaces if kind == "object" else model.interps
             if self.peek().text in blocks:
                 raise self.error(f"{kind} {self.peek().text!r} declared twice")
@@ -296,7 +296,9 @@ class _ModelReader(_Parser):
             if kind == "object":
                 blocks[name] = self.parse_object_body(name)
             else:
-                blocks[name] = self.parse_interp_body(name)
+                entries, at = self.parse_interp_body(name)
+                blocks[name] = entries
+                model.where[name] = ((header.line, header.col), at)
             self.expect("}")
         return model
 
@@ -350,10 +352,11 @@ class _ModelReader(_Parser):
             path += self.next().text + self.parse_web_atom()
         return path
 
-    def parse_interp_body(self, name: str) -> list:
-        entries = []
+    def parse_interp_body(self, name: str) -> tuple[list, list[Pos]]:
+        entries, at = [], []
         while self.peek().text != "}":
-            self.expect("entry")
+            tok = self.expect("entry")
+            at.append((tok.line, tok.col))
             self.expect("(")
             slot_atoms = tuple(
                 self.comma_list(self.parse_path, ")", allow_empty=True)
@@ -365,7 +368,7 @@ class _ModelReader(_Parser):
             self.expect(";")
         if not entries:
             raise self.error(f"interp {name!r} has no entries")
-        return entries
+        return entries, at
 
 
 def parse_model_file(text: str) -> PcsModelFile:
@@ -391,37 +394,50 @@ def build_symbol_matrix(
     cod: Space,
     entries: list[tuple[tuple[str, ...], str, Fraction]],
     name: str,
+    where: tuple[Pos, list[Pos]],
 ) -> PolyMap:
-    """Assemble a multilinear matrix from per-slot entries and validate it."""
+    """Assemble a multilinear matrix from per-slot entries and validate it.
+
+    where holds the interp's positions, as in PcsModelFile.where: a fault
+    names the line:col of its entry, or of the header when the whole matrix
+    escapes.
+    """
+    header, at = where
+
+    def fault(pos: Pos, text: str) -> ModelError:
+        return ModelError(f"{pos[0]}:{pos[1]}: interp {name!r}: {text}")
+
+    def atom(text: str, pos: Pos) -> Atom:
+        try:
+            return atom_from_str(text)
+        except ValueError as exc:
+            raise fault(pos, str(exc)) from None
+
     arity = len(slots)
     dom = prodn(slots) if slots else inst.terminal()
     matrix: dict = {}
     slot_webs = [set(web(s)) for s in slots]
     cod_web = set(web(cod))
-    for slot_atoms, out_text, coeff in entries:
+    for (slot_atoms, out_text, coeff), pos in zip(entries, at, strict=True):
         if len(slot_atoms) != arity:
-            raise ModelError(
-                f"interp {name!r}: entry has {len(slot_atoms)} atoms, "
-                f"expected {arity}"
-            )
+            raise fault(pos, f"entry has {len(slot_atoms)} atoms, expected {arity}")
         if coeff <= 0:
-            raise ModelError(f"interp {name!r}: coefficients must be positive")
-        out_atom = _parse_atom(out_text)
+            raise fault(pos, "coefficients must be positive")
+        out_atom = atom(out_text, pos)
         if out_atom not in cod_web:
-            raise ModelError(f"interp {name!r}: {out_text!r} not in codomain web")
+            raise fault(pos, f"{out_text!r} not in codomain web")
         mono_atoms = []
         for i, text in enumerate(slot_atoms):
-            atom = _parse_atom(text)
-            if atom not in slot_webs[i]:
-                raise ModelError(
-                    f"interp {name!r}: atom {text!r} not in slot {i} web"
-                )
-            mono_atoms.append(embed_slot(i, arity, atom))
+            slot_atom = atom(text, pos)
+            if slot_atom not in slot_webs[i]:
+                raise fault(pos, f"atom {text!r} not in slot {i} web")
+            mono_atoms.append(embed_slot(i, arity, slot_atom))
         key = (pm.mono(mono_atoms), out_atom)
         if key in matrix:
-            raise ModelError(f"interp {name!r}: duplicate entry {key}")
+            raise fault(pos, f"duplicate entry {key}")
         matrix[key] = coeff
     result = PolyMap(dom, cod, matrix)
     if not inst.certify(result):
-        raise ModelError(f"interp {name!r} escapes the codomain on a probe")
+        raise ModelError(f"{header[0]}:{header[1]}: interp {name!r} escapes "
+                         "the codomain on a probe")
     return result

@@ -1,8 +1,8 @@
 """The total-sum instance: multivariate polynomial maps.
 
-Every pair of parallel maps is summable (hom-sets are commutative monoids),
-which makes this the cartesian-differential-category end of the
-correspondence.  The differential combinator d sends f : X -> Y to
+PolyInstance is ccdc.Instance as it stands, under its own name: every pair
+of parallel maps is summable (hom-sets are commutative monoids), which
+makes this the cartesian-differential-category end of the correspondence.  The differential combinator d sends f : X -> Y to
 d f : X & X -> Y, the directional derivative with the base point in the
 left factor; Df = <f . pi0, d f> up to the relabelling between the product
 tags of X & X and the D tags of DX.
@@ -25,17 +25,6 @@ class PolyInstance(Instance):
 
     name = "poly"
 
-    def pair_witness(self, f0, f1, expected_sum=None):
-        if f0.dom != f1.dom or f0.cod != f1.cod:
-            raise pm.ShapeError("pair_witness needs parallel morphisms")
-        return pm.pair_witness_matrix(f0, f1)
-
-    def family_sum(self, maps, dom, cod, expected=None):
-        total = pm.zero(dom, cod)
-        for f in maps:
-            total = pm.add(total, f)
-        return total
-
 
 def poly_ground(name: str, dimension: int) -> Ground:
     """A polynomial object with coordinates x0 ... x(dimension-1)."""
@@ -53,37 +42,37 @@ def _retag_d_to_prod(a: Atom) -> Atom:
     return tag_prod(i, inner)
 
 
-def d_combinator(inst: PolyInstance, f: PolyMap) -> PolyMap:
+def d_combinator(f: PolyMap) -> PolyMap:
     """d f : X & X -> Y, base point left, direction right.
 
     This is the second component of Df transported along the canonical
     relabelling web(DX) = web(X & X).
     """
-    derivative = inst.compose(inst.proj(1, f.cod), inst.d_morphism(f))
+    derivative = pm.compose(pm.proj(1, f.cod), pm.differential(f))
     entries = {}
     for (m, b), c in derivative.entries.items():
         entries[(pm.mono(_retag_d_to_prod(a) for a in m), b)] = c
     return PolyMap(product(f.dom, f.dom), f.cod, entries)
 
 
-def is_additive(inst: PolyInstance, f: PolyMap) -> bool:
+def is_additive(f: PolyMap) -> bool:
     """h . 0 = 0 and h pi0 + h pi1 = h sigma, with pi = pr on X & X."""
     x = f.dom
-    if inst.compose(f, inst.zero(x, x)) != inst.zero(x, f.cod):
+    if pm.compose(f, pm.zero(x, x)) != pm.zero(x, f.cod):
         return False
-    pr0 = inst.prod_proj(0, x, x)
-    pr1 = inst.prod_proj(1, x, x)
-    both = pm.add(inst.compose(f, pr0), inst.compose(f, pr1))
+    pr0 = pm.prod_proj(0, x, x)
+    pr1 = pm.prod_proj(1, x, x)
+    both = pm.add(pm.compose(f, pr0), pm.compose(f, pr1))
     diag = pm.add(pr0, pr1)
-    return both == inst.compose(f, diag)
+    return both == pm.compose(f, diag)
 
 
-def is_linear(inst: PolyInstance, f: PolyMap) -> bool:
+def is_linear(f: PolyMap) -> bool:
     """Additive and equal to its own derivative: d f = f . pr1."""
-    if not is_additive(inst, f):
+    if not is_additive(f):
         return False
-    pr1 = inst.prod_proj(1, f.dom, f.dom)
-    return d_combinator(inst, f) == inst.compose(f, pr1)
+    pr1 = pm.prod_proj(1, f.dom, f.dom)
+    return d_combinator(f) == pm.compose(f, pr1)
 
 
 def directional_oracle(f: PolyMap, x: dict, u: dict) -> dict:

@@ -14,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from . import polymap as pm
 from .ccdc import Instance
-from .objects import Space, prodn
-from .pcs import is_multilinear
+from .objects import Space, d_space, prodn, product
+from .pcs import ModelError, is_multilinear
 from .polymap import PolyMap
 from .rewrite import (
     DEFAULT_FUEL,
@@ -50,10 +51,6 @@ from .syntax import (
 )
 
 
-class ModelValidationError(Exception):
-    pass
-
-
 @dataclass
 class Model:
     """An instance with ground-object and symbol assignments."""
@@ -67,20 +64,20 @@ class Model:
     def __post_init__(self):
         for name, ftype in self.sig.decls.items():
             if name not in self.symbols:
-                raise ModelValidationError(f"symbol {name!r} has no matrix")
+                raise ModelError(f"symbol {name!r} has no matrix")
             matrix = self.symbols[name]
             slots = [interp_type(self, a) for a in ftype.args]
             expected_dom = prodn(slots) if slots else self.inst.terminal()
             if matrix.dom != expected_dom:
-                raise ModelValidationError(
+                raise ModelError(
                     f"symbol {name!r}: domain does not match its type"
                 )
             if matrix.cod != interp_type(self, ftype.result):
-                raise ModelValidationError(
+                raise ModelError(
                     f"symbol {name!r}: codomain does not match its type"
                 )
             if slots and not is_multilinear(matrix, len(slots)):
-                raise ModelValidationError(
+                raise ModelError(
                     f"symbol {name!r} must be interpreted multilinearly"
                 )
 
@@ -88,14 +85,12 @@ class Model:
 def interp_type(model: Model, a: Type) -> Space:
     if isinstance(a, GroundType):
         if a.symbol not in model.grounds:
-            raise ModelValidationError(f"ground symbol {a.symbol!r} unassigned")
+            raise ModelError(f"ground symbol {a.symbol!r} unassigned")
         space = model.grounds[a.symbol]
         for _ in range(a.depth):
-            space = model.inst.d_object(space)
+            space = d_space(space)
         return space
-    return model.inst.product(
-        interp_type(model, a.left), interp_type(model, a.right)
-    )
+    return product(interp_type(model, a.left), interp_type(model, a.right))
 
 
 def interp_ctx(model: Model, ctx: Context) -> Space:
@@ -128,7 +123,7 @@ def _interp(model: Model, ctx: Context, t: Term) -> PolyMap:
                 return inst.var_proj(slots, i)
         raise TypeCheckError(f"unbound variable {t.name!r}")
     if isinstance(t, Pair):
-        return inst.prod_pair(
+        return pm.prod_pair(
             interp_term(model, ctx, t.t0), interp_term(model, ctx, t.t1)
         )
     return _interp_app(model, ctx, t)
@@ -151,20 +146,21 @@ def _interp_app(model: Model, ctx: Context, t: App) -> PolyMap:
     if isinstance(f, UserFn):
         base = model.symbols.get(f.name)
         if base is None:
-            raise ModelValidationError(f"symbol {f.name!r} unassigned")
+            raise ModelError(f"symbol {f.name!r} unassigned")
         if not t.args:
-            return inst.compose(base, inst.terminal_map(interp_ctx(model, ctx)))
+            bang = pm.zero(interp_ctx(model, ctx), inst.terminal())
+            return pm.compose(base, bang)
         ftype = model.sig.lookup(f.name)
         slots = [interp_type(model, a) for a in ftype.args]
         lifted = inst.partial_derivative_word(base, slots, t.word)
-        return inst.compose(lifted, inst.prod_pair_n(arg_maps))
+        return pm.compose(lifted, inst.prod_pair_n(arg_maps))
 
     # Built-ins: infer the object parameter from the argument type, then
     # lift with D^d, which is D_w for an arity-1 symbol with |w| = d.
     ti = arg_types[0]
     if isinstance(f, DProj):
         a = _strip_or_fail(ti, d + 1, "pi")
-        base = inst.proj(f.i, interp_type(model, a))
+        base = pm.proj(f.i, interp_type(model, a))
     elif isinstance(f, DInj):
         a = _strip_or_fail(ti, d, "iota")
         base = inst.inj(f.i, interp_type(model, a))
@@ -176,12 +172,10 @@ def _interp_app(model: Model, ctx: Context, t: App) -> PolyMap:
             raise TypeCheckError(f"pr applied to non-product {type_str(ti)}")
         a = _strip_or_fail(ti.left, d, "pr")
         b = _strip_or_fail(ti.right, d, "pr")
-        base = inst.prod_proj(
-            f.i, interp_type(model, a), interp_type(model, b)
-        )
+        base = pm.prod_proj(f.i, interp_type(model, a), interp_type(model, b))
     else:
         raise TypeCheckError(f"not a function: {f!r}")
-    return inst.compose(inst.d_morphism_n(base, d), arg_maps[0])
+    return pm.compose(inst.d_morphism_n(base, d), arg_maps[0])
 
 
 def interp_multiset(

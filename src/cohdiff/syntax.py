@@ -167,14 +167,6 @@ class Signature:
         return name in self.decls
 
 
-def arity(f: Function, sig: Optional[Signature] = None) -> int:
-    if isinstance(f, UserFn):
-        if sig is None:
-            raise TypeCheckError(f"arity of {f.name!r} needs a signature")
-        return len(sig.lookup(f.name).args)
-    return 1
-
-
 def signature_of(f: Function, sig: Optional[Signature] = None) -> FunctionType:
     """The declared function type; built-ins must carry their annotation."""
     if isinstance(f, UserFn):

@@ -24,7 +24,7 @@ from cohdiff.gen import (
     random_multilinear,
     truncated_nat,
 )
-from cohdiff.objects import web
+from cohdiff.objects import d_space, web
 from cohdiff.pcs import corrupted_sigma_instance, is_multilinear, sup_norm
 from cohdiff.rewrite import TermMultiset, normalize
 from cohdiff.semantics import check_diff_theorem, check_invariance
@@ -137,7 +137,6 @@ def test_criterion_4_axiom_suite(pcs_model, poly_model):
 
 def test_criterion_5_pcs_monotone_bound(pcs_model):
     budget = Budget(5, "monotone derivative bound", 10)
-    inst = pcs_model.inst
     rng = random.Random(505)
     gens, _, _ = law_generators(pcs_model, seed=505)
     pool = [f for f in gens if f.entries]
@@ -154,7 +153,7 @@ def test_criterion_5_pcs_monotone_bound(pcs_model):
         u = {a: c / scale for a, c in raw_u.items() if c}
         fx = f.eval(x)
         fxu = f.eval({a: x.get(a, F(0)) + u.get(a, F(0)) for a in dom_web})
-        derivative = inst.compose(inst.proj(1, f.cod), inst.d_morphism(f))
+        derivative = pm.compose(pm.proj(1, f.cod), pm.differential(f))
         point = {}
         for a, c in x.items():
             point[_tag(0, a)] = c
@@ -190,13 +189,13 @@ def test_criterion_6_multilinearity_theorems(pcs_model):
             di = inst.partial_derivative(phi, list(slots), i)
             assert is_multilinear(di, 2)
         # Bilinear expansion: second coordinate of D phi . c^-1.
-        lhs = inst.compose(
-            inst.proj(1, phi.cod),
-            inst.compose(inst.d_morphism(phi), inst.c_with_inv(base, base)),
+        lhs = pm.compose(
+            pm.proj(1, phi.cod),
+            pm.compose(pm.differential(phi), inst.c_with_inv(base, base)),
         )
         rhs = pm.add(
-            inst.compose(phi, inst.with_map(inst.proj(1, base), inst.proj(0, base))),
-            inst.compose(phi, inst.with_map(inst.proj(0, base), inst.proj(1, base))),
+            pm.compose(phi, pm.with_map(pm.proj(1, base), pm.proj(0, base))),
+            pm.compose(phi, pm.with_map(pm.proj(0, base), pm.proj(1, base))),
         )
         assert lhs == rhs
         checked += 1
@@ -214,14 +213,14 @@ def test_criterion_6_multilinearity_theorems(pcs_model):
             rhs_inner = inst.partial_derivative_word(tri, slots3, tail)
             rhs_slots = list(slots3)
             for letter in tail:
-                rhs_slots[letter] = inst.d_object(rhs_slots[letter])
+                rhs_slots[letter] = d_space(rhs_slots[letter])
             arg_slots = list(rhs_slots)
-            arg_slots[i] = inst.d_object(arg_slots[i])
+            arg_slots[i] = d_space(arg_slots[i])
             for k in (0, 1):
-                pk = inst.proj(k, tri.cod)
-                lhs = inst.compose(inst.d_morphism_n(pk, d), lhs_inner)
-                pk_h = inst.d_morphism_n(inst.proj(k, slots3[i]), h)
-                rhs = inst.compose(
+                pk = pm.proj(k, tri.cod)
+                lhs = pm.compose(inst.d_morphism_n(pk, d), lhs_inner)
+                pk_h = inst.d_morphism_n(pm.proj(k, slots3[i]), h)
+                rhs = pm.compose(
                     rhs_inner, inst.single_app(arg_slots, i, pk_h)
                 )
                 assert lhs == rhs, f"k={k} d={d} i={i} tail={tail}"

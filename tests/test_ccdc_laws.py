@@ -11,7 +11,7 @@ from cohdiff.gen import (
     law_generators,
     truncated_nat,
 )
-from cohdiff.objects import Ground
+from cohdiff.objects import Ground, d_space, product
 from cohdiff.pcs import PcsInstance, corrupted_sigma_instance
 
 F = Fraction
@@ -57,15 +57,15 @@ def test_derived_morphisms_built_from_witnesses():
     derived = inst.derived_morphisms(ONE)
     assert set(derived) == {"theta", "lift", "swap", "inj0", "inj1"}
     # sigma = pi0 + pi1, with witness the identity.
-    w = inst.pair_witness(inst.proj(0, ONE), inst.proj(1, ONE))
-    assert w == inst.identity(inst.d_object(ONE))
-    assert inst.compose(inst.sigma(ONE), w) == inst.sigma(ONE)
+    w = inst.pair_witness(pm.proj(0, ONE), pm.proj(1, ONE))
+    assert w == pm.identity(d_space(ONE))
+    assert pm.compose(inst.sigma(ONE), w) == inst.sigma(ONE)
 
 
 def test_pair_witness_rejects_mismatched_shapes():
     inst = PcsInstance()
     with pytest.raises(pm.ShapeError):
-        inst.pair_witness(pm.identity(ONE), pm.identity(inst.d_object(ONE)))
+        inst.pair_witness(pm.identity(ONE), pm.identity(d_space(ONE)))
 
 
 def test_witness_uniqueness_on_representation():
@@ -84,11 +84,11 @@ def test_strength_formula():
     inst = PcsInstance()
     x, y = ONE, truncated_nat(1)
     phi0 = inst.strength([x, y], 0)
-    dx = inst.d_object(x)
-    lhs = inst.compose(inst.proj(0, inst.product(x, y)), phi0)
-    assert lhs == inst.with_map(inst.proj(0, x), inst.identity(y))
-    rhs = inst.compose(inst.proj(1, inst.product(x, y)), phi0)
-    assert rhs == inst.with_map(inst.proj(1, x), inst.zero(y, y))
+    dx = d_space(x)
+    lhs = pm.compose(pm.proj(0, product(x, y)), phi0)
+    assert lhs == pm.with_map(pm.proj(0, x), pm.identity(y))
+    rhs = pm.compose(pm.proj(1, product(x, y)), phi0)
+    assert rhs == pm.with_map(pm.proj(1, x), pm.zero(y, y))
 
 
 def test_theta_requires_left_summability():

@@ -1,11 +1,15 @@
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from cohdiff.cli import main
 
-DEMO = Path(__file__).resolve().parent.parent / "demo"
+ROOT = Path(__file__).resolve().parent.parent
+DEMO = ROOT / "demo"
 
 
 def run(*argv):
@@ -138,7 +142,9 @@ def test_model_file_unknown_atom_tag_is_model_error(tmp_path):
         "branch",
     )
     assert code == 3
-    assert text.strip() == "model error: unknown atom tag 'Q' in 'Q.0'"
+    assert text.strip() == (
+        "model error: 11:3: interp 'ifz': unknown atom tag 'Q' in 'Q.0'"
+    )
 
 
 def test_model_file_duplicate_block_is_model_error(tmp_path):
@@ -167,6 +173,37 @@ def test_model_lacking_a_ground_type_is_model_error(tmp_path):
     lines = out.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("model error: ")
     assert "'M'" in lines[0]
+
+
+def test_interp_for_an_undeclared_symbol_is_model_error(tmp_path):
+    bad = tmp_path / "bad.pcsmodel"
+    text = (DEMO / "nat.pcsmodel").read_text()
+    bad.write_text(text + "interp sux { entry (1) -> 0 : 5; }\n")
+    code, out = run(
+        "eval", str(DEMO / "nat.cohdiff"), "--model", str(bad), "--term", "branch"
+    )
+    assert code == 3
+    assert out.strip().splitlines() == [
+        "model error: 21:1: interp 'sux' names no declared fn"
+    ]
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("entry (7) -> 1 : 1;", "6:3: interp 'succ': atom '7' not in slot 0 web"),
+        ("entry (2) -> 1 : 2;", "4:1: interp 'succ' escapes the codomain on a probe"),
+    ],
+)
+def test_interp_fault_carries_its_position(tmp_path, entry, message):
+    bad = tmp_path / "bad.pcsmodel"
+    text = (DEMO / "nat.pcsmodel").read_text()
+    bad.write_text(text.replace("entry (2) -> 1 : 1;", entry))
+    code, out = run(
+        "eval", str(DEMO / "nat.cohdiff"), "--model", str(bad), "--term", "branch"
+    )
+    assert code == 3
+    assert out.strip().splitlines() == [f"model error: {message}"]
 
 
 @pytest.mark.parametrize(
@@ -242,3 +279,53 @@ def test_walkthrough_script_runs():
     assert result.returncode == 0, result.stderr
     assert "all 33 laws pass: True" in result.stdout
     assert "THEOREM differential HOLDS" in result.stdout
+
+
+def _cli_process(args, unbuffered=False, **kwargs):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, "-m", "cohdiff.cli", *args],
+        env=env, stderr=subprocess.PIPE, text=True, timeout=120, **kwargs,
+    )
+
+
+def test_deeply_nested_term_exits_without_traceback(tmp_path):
+    depth = 3000
+    program = tmp_path / "deep.cohdiff"
+    program.write_text(
+        "term t [x: N] = " + "iota0(" * depth + "x" + ")" * depth + ";\n"
+    )
+    result = _cli_process(["check", str(program)], stdout=subprocess.PIPE)
+    assert "Traceback" not in result.stderr
+    assert result.returncode == 1
+    assert result.stdout.strip().splitlines() == [
+        "error: input nested too deeply to process"
+    ]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize(
+    "args",
+    [["theorems", "--cases", "3", "--verbose"], ["check", "BAD"]],
+    ids=["output", "error"],
+)
+def test_closed_stdout_pipe_exits_without_traceback(tmp_path, args, unbuffered):
+    # Buffered, the pipe fails at the final flush; unbuffered, at a print.
+    bad = tmp_path / "bad.cohdiff"
+    bad.write_text("term t [x: N] = ?;\n")  # a parse error
+    args = [str(bad) if a == "BAD" else a for a in args]
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout fails with EPIPE
+    try:
+        result = _cli_process(args, unbuffered, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in result.stderr
+    assert result.returncode == 5
+    assert result.stderr.strip().splitlines() == ["error: output pipe closed"]

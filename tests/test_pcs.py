@@ -94,7 +94,7 @@ def test_pair_witness_identity_with_zero(inst):
     zero = pm.zero(ONE, ONE)
     w = inst.pair_witness(one, zero)
     assert w is not None
-    assert inst.compose(inst.sigma(ONE), w) == one
+    assert pm.compose(inst.sigma(ONE), w) == one
 
 
 def test_pair_witness_refuses_double_identity(inst):
@@ -107,7 +107,7 @@ def test_pair_witness_halves_of_constant_one(inst):
     half = pm.PolyMap(ONE, ONE, {((), "*"): F(1, 2)})
     w = inst.pair_witness(half, half)
     assert w is not None
-    total = inst.compose(inst.sigma(ONE), w)
+    total = pm.compose(inst.sigma(ONE), w)
     assert total == pm.PolyMap(ONE, ONE, {((), "*"): F(1)})
 
 
@@ -141,7 +141,6 @@ def test_eval_ifzero_at_dirac_zero():
 def test_monotone_derivative_bound():
     # f(x) + df(x, u) <= f(x + u) pointwise, exact rationals.
     model = default_pcs_model()
-    inst = model.inst
     rng = random.Random(12)
     base = model.grounds["N"]
     gens, _, _ = law_generators(model, seed=2)
@@ -158,7 +157,7 @@ def test_monotone_derivative_bound():
             u = {a: c / scale for a, c in raw2.items() if c}
             fx = f.eval(x)
             fxu = f.eval({a: x.get(a, F(0)) + u.get(a, F(0)) for a in web(f.dom)})
-            df = inst.compose(inst.proj(1, f.cod), inst.d_morphism(f))
+            df = pm.compose(pm.proj(1, f.cod), pm.differential(f))
             point = {}
             for a, c in x.items():
                 point[_tag0(a)] = c
@@ -212,12 +211,11 @@ def test_is_multilinear_rejects_wrong_shapes():
 def test_linearity_coincides_with_differential_characterization():
     # Support shape linear <=> d f = f . pi1 and the additivity equations.
     model = default_pcs_model()
-    inst = model.inst
     gens, _, _ = law_generators(model, seed=5)
     for f in gens:
         shape = is_linear(f)
-        df = inst.compose(inst.proj(1, f.cod), inst.d_morphism(f))
-        char = df == inst.compose(f, inst.proj(1, f.dom))
+        df = pm.compose(pm.proj(1, f.cod), pm.differential(f))
+        char = df == pm.compose(f, pm.proj(1, f.dom))
         assert shape == char, f.render(limit=6)
 
 
@@ -237,7 +235,7 @@ def test_structural_theta_acts_on_witness_vectors():
 def test_structural_swap_is_involutive():
     inst = PcsInstance()
     c = inst.swap(ONE)
-    assert inst.compose(c, c) == inst.identity(inst.d_object(inst.d_object(ONE)))
+    assert pm.compose(c, c) == pm.identity(d_space(d_space(ONE)))
 
 
 def test_structural_sigma_on_d_one():
@@ -272,10 +270,14 @@ def test_build_symbol_matrix_multilinear():
     inst = PcsInstance()
     parsed = parse_model_file(MODEL_TEXT)
     n = parsed.spaces["N"]
-    k = build_symbol_matrix(inst, [n], n, parsed.interps["k"], "k")
+    k = build_symbol_matrix(
+        inst, [n], n, parsed.interps["k"], "k", parsed.where["k"]
+    )
     assert is_linear(k)
     nn = product(n, n)
-    h = build_symbol_matrix(inst, [n, nn], n, parsed.interps["h"], "h")
+    h = build_symbol_matrix(
+        inst, [n, nn], n, parsed.interps["h"], "h", parsed.where["h"]
+    )
     assert is_multilinear(h, 2)
 
 
@@ -285,15 +287,15 @@ def test_build_symbol_matrix_rejects_bad_entries():
     n = parsed.spaces["N"]
     with pytest.raises(ModelError):
         build_symbol_matrix(
-            inst, [n, n], n, parsed.interps["k"], "k"
+            inst, [n, n], n, parsed.interps["k"], "k", parsed.where["k"]
         )  # wrong arity
     with pytest.raises(ModelError):
         build_symbol_matrix(
-            inst, [n], n, [(("9",), "0", F(1))], "bad"
+            inst, [n], n, [(("9",), "0", F(1))], "bad", ((1, 1), [(2, 3)])
         )  # atom outside web
     with pytest.raises(ModelError):
         build_symbol_matrix(
-            inst, [n], n, [(("0",), "0", F(3))], "heavy"
+            inst, [n], n, [(("0",), "0", F(3))], "heavy", ((1, 1), [(2, 3)])
         )  # escapes on a probe
 
 

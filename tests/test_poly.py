@@ -39,29 +39,29 @@ def test_parse_poly_literal():
     assert p[()] == F(-1)
 
 
-def test_d_combinator_of_square(inst):
+def test_d_combinator_of_square():
     sq = lit(X1, X1, "x0^2")
-    d = d_combinator(inst, sq)
+    d = d_combinator(sq)
     # d f (x, u) = 2 x u: base point in the left factor.
     key = (pm.mono([("L", "x0"), ("R", "x0")]), "x0")
     assert d.entries == {key: F(2)}
 
 
-def test_d_combinator_of_projection_is_axiom_one(inst):
-    pr0 = inst.prod_proj(0, X1, X2)
-    lhs = d_combinator(inst, pr0)
+def test_d_combinator_of_projection_is_axiom_one():
+    pr0 = pm.prod_proj(0, X1, X2)
+    lhs = d_combinator(pr0)
     dom = product(X1, X2)
-    rhs = inst.compose(pr0, inst.prod_proj(1, dom, dom))
+    rhs = pm.compose(pr0, pm.prod_proj(1, dom, dom))
     assert lhs == rhs
-    pr1 = inst.prod_proj(1, X1, X2)
-    assert d_combinator(inst, pr1) == inst.compose(
-        pr1, inst.prod_proj(1, dom, dom)
+    pr1 = pm.prod_proj(1, X1, X2)
+    assert d_combinator(pr1) == pm.compose(
+        pr1, pm.prod_proj(1, dom, dom)
     )
 
 
-def test_d_combinator_of_constant_is_zero(inst):
+def test_d_combinator_of_constant_is_zero():
     const = lit(X1, X1, "3/4")
-    assert d_combinator(inst, const) == pm.zero(product(X1, X1), X1)
+    assert d_combinator(const) == pm.zero(product(X1, X1), X1)
 
 
 def random_poly_map(rng, dom, cod, max_degree=3):
@@ -76,7 +76,7 @@ def random_poly_map(rng, dom, cod, max_degree=3):
     return pm.PolyMap(dom, cod, entries)
 
 
-def test_six_cdc_axioms_symbolically(inst):
+def test_six_cdc_axioms_symbolically():
     rng = random.Random(9)
     spaces = [X1, X2]
     for _ in range(25):
@@ -87,64 +87,64 @@ def test_six_cdc_axioms_symbolically(inst):
         g = random_poly_map(rng, mid, cod, max_degree=2)
 
         dd = product(dom, dom)
-        pr0 = inst.prod_proj(0, dom, dom)
-        pr1 = inst.prod_proj(1, dom, dom)
+        pr0 = pm.prod_proj(0, dom, dom)
+        pr1 = pm.prod_proj(1, dom, dom)
 
         # (2) d is additive in the map.
         f2 = random_poly_map(rng, dom, mid, max_degree=2)
-        assert d_combinator(inst, pm.add(f, f2)) == pm.add(
-            d_combinator(inst, f), d_combinator(inst, f2)
+        assert d_combinator(pm.add(f, f2)) == pm.add(
+            d_combinator(f), d_combinator(f2)
         )
-        assert d_combinator(inst, pm.zero(dom, mid)) == pm.zero(dd, mid)
+        assert d_combinator(pm.zero(dom, mid)) == pm.zero(dd, mid)
 
         # (3) d id = pr1 and the chain rule.
-        assert d_combinator(inst, inst.identity(dom)) == pr1
-        chain = d_combinator(inst, inst.compose(g, f))
-        expected = inst.compose(
-            d_combinator(inst, g),
-            inst.prod_pair(inst.compose(f, pr0), d_combinator(inst, f)),
+        assert d_combinator(pm.identity(dom)) == pr1
+        chain = d_combinator(pm.compose(g, f))
+        expected = pm.compose(
+            d_combinator(g),
+            pm.prod_pair(pm.compose(f, pr0), d_combinator(f)),
         )
         assert chain == expected
 
         # (4) additivity in the direction argument, symbolically: compose
         # with <<x, 0>> and <<x, u + v>> built from projections off dom^3.
         triple = product(product(dom, dom), dom)
-        x = inst.compose(pr0, inst.prod_proj(0, product(dom, dom), dom))
-        u = inst.compose(pr1, inst.prod_proj(0, product(dom, dom), dom))
-        v = inst.prod_proj(1, product(dom, dom), dom)
-        df = d_combinator(inst, f)
-        zero_dir = inst.compose(df, inst.prod_pair(x, pm.zero(triple, dom)))
+        x = pm.compose(pr0, pm.prod_proj(0, product(dom, dom), dom))
+        u = pm.compose(pr1, pm.prod_proj(0, product(dom, dom), dom))
+        v = pm.prod_proj(1, product(dom, dom), dom)
+        df = d_combinator(f)
+        zero_dir = pm.compose(df, pm.prod_pair(x, pm.zero(triple, dom)))
         assert zero_dir == pm.zero(triple, mid)
-        both = inst.compose(df, inst.prod_pair(x, pm.add(u, v)))
+        both = pm.compose(df, pm.prod_pair(x, pm.add(u, v)))
         split = pm.add(
-            inst.compose(df, inst.prod_pair(x, u)),
-            inst.compose(df, inst.prod_pair(x, v)),
+            pm.compose(df, pm.prod_pair(x, u)),
+            pm.compose(df, pm.prod_pair(x, v)),
         )
         assert both == split
 
         # (5) and (6) via generic projections off (dom & dom) & (dom & dom).
         quad = product(dd, dd)
-        q_outer = [inst.prod_proj(i, dd, dd) for i in (0, 1)]
+        q_outer = [pm.prod_proj(i, dd, dd) for i in (0, 1)]
         coords = [
-            inst.compose(inst.prod_proj(i, dom, dom), q_outer[j])
+            pm.compose(pm.prod_proj(i, dom, dom), q_outer[j])
             for j in (0, 1)
             for i in (0, 1)
         ]
         xq, uq, vq, wq = coords
-        ddf = d_combinator(inst, df)
-        lin = inst.compose(
+        ddf = d_combinator(df)
+        lin = pm.compose(
             ddf,
-            inst.prod_pair(
-                inst.prod_pair(xq, pm.zero(quad, dom)),
-                inst.prod_pair(pm.zero(quad, dom), uq),
+            pm.prod_pair(
+                pm.prod_pair(xq, pm.zero(quad, dom)),
+                pm.prod_pair(pm.zero(quad, dom), uq),
             ),
         )
-        assert lin == inst.compose(df, inst.prod_pair(xq, uq))
-        sym_l = inst.compose(
-            ddf, inst.prod_pair(inst.prod_pair(xq, uq), inst.prod_pair(vq, wq))
+        assert lin == pm.compose(df, pm.prod_pair(xq, uq))
+        sym_l = pm.compose(
+            ddf, pm.prod_pair(pm.prod_pair(xq, uq), pm.prod_pair(vq, wq))
         )
-        sym_r = inst.compose(
-            ddf, inst.prod_pair(inst.prod_pair(xq, vq), inst.prod_pair(uq, wq))
+        sym_r = pm.compose(
+            ddf, pm.prod_pair(pm.prod_pair(xq, vq), pm.prod_pair(uq, wq))
         )
         assert sym_l == sym_r
 
@@ -156,27 +156,27 @@ def test_totality_of_summability(inst):
         g = random_poly_map(rng, X2, X1)
         w = inst.pair_witness(f, g)
         assert w is not None
-        assert inst.compose(inst.sigma(X1), w) == pm.add(f, g)
+        assert pm.compose(inst.sigma(X1), w) == pm.add(f, g)
 
 
-def test_additive_versus_linear_gap(inst):
+def test_additive_versus_linear_gap():
     sq = lit(X1, X1, "x0^2")
     affine = lit(X1, X1, "x0 + 1")
     triple = lit(X1, X1, "3*x0")
-    assert not is_additive(inst, sq)
-    assert not is_linear(inst, sq)
-    assert not is_additive(inst, affine)  # fails h . 0 = 0
-    assert not is_linear(inst, affine)
-    assert is_additive(inst, triple)
-    assert is_linear(inst, triple)
+    assert not is_additive(sq)
+    assert not is_linear(sq)
+    assert not is_additive(affine)  # fails h . 0 = 0
+    assert not is_linear(affine)
+    assert is_additive(triple)
+    assert is_linear(triple)
 
 
-def test_directional_oracle_matches_d_combinator(inst):
+def test_directional_oracle_matches_d_combinator():
     # Independent divided-difference oracle: coefficient of eps in f(x+eps u).
     rng = random.Random(31)
     for _ in range(30):
         f = random_poly_map(rng, X2, X2, max_degree=3)
-        d = d_combinator(inst, f)
+        d = d_combinator(f)
         x = {a: F(rng.randint(-3, 3), rng.randint(1, 4)) for a in web(X2)}
         u = {a: F(rng.randint(-3, 3), rng.randint(1, 4)) for a in web(X2)}
         point = {("L", a): c for a, c in x.items()}
@@ -184,14 +184,14 @@ def test_directional_oracle_matches_d_combinator(inst):
         assert d.eval(point) == directional_oracle(f, x, u)
 
 
-def test_d_combinator_bridges_to_differential(inst):
+def test_d_combinator_bridges_to_differential():
     # Df = <f . pi0, d f> up to the D-tag/product-tag relabelling.
     rng = random.Random(7)
     f = random_poly_map(rng, X2, X1)
-    df = inst.d_morphism(f)
+    df = pm.differential(f)
     first, second = pm.witness_components(df)
-    assert first == inst.compose(f, inst.proj(0, X2))
-    d = d_combinator(inst, f)
+    assert first == pm.compose(f, pm.proj(0, X2))
+    d = d_combinator(f)
     retagged = {
         (pm.mono([("L" if a[0] == "0" else "R", a[1]) for a in m]), b): c
         for (m, b), c in second.entries.items()

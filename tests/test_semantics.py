@@ -9,10 +9,11 @@ from cohdiff.gen import (
     default_poly_model,
     generate_typed_terms,
 )
+from cohdiff.objects import d_space, product
+from cohdiff.pcs import ModelError
 from cohdiff.rewrite import TermMultiset
 from cohdiff.semantics import (
     Model,
-    ModelValidationError,
     check_diff_theorem,
     check_invariance,
     interp_ctx,
@@ -53,13 +54,9 @@ def poly():
 def test_interp_type_compositional(pcs):
     base = pcs.grounds["N"]
     ty = ProductType(d_type(N), N)
-    assert interp_type(pcs, ty) == pcs.inst.product(
-        pcs.inst.d_object(base), base
-    )
+    assert interp_type(pcs, ty) == product(d_space(base), base)
     # interp commutes with the type-level D.
-    assert interp_type(pcs, d_type(ty)) == pcs.inst.d_object(
-        interp_type(pcs, ty)
-    )
+    assert interp_type(pcs, d_type(ty)) == d_space(interp_type(pcs, ty))
 
 
 def test_interp_empty_context_is_terminal(pcs):
@@ -69,44 +66,43 @@ def test_interp_empty_context_is_terminal(pcs):
 def test_interp_var_is_projection(pcs):
     ctx = (("x", N),)
     base = pcs.grounds["N"]
-    assert interp_term(pcs, ctx, Var("x")) == pcs.inst.identity(base)
+    assert interp_term(pcs, ctx, Var("x")) == pm.identity(base)
     ctx2 = (("x", N), ("y", N))
     left = interp_term(pcs, ctx2, Var("x"))
-    assert left == pcs.inst.prod_proj(0, base, base)
+    assert left == pm.prod_proj(0, base, base)
 
 
 def test_interp_pair_of_same_var(pcs):
     ctx = (("x", N),)
     got = interp_term(pcs, ctx, Pair(Var("x"), Var("x")))
-    ident = pcs.inst.identity(pcs.grounds["N"])
-    assert got == pcs.inst.prod_pair(ident, ident)
+    ident = pm.identity(pcs.grounds["N"])
+    assert got == pm.prod_pair(ident, ident)
 
 
 def test_interp_app_with_word_is_iterated_partial(pcs):
     # bil^[1,0](x, q) = D0 D1 bil composed with the argument pairing.
     inst = pcs.inst
     base = pcs.grounds["N"]
-    nn = inst.product(base, base)
+    nn = product(base, base)
     ctx = (("x", d_type(N)), ("q", d_type(ProductType(N, N))))
     t = App(UserFn("bil"), (1, 0), (Var("x"), Var("q")))
     got = interp_term(pcs, ctx, t)
     lifted = inst.partial_derivative_word(
         pcs.symbols["bil"], [base, nn], (1, 0)
     )
-    args = inst.prod_pair(
-        inst.var_proj([inst.d_object(base), inst.d_object(nn)], 0),
-        inst.var_proj([inst.d_object(base), inst.d_object(nn)], 1),
+    args = pm.prod_pair(
+        inst.var_proj([d_space(base), d_space(nn)], 0),
+        inst.var_proj([d_space(base), d_space(nn)], 1),
     )
-    assert got == inst.compose(lifted, args)
+    assert got == pm.compose(lifted, args)
 
 
 def test_interp_builtins_with_depth(pcs):
-    inst = pcs.inst
     base = pcs.grounds["N"]
     ctx = (("z", d_type_n(N, 2)),)
     t = App(DProj(0), (0,), (Var("z"),))
     got = interp_term(pcs, ctx, t)
-    expected = inst.d_morphism(inst.proj(0, base))
+    expected = pm.differential(pm.proj(0, base))
     assert got == expected  # composed with the identity projection
 
 
@@ -120,7 +116,7 @@ def test_empty_word_application_keeps_codomain(pcs):
 def test_interp_multiset_empty_singleton(pcs):
     ctx = (("x", N),)
     zero = interp_multiset(pcs, ctx, TermMultiset([]), N)
-    assert zero == pcs.inst.zero(interp_ctx(pcs, ctx), pcs.grounds["N"])
+    assert zero == pm.zero(interp_ctx(pcs, ctx), pcs.grounds["N"])
     single = interp_multiset(pcs, ctx, TermMultiset([Var("x")]), N)
     assert single == interp_term(pcs, ctx, Var("x"))
 
@@ -139,8 +135,8 @@ def test_interp_rule6_contractum_matches_theta(pcs):
     got = interp_multiset(pcs, ctx, members, d_type_n(N, 0))
     base = pcs.grounds["N"]
     theta = inst.theta(base)
-    expected = inst.compose(
-        inst.proj(1, base), inst.compose(theta, interp_term(pcs, ctx, u))
+    expected = pm.compose(
+        pm.proj(1, base), pm.compose(theta, interp_term(pcs, ctx, u))
     )
     assert got == expected
 
@@ -200,11 +196,11 @@ def test_model_validation_rejects_non_multilinear(pcs):
     inst = pcs.inst
     base = pcs.grounds["N"]
     sig = Signature({"f": FunctionType((N, N), N)})
-    nn = inst.product(base, base)
+    nn = product(base, base)
     diag = pm.PolyMap(
         nn, base, {(pm.mono([("L", "0"), ("L", "0")]), "0"): F(1, 2)}
     )
-    with pytest.raises(ModelValidationError):
+    with pytest.raises(ModelError):
         Model(inst, {"N": base}, sig, {"f": diag})
 
 
@@ -212,8 +208,8 @@ def test_model_validation_rejects_wrong_domain(pcs):
     inst = pcs.inst
     base = pcs.grounds["N"]
     sig = Signature({"f": FunctionType((N,), N)})
-    wrong = pm.identity(inst.d_object(base))
-    with pytest.raises(ModelValidationError):
+    wrong = pm.identity(d_space(base))
+    with pytest.raises(ModelError):
         Model(inst, {"N": base}, sig, {"f": wrong})
 
 
@@ -223,9 +219,8 @@ def test_backend_parametric_interpretation(pcs, poly):
     t = App(UserFn("bil"), (), (Var("x"), Var("p")))
     for model in (pcs, poly):
         f = interp_term(model, ctx, t)
-        inst = model.inst
-        lhs = inst.compose(inst.proj(0, f.cod), inst.d_morphism(f))
-        rhs = inst.compose(f, inst.proj(0, f.dom))
+        lhs = pm.compose(pm.proj(0, f.cod), pm.differential(f))
+        rhs = pm.compose(f, pm.proj(0, f.dom))
         assert lhs == rhs
 
 
