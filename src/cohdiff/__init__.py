@@ -51,7 +51,6 @@ from .syntax import (
     Var,
     d_type,
     differentiate,
-    signature_of,
     term_str,
     type_str,
     typecheck,
@@ -108,7 +107,6 @@ __all__ = [
     "parse_program",
     "parse_term_text",
     "product",
-    "signature_of",
     "step",
     "step_multiset",
     "step_root",

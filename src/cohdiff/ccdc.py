@@ -181,20 +181,6 @@ class Instance:
             pm.differential(pm.prod_proj(1, x, y)),
         )
 
-    def c_with_inv(self, x: Space, y: Space) -> PolyMap:
-        """<pi0 & pi0, pi1 & pi1>, the inverse of c_with."""
-        def build() -> PolyMap:
-            p = [pm.proj(i, x) for i in (0, 1)]
-            q = [pm.proj(i, y) for i in (0, 1)]
-            return self._require(
-                self.pair_witness(
-                    pm.with_map(p[0], q[0]), pm.with_map(p[1], q[1])
-                ),
-                "c_with inverse",
-            )
-
-        return self._cache(("c_with_inv", x, y), build)
-
     def single_app(
         self, slots: Sequence[Space], i: int, g: PolyMap, fill: str = "id"
     ) -> PolyMap:
@@ -260,16 +246,21 @@ class Instance:
         return f
 
     def c_n_inv(self, slots: Sequence[Space]) -> PolyMap:
-        """<pi0 & ... & pi0, pi1 & ... & pi1> : DX0 & ... & DXn -> D(prod)."""
-        halves = []
-        for i in (0, 1):
-            acc = pm.proj(i, slots[0])
-            for s in slots[1:]:
-                acc = pm.with_map(acc, pm.proj(i, s))
-            halves.append(acc)
-        return self._require(
-            self.pair_witness(halves[0], halves[1]), "c_n inverse"
-        )
+        """<pi0 & ... & pi0, pi1 & ... & pi1> : DX0 & ... & DXn -> D(prod);
+        for two slots, the inverse of c_with."""
+
+        def build() -> PolyMap:
+            halves = []
+            for i in (0, 1):
+                acc = pm.proj(i, slots[0])
+                for s in slots[1:]:
+                    acc = pm.with_map(acc, pm.proj(i, s))
+                halves.append(acc)
+            return self._require(
+                self.pair_witness(halves[0], halves[1]), "c_n inverse"
+            )
+
+        return self._cache(("c_n_inv", tuple(slots)), build)
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +556,7 @@ def _law_c_with_iso(env: LawEnv) -> Optional[str]:
     inst = env.inst
     x, y = env.pick_object(), env.pick_object()
     fwd = inst.c_with(x, y)
-    inv = inst.c_with_inv(x, y)
+    inv = inst.c_n_inv([x, y])
     err = _neq(
         "c_with . inv = id",
         pm.compose(fwd, inv),
@@ -599,7 +590,7 @@ def _law_strength_comm(env: LawEnv) -> Optional[str]:
     if err:
         return err
     p = product(x, y)
-    inv = inst.c_with_inv(x, y)
+    inv = inst.c_n_inv([x, y])
     err = _neq(
         "theta . D phi0 . phi1 = c_with_inv",
         pm.compose(inst.theta(p), via_right),
@@ -617,7 +608,7 @@ def _law_strength_comm(env: LawEnv) -> Optional[str]:
 def _law_leibniz(env: LawEnv) -> Optional[str]:
     inst = env.inst
     f, (x, y) = env.pick_product_map()
-    inv = inst.c_with_inv(x, y)
+    inv = inst.c_n_inv([x, y])
     lhs = pm.compose(pm.differential(f), inv)
     d0d1 = inst.partial_derivative_word(f, [x, y], (1, 0))
     d1d0 = inst.partial_derivative_word(f, [x, y], (0, 1))
@@ -958,7 +949,7 @@ def _law_leibniz_n(env: LawEnv) -> Optional[str]:
         return None
     alpha = list(range(n + 1))
     env.rng.shuffle(alpha)
-    lhs = pm.compose(pm.differential(f), inst.c_n_inv(list(slots)))
+    lhs = pm.compose(pm.differential(f), inst.c_n_inv(slots))
     rhs = pm.compose(
         inst.theta_pow(f.cod, n),
         inst.partial_derivative_word(f, list(slots), alpha),
@@ -974,7 +965,7 @@ def _law_bilinear_expansion(env: LawEnv) -> Optional[str]:
     f, (x, y) = env.rng.choice(candidates)
     lhs = pm.compose(
         pm.proj(1, f.cod),
-        pm.compose(pm.differential(f), inst.c_with_inv(x, y)),
+        pm.compose(pm.differential(f), inst.c_n_inv([x, y])),
     )
     term0 = pm.compose(f, pm.with_map(pm.proj(1, x), pm.proj(0, y)))
     term1 = pm.compose(f, pm.with_map(pm.proj(0, x), pm.proj(1, y)))

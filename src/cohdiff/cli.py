@@ -42,7 +42,6 @@ from .semantics import (
     interp_type,
 )
 from .syntax import (
-    Signature,
     TypeCheckError,
     d_type,
     differentiate,
@@ -151,13 +150,12 @@ def _build_model_from_files(program, model_path: str) -> Model:
         if name not in program.signature:
             raise ModelError(f"{line}:{col}: interp {name!r} names no declared fn")
     inst = PcsInstance()
-    grounds = Model(inst, parsed.spaces, Signature(), {})  # for interp_type
     symbols = {}
     for name, ftype in program.signature.decls.items():
         if name not in parsed.interps:
             raise ModelError(f"symbol {name!r} has no interp block")
-        slots = [interp_type(grounds, a) for a in ftype.args]
-        cod = interp_type(grounds, ftype.result)
+        slots = [interp_type(parsed.spaces, a) for a in ftype.args]
+        cod = interp_type(parsed.spaces, ftype.result)
         symbols[name] = build_symbol_matrix(
             inst, slots, cod, parsed.interps[name], name, parsed.where[name]
         )

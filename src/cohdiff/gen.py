@@ -93,16 +93,12 @@ def _symbol_matrices(base: Ground) -> dict[str, dict]:
     return {"lin": lin, "bil": bil, "tri": tri}
 
 
-def default_pcs_model(inst: PcsInstance | None = None, k: int = 2) -> Model:
-    inst = inst or PcsInstance()
-    base = truncated_nat(k)
-    return _build_model(inst, base)
+def default_pcs_model() -> Model:
+    return _build_model(PcsInstance(), truncated_nat())
 
 
-def default_poly_model(inst: PolyInstance | None = None, k: int = 2) -> Model:
-    inst = inst or PolyInstance()
-    base = ground_like(truncated_nat(k))
-    return _build_model(inst, base)
+def default_poly_model() -> Model:
+    return _build_model(PolyInstance(), ground_like(truncated_nat()))
 
 
 def _build_model(inst: Instance, base: Ground) -> Model:
@@ -164,13 +160,13 @@ class TermGenerator:
         depth = self.max_depth if depth is None else depth
         if depth <= 0:
             return self.filler(ty)
-        options = self._options(ty, depth)
+        options = self._options(ty)
         return self.rng.choice(options)(depth - 1)
 
     def _vars_of(self, ty: Type) -> list[str]:
         return [name for name, vty in self.ctx if vty == ty]
 
-    def _options(self, ty: Type, depth: int):
+    def _options(self, ty: Type):
         rng = self.rng
         opts = []
         names = self._vars_of(ty)

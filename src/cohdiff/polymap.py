@@ -82,10 +82,6 @@ class PolyMap:
             and self.entries == other.entries
         )
 
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __repr__(self) -> str:
         return f"PolyMap({space_str(self.dom)} -> {space_str(self.cod)}, {len(self.entries)} entries)"
 

@@ -3,10 +3,14 @@
 Ground symbols go to objects, user function symbols to multilinear
 morphisms, and a decorated application f^w(...) to the iterated partial
 derivative D_w of the symbol's interpretation composed with the pairing of
-the argument interpretations.  The two executable theorems live here: the
-syntactic differential matches the model's partial derivative, and the
-interpretation of a term is invariant along reduction, with every multiset
-along the way summable.
+the argument interpretations.  The interpretation is compositional and
+types nothing: a user symbol's slots are read off the domain of its matrix,
+and a built-in's object off the codomain of its argument's morphism.  So
+interp_term takes a term that typechecks in its context, as every caller
+checks first; an ill-typed built-in raises ShapeError or TypeCheckError.
+The two executable theorems live here: the syntactic differential matches
+the model's partial derivative, and the interpretation of a term is
+invariant along reduction, with every multiset along the way summable.
 """
 
 from __future__ import annotations
@@ -16,7 +20,15 @@ from typing import Optional
 
 from . import polymap as pm
 from .ccdc import Instance
-from .objects import Space, d_space, prodn, product
+from .objects import (
+    Prod,
+    Space,
+    d_space,
+    peel_product,
+    prodn,
+    product,
+    space_str,
+)
 from .pcs import ModelError, is_multilinear
 from .polymap import PolyMap
 from .rewrite import (
@@ -33,7 +45,6 @@ from .syntax import (
     GroundType,
     Pair,
     ProdProj,
-    ProductType,
     Signature,
     Term,
     Theta,
@@ -45,7 +56,6 @@ from .syntax import (
     d_type,
     differentiate,
     term_str,
-    try_strip_d_n,
     type_str,
     typecheck,
 )
@@ -66,13 +76,13 @@ class Model:
             if name not in self.symbols:
                 raise ModelError(f"symbol {name!r} has no matrix")
             matrix = self.symbols[name]
-            slots = [interp_type(self, a) for a in ftype.args]
+            slots = [interp_type(self.grounds, a) for a in ftype.args]
             expected_dom = prodn(slots) if slots else self.inst.terminal()
             if matrix.dom != expected_dom:
                 raise ModelError(
                     f"symbol {name!r}: domain does not match its type"
                 )
-            if matrix.cod != interp_type(self, ftype.result):
+            if matrix.cod != interp_type(self.grounds, ftype.result):
                 raise ModelError(
                     f"symbol {name!r}: codomain does not match its type"
                 )
@@ -82,29 +92,30 @@ class Model:
                 )
 
 
-def interp_type(model: Model, a: Type) -> Space:
+def interp_type(grounds: dict[str, Space], a: Type) -> Space:
+    """The object of a type, given the objects of the ground symbols."""
     if isinstance(a, GroundType):
-        if a.symbol not in model.grounds:
+        if a.symbol not in grounds:
             raise ModelError(f"ground symbol {a.symbol!r} unassigned")
-        space = model.grounds[a.symbol]
+        space = grounds[a.symbol]
         for _ in range(a.depth):
             space = d_space(space)
         return space
-    return product(interp_type(model, a.left), interp_type(model, a.right))
+    return product(interp_type(grounds, a.left), interp_type(grounds, a.right))
 
 
 def interp_ctx(model: Model, ctx: Context) -> Space:
     if not ctx:
         return model.inst.terminal()
-    return prodn([interp_type(model, ty) for _, ty in ctx])
+    return prodn(_ctx_slots(model, ctx))
 
 
 def _ctx_slots(model: Model, ctx: Context) -> list[Space]:
-    return [interp_type(model, ty) for _, ty in ctx]
+    return [interp_type(model.grounds, ty) for _, ty in ctx]
 
 
 def interp_term(model: Model, ctx: Context, t: Term) -> PolyMap:
-    """The morphism interp(ctx) -> interp(type of t)."""
+    """The morphism interp(ctx) -> interp(type of t), for t well typed."""
     check_context(ctx)
     key = (ctx, t)
     if key in model._cache:
@@ -129,18 +140,10 @@ def _interp(model: Model, ctx: Context, t: Term) -> PolyMap:
     return _interp_app(model, ctx, t)
 
 
-def _strip_or_fail(ty: Type, n: int, what: str) -> Type:
-    stripped = try_strip_d_n(ty, n)
-    if stripped is None:
-        raise TypeCheckError(f"{what}: cannot strip D^{n} from {type_str(ty)}")
-    return stripped
-
-
 def _interp_app(model: Model, ctx: Context, t: App) -> PolyMap:
     inst = model.inst
     f = t.fn
     arg_maps = [interp_term(model, ctx, a) for a in t.args]
-    arg_types = [typecheck(model.sig, ctx, a) for a in t.args]
     d = len(t.word)
 
     if isinstance(f, UserFn):
@@ -150,29 +153,29 @@ def _interp_app(model: Model, ctx: Context, t: App) -> PolyMap:
         if not t.args:
             bang = pm.zero(interp_ctx(model, ctx), inst.terminal())
             return pm.compose(base, bang)
-        ftype = model.sig.lookup(f.name)
-        slots = [interp_type(model, a) for a in ftype.args]
+        slots = peel_product(base.dom, len(t.args))
         lifted = inst.partial_derivative_word(base, slots, t.word)
         return pm.compose(lifted, inst.prod_pair_n(arg_maps))
 
-    # Built-ins: infer the object parameter from the argument type, then
-    # lift with D^d, which is D_w for an arity-1 symbol with |w| = d.
-    ti = arg_types[0]
+    # Built-ins: the object parameter is the argument's codomain with the
+    # word's d D's stripped; then lift with D^d, which is D_w for an
+    # arity-1 symbol with |w| = d.
+    x = arg_maps[0].cod
+    for _ in range(d):
+        x = pm.strip_d_space(x)
     if isinstance(f, DProj):
-        a = _strip_or_fail(ti, d + 1, "pi")
-        base = pm.proj(f.i, interp_type(model, a))
+        base = pm.proj(f.i, pm.strip_d_space(x))
     elif isinstance(f, DInj):
-        a = _strip_or_fail(ti, d, "iota")
-        base = inst.inj(f.i, interp_type(model, a))
+        base = inst.inj(f.i, x)
     elif isinstance(f, Theta):
-        a = _strip_or_fail(ti, d + f.n + 1, "theta")
-        base = inst.theta_pow(interp_type(model, a), f.n)
+        a = x
+        for _ in range(f.n + 1):
+            a = pm.strip_d_space(a)
+        base = inst.theta_pow(a, f.n)
     elif isinstance(f, ProdProj):
-        if not isinstance(ti, ProductType):
-            raise TypeCheckError(f"pr applied to non-product {type_str(ti)}")
-        a = _strip_or_fail(ti.left, d, "pr")
-        b = _strip_or_fail(ti.right, d, "pr")
-        base = pm.prod_proj(f.i, interp_type(model, a), interp_type(model, b))
+        if not isinstance(x, Prod):
+            raise TypeCheckError(f"pr applied to non-product {space_str(x)}")
+        base = pm.prod_proj(f.i, x.left, x.right)
     else:
         raise TypeCheckError(f"not a function: {f!r}")
     return pm.compose(inst.d_morphism_n(base, d), arg_maps[0])
@@ -195,7 +198,7 @@ def interp_multiset(
             )
     maps = [interp_term(model, ctx, member) for member in ms.terms()]
     return model.inst.family_sum(
-        maps, interp_ctx(model, ctx), interp_type(model, ty), expected
+        maps, interp_ctx(model, ctx), interp_type(model.grounds, ty), expected
     )
 
 

@@ -3,7 +3,9 @@
 Types are kept canonical: the D constructor lives on ground leaves only, so
 D(A & B) is stored as DA & DB and type equality is structural.  Terms are
 variables, pairs, and applications f^w(t0, ..., tn) of a function symbol
-decorated with a word w over the argument positions.
+decorated with a word w over the argument positions.  The built-ins pi,
+pr, iota and theta carry no type of their own: typecheck, the only code that
+types a term, reads their object off the argument's type.
 """
 
 from __future__ import annotations
@@ -112,10 +114,9 @@ class UserFn:
 
 @dataclass(frozen=True)
 class DProj:
-    """pi_i : DA -> A; the type annotation is optional and inferable."""
+    """pi_i : DA -> A; A is read off the argument's type."""
 
     i: int
-    ann: Optional[Type] = None
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,6 @@ class ProdProj:
     """pr_i : A & B -> A (resp. B); arity 1, not 2."""
 
     i: int
-    ann: Optional[tuple[Type, Type]] = None
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,6 @@ class DInj:
     """iota_i : A -> DA."""
 
     i: int
-    ann: Optional[Type] = None
 
 
 @dataclass(frozen=True)
@@ -139,7 +138,6 @@ class Theta:
     """theta_n : D^(n+1) A -> DA, the n-fold monad sum."""
 
     n: int
-    ann: Optional[Type] = None
 
     def __post_init__(self):
         if self.n < 0:
@@ -165,32 +163,6 @@ class Signature:
 
     def __contains__(self, name: str) -> bool:
         return name in self.decls
-
-
-def signature_of(f: Function, sig: Optional[Signature] = None) -> FunctionType:
-    """The declared function type; built-ins must carry their annotation."""
-    if isinstance(f, UserFn):
-        if sig is None:
-            raise TypeCheckError(f"unknown user symbol {f.name!r}")
-        return sig.lookup(f.name)
-    if isinstance(f, DProj):
-        if f.ann is None:
-            raise TypeCheckError("pi projection lacks a type annotation")
-        return FunctionType((d_type(f.ann),), f.ann)
-    if isinstance(f, DInj):
-        if f.ann is None:
-            raise TypeCheckError("iota injection lacks a type annotation")
-        return FunctionType((f.ann,), d_type(f.ann))
-    if isinstance(f, Theta):
-        if f.ann is None:
-            raise TypeCheckError("theta lacks a type annotation")
-        return FunctionType((d_type_n(f.ann, f.n + 1),), d_type(f.ann))
-    if isinstance(f, ProdProj):
-        if f.ann is None:
-            raise TypeCheckError("pr projection lacks a type annotation")
-        a, b = f.ann
-        return FunctionType((ProductType(a, b),), a if f.i == 0 else b)
-    raise TypeCheckError(f"not a function: {f!r}")
 
 
 def fn_name(f: Function) -> str:
@@ -327,8 +299,6 @@ def _check_app(sig: Signature, ctx: Context, t: App) -> Type:
     ti = arg_types[0]
 
     if isinstance(f, DProj):
-        if f.ann is not None:
-            _expect(ti, d_type_n(d_type(f.ann), d), f"argument of {fn_name(f)}")
         stripped = try_strip_d_n(ti, d + 1)
         if stripped is None:
             raise TypeCheckError(
@@ -337,8 +307,6 @@ def _check_app(sig: Signature, ctx: Context, t: App) -> Type:
             )
         return d_type_n(stripped, d)
     if isinstance(f, DInj):
-        if f.ann is not None:
-            _expect(ti, d_type_n(f.ann, d), f"argument of {fn_name(f)}")
         if try_strip_d_n(ti, d) is None:
             raise TypeCheckError(
                 f"{fn_name(f)} with word depth {d} needs an argument of shape "
@@ -346,10 +314,6 @@ def _check_app(sig: Signature, ctx: Context, t: App) -> Type:
             )
         return d_type(ti)
     if isinstance(f, Theta):
-        if f.ann is not None:
-            _expect(
-                ti, d_type_n(f.ann, d + f.n + 1), f"argument of {fn_name(f)}"
-            )
         stripped = try_strip_d_n(ti, d + f.n + 1)
         if stripped is None:
             raise TypeCheckError(
@@ -358,11 +322,6 @@ def _check_app(sig: Signature, ctx: Context, t: App) -> Type:
             )
         return d_type_n(d_type(stripped), d)
     if isinstance(f, ProdProj):
-        if f.ann is not None:
-            a, b = f.ann
-            _expect(
-                ti, d_type_n(ProductType(a, b), d), f"argument of {fn_name(f)}"
-            )
         if not isinstance(ti, ProductType):
             raise TypeCheckError(
                 f"{fn_name(f)} needs a product argument, got {type_str(ti)}"

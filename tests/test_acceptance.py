@@ -191,7 +191,7 @@ def test_criterion_6_multilinearity_theorems(pcs_model):
         # Bilinear expansion: second coordinate of D phi . c^-1.
         lhs = pm.compose(
             pm.proj(1, phi.cod),
-            pm.compose(pm.differential(phi), inst.c_with_inv(base, base)),
+            pm.compose(pm.differential(phi), inst.c_n_inv([base, base])),
         )
         rhs = pm.add(
             pm.compose(phi, pm.with_map(pm.proj(1, base), pm.proj(0, base))),

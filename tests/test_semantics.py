@@ -27,14 +27,18 @@ from cohdiff.syntax import (
     DProj,
     FunctionType,
     Pair,
+    ProdProj,
     ProductType,
     Signature,
     Theta,
+    TypeCheckError,
     UserFn,
     Var,
     d_type,
     d_type_n,
+    differentiate,
     ground,
+    typecheck,
 )
 
 F = Fraction
@@ -54,9 +58,11 @@ def poly():
 def test_interp_type_compositional(pcs):
     base = pcs.grounds["N"]
     ty = ProductType(d_type(N), N)
-    assert interp_type(pcs, ty) == product(d_space(base), base)
+    assert interp_type(pcs.grounds, ty) == product(d_space(base), base)
     # interp commutes with the type-level D.
-    assert interp_type(pcs, d_type(ty)) == d_space(interp_type(pcs, ty))
+    assert interp_type(pcs.grounds, d_type(ty)) == d_space(
+        interp_type(pcs.grounds, ty)
+    )
 
 
 def test_interp_empty_context_is_terminal(pcs):
@@ -111,6 +117,29 @@ def test_empty_word_application_keeps_codomain(pcs):
     t = App(UserFn("bil"), (), (Var("x"), Var("p")))
     got = interp_term(pcs, ctx, t)
     assert got.cod == pcs.grounds["N"]
+
+
+def test_interp_reads_objects_off_the_maps(pcs, poly):
+    # interp_term types nothing: the objects of an application come from
+    # its argument maps, and they must be the objects of the typed term.
+    names = [v for v, _ in DEFAULT_CONTEXT]
+    for i, (ctx, t, _) in enumerate(generate_typed_terms(40, seed=11)):
+        x = names[i % len(names)]
+        dctx = tuple((v, d_type(ty) if v == x else ty) for v, ty in ctx)
+        for model in (pcs, poly):
+            for c, u in ((ctx, t), (dctx, differentiate(t, x))):
+                got = interp_term(model, c, u)
+                assert got.dom == interp_ctx(model, c)
+                assert got.cod == interp_type(
+                    model.grounds, typecheck(model.sig, c, u)
+                )
+
+
+def test_interp_ill_typed_builtin_raises(pcs):
+    ctx = (("x", N),)
+    for fn in (DProj(0), ProdProj(0)):
+        with pytest.raises((pm.ShapeError, TypeCheckError)):
+            interp_term(pcs, ctx, App(fn, (), (Var("x"),)))
 
 
 def test_interp_multiset_empty_singleton(pcs):

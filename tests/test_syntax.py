@@ -9,7 +9,6 @@ from cohdiff.syntax import (
     FunctionType,
     GroundType,
     Pair,
-    ProdProj,
     ProductType,
     Signature,
     Theta,
@@ -19,7 +18,6 @@ from cohdiff.syntax import (
     d_type_n,
     differentiate,
     ground,
-    signature_of,
     term_str,
     try_strip_d,
     type_str,
@@ -55,20 +53,6 @@ def test_d_type_strip_roundtrip():
     assert try_strip_d(A) is None
 
 
-def test_signature_of_builtins():
-    assert signature_of(Theta(1, A)) == FunctionType((D(A, 2),), D(A))
-    assert signature_of(DProj(0, A)) == FunctionType((D(A),), A)
-    assert signature_of(DInj(1, B)) == FunctionType((B,), D(B))
-    ft = signature_of(ProdProj(1, (A, B)))
-    assert ft == FunctionType((ProductType(A, B),), B)
-    assert len(ft.args) == 1  # projections have arity 1, not 2
-
-
-def test_signature_of_user_symbol():
-    sig = Signature({"f": FunctionType((A, B), C)})
-    assert signature_of(UserFn("f"), sig).result == C
-
-
 def test_typecheck_var():
     sig = Signature()
     assert typecheck(sig, (("x", A),), Var("x")) == A
@@ -101,16 +85,6 @@ def test_typecheck_reports_argument_mismatch():
     with pytest.raises(TypeCheckError) as err:
         typecheck(sig, (("x", B),), App(UserFn("f"), (), (Var("x"),)))
     assert "expected a" in str(err.value) and "got b" in str(err.value)
-
-
-def test_typecheck_deterministic_annotation_check():
-    sig = Signature()
-    ctx = (("x", D(A)),)
-    t = App(DProj(0, A), (), (Var("x"),))
-    assert typecheck(sig, ctx, t) == A
-    bad = App(DProj(0, B), (), (Var("x"),))
-    with pytest.raises(TypeCheckError):
-        typecheck(sig, ctx, bad)
 
 
 def test_differentiate_var_clauses():
