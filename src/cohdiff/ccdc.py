@@ -163,15 +163,6 @@ class Instance:
 
         return self._cache(("swap", x), build)
 
-    def derived_morphisms(self, x: Space) -> dict:
-        return {
-            "theta": self.theta(x),
-            "lift": self.lift(x),
-            "swap": self.swap(x),
-            "inj0": self.inj(0, x),
-            "inj1": self.inj(1, x),
-        }
-
     # -- cartesian compatibility ---------------------------------------------
 
     def c_with(self, x: Space, y: Space) -> PolyMap:
@@ -334,8 +325,8 @@ class LawEnv:
         g = self.pick_map(lambda h: h.dom == f.dom and h.cod == f.cod)
         return f, g
 
-    def pick_composable(self, max_degree_product: int = 12) -> tuple[PolyMap, PolyMap]:
-        """(g, f) with g . f defined and bounded composite degree."""
+    def pick_composable(self) -> tuple[PolyMap, PolyMap]:
+        """(g, f) with g . f defined and degree product at most 12."""
         for _ in range(200):
             f = self.pick_map()
             candidates = [
@@ -343,7 +334,7 @@ class LawEnv:
                 for g in self.morphisms
                 if g.dom == f.cod
                 and max(1, g.max_degree()) * max(1, f.max_degree())
-                <= max_degree_product
+                <= 12
             ]
             if candidates:
                 return self.rng.choice(candidates), f

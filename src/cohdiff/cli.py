@@ -1,8 +1,9 @@
 """Batch front-end: check, diff, reduce, eval, laws, theorems.
 
-Exit codes: 0 success, 1 type or program-parse error, 2 fuel exhausted,
-3 model validation error, 4 law or theorem violation, 5 usage error (also
-an input file that cannot be read).
+Exit codes: 0 success, 1 type or program-parse error, 2 a resource bound
+was reached: reduction fuel, or the degree cap of 16, 3 model validation
+error, 4 law or theorem violation, 5 usage error (also an input file that
+cannot be read, or a COHDIFF_FUEL that is not a positive integer).
 Reports are deterministic for fixed inputs and seed, and all rationals are
 printed in reduced p/q form.
 """
@@ -33,6 +34,7 @@ from .pcs import (
     membership,
     parse_model_file,
 )
+from .polymap import DegreeCapError
 from .rewrite import DEFAULT_FUEL, FuelExhausted, normalize
 from .semantics import (
     Model,
@@ -52,22 +54,23 @@ from .syntax import (
 
 EXIT_OK = 0
 EXIT_TYPE = 1
-EXIT_FUEL = 2
+EXIT_BOUND = 2
 EXIT_MODEL = 3
 EXIT_VIOLATION = 4
 EXIT_USAGE = 5
 
 
 def _default_fuel() -> int:
+    """COHDIFF_FUEL, else DEFAULT_FUEL; ValueError unless a positive int."""
     raw = os.environ.get("COHDIFF_FUEL")
     if raw is None:
         return DEFAULT_FUEL
     try:
         fuel = int(raw)
     except ValueError:
-        raise SystemExit(f"COHDIFF_FUEL must be an integer, got {raw!r}")
+        raise ValueError(f"COHDIFF_FUEL must be an integer, got {raw!r}") from None
     if fuel < 1:
-        raise SystemExit("COHDIFF_FUEL must be >= 1")
+        raise ValueError("COHDIFF_FUEL must be >= 1")
     return fuel
 
 
@@ -123,15 +126,14 @@ def cmd_reduce(args, out) -> int:
     program = parse_program(_read_text(args.file))
     ctx, t = _named_term(program, args.term)
     typecheck(program.signature, ctx, t)
-    fuel = args.fuel if args.fuel is not None else _default_fuel()
     try:
-        final, trace = normalize(t, fuel)
+        final, trace = normalize(t, args.fuel)
     except FuelExhausted as exc:
         if args.trace:
             for line in exc.trace.render_lines():
                 print(line, file=out)
         print(f"fuel exhausted after {len(exc.trace.steps)} steps", file=out)
-        return EXIT_FUEL
+        return EXIT_BOUND
     print(f"start : {trace.initial.render()}", file=out)
     if args.trace:
         for line in trace.render_lines():
@@ -229,7 +231,6 @@ def cmd_laws(args, out) -> int:
 
 def cmd_theorems(args, out) -> int:
     backends = ["pcs", "poly"] if args.backend == "both" else [args.backend]
-    fuel = args.fuel if args.fuel is not None else _default_fuel()
     models = {name: _make_backend(name) for name in backends}
     names = [v for v, _ in DEFAULT_CONTEXT]
     ok = True
@@ -243,7 +244,7 @@ def cmd_theorems(args, out) -> int:
                 print(f"[{name}] {verdict.render()}", file=out)
             ok = ok and verdict.holds
         if "pcs" in models:
-            verdict = check_invariance(models["pcs"], ctx, t, fuel)
+            verdict = check_invariance(models["pcs"], ctx, t, args.fuel)
             if not verdict.holds or args.verbose:
                 print(f"[pcs] {verdict.render()}", file=out)
             ok = ok and verdict.holds
@@ -319,6 +320,12 @@ def _run(argv, out) -> int:
     if getattr(args, "fuel", None) is not None and args.fuel < 1:
         print("error: fuel must be >= 1", file=out)
         return EXIT_USAGE
+    if hasattr(args, "fuel") and args.fuel is None:
+        try:
+            args.fuel = _default_fuel()
+        except ValueError as exc:
+            print(f"error: {exc}", file=out)
+            return EXIT_USAGE
     if getattr(args, "cases", None) is not None and args.cases < 1:
         print("error: case count must be >= 1", file=out)
         return EXIT_USAGE
@@ -336,6 +343,9 @@ def _run(argv, out) -> int:
     except ModelError as exc:
         print(f"model error: {exc}", file=out)
         return EXIT_MODEL
+    except DegreeCapError as exc:
+        print(f"error: {exc}", file=out)
+        return EXIT_BOUND
     except KeyError as exc:
         print(f"error: no term named {exc.args[0]!r}", file=out)
         return EXIT_USAGE

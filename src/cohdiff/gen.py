@@ -124,24 +124,22 @@ DEFAULT_CONTEXT: Context = (
 class TermGenerator:
     """Seeded generator of well-typed terms of bounded depth."""
 
-    def __init__(self, sig: Signature, ctx: Context = DEFAULT_CONTEXT,
-                 seed: int = 0, max_depth: int = 5):
+    def __init__(self, sig: Signature, seed: int = 0, max_depth: int = 5):
         self.sig = sig
-        self.ctx = ctx
         self.rng = random.Random(seed)
         self.max_depth = max_depth
 
     # -- fallbacks -----------------------------------------------------------
 
     def _ground_var(self) -> tuple[str, GroundType]:
-        for name, ty in self.ctx:
+        for name, ty in DEFAULT_CONTEXT:
             if isinstance(ty, GroundType) and ty.depth == 0:
                 return name, ty
         raise ValueError("context must contain a depth-0 ground variable")
 
     def filler(self, ty: Type) -> Term:
         """A canonical small term of the requested type."""
-        for name, vty in self.ctx:
+        for name, vty in DEFAULT_CONTEXT:
             if vty == ty:
                 return Var(name)
         if isinstance(ty, ProductType):
@@ -164,7 +162,7 @@ class TermGenerator:
         return self.rng.choice(options)(depth - 1)
 
     def _vars_of(self, ty: Type) -> list[str]:
-        return [name for name, vty in self.ctx if vty == ty]
+        return [name for name, vty in DEFAULT_CONTEXT if vty == ty]
 
     def _options(self, ty: Type):
         rng = self.rng
@@ -245,11 +243,9 @@ def _strip(ty: Type, n: int) -> Type:
     return stripped
 
 
-def generate_typed_terms(count: int, seed: int = 0, max_depth: int = 5,
-                         sig: Signature | None = None):
+def generate_typed_terms(count: int, seed: int = 0, max_depth: int = 5):
     """Yield (ctx, term, target type) triples, deterministically."""
-    sig = sig or default_signature()
-    gen = TermGenerator(sig, seed=seed, max_depth=max_depth)
+    gen = TermGenerator(default_signature(), seed=seed, max_depth=max_depth)
     targets = [
         N,
         d_type(N),
@@ -260,7 +256,7 @@ def generate_typed_terms(count: int, seed: int = 0, max_depth: int = 5,
     ]
     for i in range(count):
         ty = targets[i % len(targets)]
-        yield gen.ctx, gen.generate(ty), ty
+        yield DEFAULT_CONTEXT, gen.generate(ty), ty
 
 
 def law_generators(model: Model, seed: int = 0):

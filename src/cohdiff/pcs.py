@@ -146,15 +146,16 @@ def coord_sup(space: Space, atom: Atom) -> Fraction:
     return coord_sup(space.inner, inner)
 
 
-def probe_points(space: Space, seed: int = 0, count: int = 6) -> list[dict]:
-    """Deterministic probe set: zero, coordinate suprema, seeded rationals."""
+def probe_points(space: Space) -> list[dict]:
+    """Deterministic probe set: zero, coordinate suprema, and six rounds of
+    rationals seeded by the space's fingerprint."""
     points: list[dict] = [{}]
     for a in web(space):
         points.append({a: coord_sup(space, a)})
-    digest = hashlib.sha256(f"{seed}|{fingerprint(space)}".encode()).digest()
+    digest = hashlib.sha256(f"0|{fingerprint(space)}".encode()).digest()
     rng = random.Random(int.from_bytes(digest[:8], "big"))
     atoms = web(space)
-    for _ in range(count):
+    for _ in range(6):
         raw = {
             a: Fraction(rng.randint(0, 4), rng.randint(1, 5))
             for a in atoms

@@ -13,6 +13,10 @@ atoms of g's monomials.  A monomial that reads a coordinate f does not
 produce is dropped; the others are re-sorted and their coefficients summed,
 with no series multiplication.  Every other map takes the series path.
 
+Composition raises DegreeCapError when a monomial of the composite would
+exceed DEGREE_CAP (16).  compose reads the module constant at call time, so
+a test can lower it with monkeypatch.
+
 The engine relies on one invariant: a monomial is sorted by atom_key, and
 tag_d(0, -) preserves that order, so D-tagging a sorted monomial leaves it
 sorted.  atom_key and tag_d are cached, since the sorts call them for every
@@ -39,7 +43,6 @@ from .objects import (
     space_str,
     tag_d,
     tag_prod,
-    untag_d,
     web,
 )
 
@@ -52,7 +55,7 @@ _ONE = Fraction(1)
 
 
 class DegreeCapError(Exception):
-    """Composition produced a monomial above the configured degree cap."""
+    """Composition produced a monomial of degree above DEGREE_CAP."""
 
 
 class ShapeError(Exception):
@@ -162,7 +165,7 @@ def _poly_mul(p: dict, q: dict, cap: int) -> dict:
     return {m: c for m, c in out.items() if c != 0}
 
 
-def compose(g: PolyMap, f: PolyMap, cap: int = DEGREE_CAP) -> PolyMap:
+def compose(g: PolyMap, f: PolyMap) -> PolyMap:
     """Formal substitution: (g . f)(x) = g(f(x)), exact on coefficients."""
     if f.cod != g.dom:
         raise ShapeError(
@@ -170,9 +173,9 @@ def compose(g: PolyMap, f: PolyMap, cap: int = DEGREE_CAP) -> PolyMap:
         )
     renaming = _substitution(f)
     if renaming is None:
-        entries = _series_entries(g, f, cap)
+        entries = _series_entries(g, f, DEGREE_CAP)
     else:
-        entries = _renamed_entries(g, renaming, cap)
+        entries = _renamed_entries(g, renaming, DEGREE_CAP)
     return PolyMap(f.dom, g.cod, entries)
 
 
@@ -286,11 +289,6 @@ def sigma(x: Space) -> PolyMap:
     return PolyMap(d_space(x), x, entries)
 
 
-def injection(i: int, x: Space) -> PolyMap:
-    """iota_i : X -> DX, pairing with zero on the other side."""
-    return PolyMap(x, d_space(x), {((a,), tag_d(i, a)): _ONE for a in web(x)})
-
-
 def prod_proj(i: int, left: Space, right: Space) -> PolyMap:
     src = product(left, right)
     out = left if i == 0 else right
@@ -330,19 +328,6 @@ def pair_witness_matrix(f0: PolyMap, f1: PolyMap) -> PolyMap:
     for (m, b), c in f1.entries.items():
         entries[(m, tag_d(1, b))] = c
     return PolyMap(f0.dom, d_space(f0.cod), entries)
-
-
-def witness_components(h: PolyMap) -> tuple[PolyMap, PolyMap]:
-    """Split h : X -> DY into (pi_0 . h, pi_1 . h) without composing."""
-    inner = strip_d_space(h.cod)
-    parts: tuple[Entries, Entries] = ({}, {})
-    for (m, b), c in h.entries.items():
-        i, base = untag_d(b)
-        parts[i][(m, base)] = c
-    return (
-        PolyMap(h.dom, inner, parts[0]),
-        PolyMap(h.dom, inner, parts[1]),
-    )
 
 
 def strip_d_space(space: Space) -> Space:

@@ -54,9 +54,6 @@ class TermMultiset:
     def union(self, other: "TermMultiset") -> "TermMultiset":
         return TermMultiset(self.terms() + other.terms())
 
-    def size(self) -> int:
-        return sum(k for _, k in self.items)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TermMultiset):
             return NotImplemented
@@ -85,9 +82,6 @@ class ReductionTrace:
 
     initial: TermMultiset
     steps: list[tuple[str, tuple[int, ...], TermMultiset]]
-
-    def final(self) -> TermMultiset:
-        return self.steps[-1][2] if self.steps else self.initial
 
     def render_lines(self) -> list[str]:
         lines = []

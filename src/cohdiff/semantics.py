@@ -204,14 +204,21 @@ def interp_multiset(
 
 @dataclass
 class TheoremVerdict:
+    """steps and fuel_exhausted describe the reduction that
+    check_invariance followed; check_diff_theorem leaves them unset."""
+
     name: str
     holds: bool
     term: str
     detail: str = ""
+    steps: int = 0
+    fuel_exhausted: bool = False
 
     def render(self) -> str:
         verdict = "HOLDS" if self.holds else "VIOLATED"
         line = f"THEOREM {self.name} {verdict} term={self.term}"
+        if self.fuel_exhausted:
+            line += " (fuel exhausted)"
         if self.detail and not self.holds:
             line += f"\n  {self.detail}"
         return line
@@ -242,28 +249,9 @@ def check_diff_theorem(model: Model, ctx: Context, t: Term, x: str) -> TheoremVe
     )
 
 
-@dataclass
-class InvarianceVerdict:
-    name: str
-    holds: bool
-    term: str
-    steps: int
-    fuel_exhausted: bool = False
-    detail: str = ""
-
-    def render(self) -> str:
-        verdict = "HOLDS" if self.holds else "VIOLATED"
-        line = f"THEOREM {self.name} {verdict} term={self.term}"
-        if self.fuel_exhausted:
-            line += " (fuel exhausted)"
-        if self.detail and not self.holds:
-            line += f"\n  {self.detail}"
-        return line
-
-
 def check_invariance(
     model: Model, ctx: Context, t: Term, max_steps: int = DEFAULT_FUEL
-) -> InvarianceVerdict:
+) -> TheoremVerdict:
     """Along the whole trace every multiset is summable with interp(t)."""
     name = "semantic-invariance"
     printed = term_str(t)
@@ -279,13 +267,15 @@ def check_invariance(
     for k, ms in enumerate(snapshots, start=1):
         total = interp_multiset(model, ctx, ms, ty, expected=base)
         if total is None:
-            return InvarianceVerdict(
-                name, False, printed, k, fuel_exhausted,
+            return TheoremVerdict(
+                name, False, printed,
                 f"step {k}: multiset {ms.render()} is not summable",
+                k, fuel_exhausted,
             )
         if total != base:
-            return InvarianceVerdict(
-                name, False, printed, k, fuel_exhausted,
+            return TheoremVerdict(
+                name, False, printed,
                 f"step {k}: interpretation changed at {ms.render()}",
+                k, fuel_exhausted,
             )
-    return InvarianceVerdict(name, True, printed, len(snapshots), fuel_exhausted)
+    return TheoremVerdict(name, True, printed, "", len(snapshots), fuel_exhausted)

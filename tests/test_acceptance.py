@@ -280,5 +280,5 @@ def test_criterion_8_golden_reduction_traces():
     for n in range(4):
         t = App(DProj(1), (), (App(Theta(n), (), (Var("z"),)),))
         ms = step_root(t)
-        assert ms is not None and ms.size() == n + 1
+        assert ms is not None and len(ms.terms()) == n + 1
     budget.done()

@@ -54,8 +54,14 @@ def test_report_rendering_format():
 
 def test_derived_morphisms_built_from_witnesses():
     inst = PcsInstance()
-    derived = inst.derived_morphisms(ONE)
-    assert set(derived) == {"theta", "lift", "swap", "inj0", "inj1"}
+    dx, ddx = d_space(ONE), d_space(d_space(ONE))
+    assert inst.inj(0, ONE) == pm.pair_witness_matrix(
+        pm.identity(ONE), pm.zero(ONE, ONE)
+    )
+    assert inst.inj(1, ONE).cod == dx
+    assert (inst.theta(ONE).dom, inst.theta(ONE).cod) == (ddx, dx)
+    assert (inst.lift(ONE).dom, inst.lift(ONE).cod) == (dx, ddx)
+    assert (inst.swap(ONE).dom, inst.swap(ONE).cod) == (ddx, ddx)
     # sigma = pi0 + pi1, with witness the identity.
     w = inst.pair_witness(pm.proj(0, ONE), pm.proj(1, ONE))
     assert w == pm.identity(d_space(ONE))
@@ -76,7 +82,7 @@ def test_witness_uniqueness_on_representation():
     h1 = inst.pair_witness(f0, f1)
     h2 = pm.pair_witness_matrix(f0, f1)
     assert h1 == h2
-    c0, c1 = pm.witness_components(h1)
+    c0, c1 = (pm.compose(pm.proj(i, ONE), h1) for i in (0, 1))
     assert (c0, c1) == (f0, f1)
 
 

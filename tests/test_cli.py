@@ -74,6 +74,18 @@ def test_reduce_env_fuel_override(monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [("abc", "COHDIFF_FUEL must be an integer, got 'abc'"),
+     ("0", "COHDIFF_FUEL must be >= 1")],
+)
+def test_bad_env_fuel_is_usage_error(monkeypatch, value, message):
+    monkeypatch.setenv("COHDIFF_FUEL", value)
+    code, text = run("reduce", str(DEMO / "basic.cohdiff"), "--term", "v")
+    assert code == 5
+    assert text.splitlines() == [f"error: {message}"]
+
+
 def test_eval_matrix_and_point():
     code, text = run(
         "eval",
@@ -306,6 +318,27 @@ def test_deeply_nested_term_exits_without_traceback(tmp_path):
     assert result.returncode == 1
     assert result.stdout.strip().splitlines() == [
         "error: input nested too deeply to process"
+    ]
+
+
+def test_degree_cap_exits_2_without_traceback(tmp_path):
+    t = "u"
+    for _ in range(5):
+        t = f"ifz({t}, <{t}, {t}>)"
+    program = tmp_path / "big.cohdiff"
+    program.write_text(
+        "fn succ : (N) -> N;\nfn ifz : (N, N & N) -> N;\n"
+        f"term big [u: N] = {t};\n"
+    )
+    result = _cli_process(
+        ["eval", str(program), "--model", str(DEMO / "nat.pcsmodel"),
+         "--term", "big"],
+        stdout=subprocess.PIPE,
+    )
+    assert "Traceback" not in result.stderr
+    assert result.returncode == 2
+    assert result.stdout.splitlines() == [
+        "error: monomial degree 32 exceeds cap 16"
     ]
 
 

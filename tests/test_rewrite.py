@@ -56,7 +56,7 @@ def test_rule_pi1_theta_member_count():
         t = pi(1, theta(n, x))
         result = step_root(t)
         assert result is not None
-        assert result.size() == n + 1
+        assert len(result.terms()) == n + 1
 
 
 def test_rule_pi1_theta_shape():
@@ -119,7 +119,7 @@ def test_step_blocks_branching_under_pair():
     # The same redex fires under an application argument.
     u = App(DInj(0), (), (pi(1, theta(1, z)),))
     got = step(u)
-    assert got is not None and got.size() == 2
+    assert got is not None and len(got.terms()) == 2
 
 
 def test_step_blocks_empty_under_pair():

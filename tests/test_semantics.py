@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -219,6 +220,27 @@ def test_invariance_detects_fuel_exhaustion(pcs):
     verdict = check_invariance(pcs, ctx, t, 1)
     assert verdict.fuel_exhausted
     assert verdict.holds  # the one checked step is still semantics-preserving
+
+
+def test_invariance_verdict_render_format(pcs):
+    t = App(
+        DProj(1),
+        (),
+        (App(Theta(1), (), (App(DInj(0), (), (App(DInj(0), (), (Var("x"),)),)),)),),
+    )
+    verdict = check_invariance(pcs, (("x", N),), t, 1)
+    assert verdict.steps == 1
+    assert verdict.render() == (
+        "THEOREM semantic-invariance HOLDS "
+        "term=pi1(theta_1(iota0(iota0(x)))) (fuel exhausted)"
+    )
+    violated = replace(
+        verdict, holds=False, term="t", steps=2, detail="step 2: x"
+    )
+    assert violated.render() == (
+        "THEOREM semantic-invariance VIOLATED term=t (fuel exhausted)\n"
+        "  step 2: x"
+    )
 
 
 def test_model_validation_rejects_non_multilinear(pcs):
