@@ -10,11 +10,15 @@ D tags are pushed inside product tags, so that d_space(X & Y) and
 d_space(X) & d_space(Y) are the same space with the same atoms.  Both
 backends rely on this: the swap mediating D(X & Y) and DX & DY is literally
 the identity matrix.
+
+Spaces key the web() cache and every derived-morphism cache, and a ground
+space's hash walks its Fraction predual, so each space computes its hash
+once, at construction.  The value and equality are the dataclass defaults.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
@@ -32,12 +36,26 @@ class Ground:
     name: str
     web: tuple[str, ...]
     predual: tuple[tuple[Fraction, ...], ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.name, self.web, self.predual)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)
 class Prod:
     left: "Space"
     right: "Space"
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -45,6 +63,13 @@ class DPair:
     """Space of pairs (x, u) with x + u in the inner space."""
 
     inner: "Space"
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.inner,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 Space = Union[Ground, Prod, DPair]

@@ -2,23 +2,31 @@
 
 A finite PCS is a ground space with a finite predual of non-negative
 rational vectors; membership of a point x is sup over the predual of
-<x, x'> <= 1.  Composite spaces test membership recursively: a product
-componentwise, and a D-space via pi0(z) + pi1(z).  Analytic morphisms are
-the shared sparse matrices with positive coefficients, evaluated as power
-series.
+<x, x'> <= 1.  Composite spaces have a structural predual (functionals): a
+product the union of its two sides' rows, and a D-space each inner row on
+both D tags, i.e. pi0(z) + pi1(z) in the inner space.  Analytic morphisms
+are the shared sparse matrices with positive coefficients, evaluated as
+power series.
 
 PcsInstance is ccdc.Instance with two differences: a pair or family is
 summable only when its pointwise sum certifies as a morphism, and the
 terminal object (the empty web) carries one empty predual row, so that it
 is a valid PCS.
 
-Whether an arbitrary non-negative matrix is a morphism is a sup of a
-posynomial over a polytope and is not decided here.  Certification is exact
-when the candidate equals a compositionally known morphism, and otherwise a
-documented semi-decision: evaluate at a deterministic probe set (zero, the
-per-coordinate suprema, seeded boundary and interior rationals) and check
-membership of each result.  A probe failure refutes exactly; survival
-certifies.
+Certification is exact in two cases: the candidate equals a
+compositionally known morphism, or every monomial has degree <= 1.  An
+affine f(x) = k + Lx is a morphism exactly when <k, r> + sup_x <x, L^T r>
+<= 1 for every row r of the codomain's structural predual; the sup
+(space_sup) is a sum over a product, a coordinatewise max over the two D
+tags, and a max over the enumerated vertices of a ground space.
+
+Everything else is a documented semi-decision: a candidate of degree >= 2
+that is not the expected morphism (model-file symbols of arity >= 2
+included), and an affine one whose domain has a ground space too large to
+enumerate (_VERTEX_BASES).  It is evaluated at a deterministic probe set
+(zero, the per-coordinate suprema, seeded boundary and interior rationals)
+and each result is tested for membership.  A probe failure refutes
+exactly; survival certifies.
 
 Model files are read with the program tokenizer (parse_model_file), so their
 errors carry line:col, and turned into certified matrices by
@@ -30,6 +38,9 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
+from math import comb
 from typing import Optional, Sequence
 
 from . import polymap as pm
@@ -45,6 +56,8 @@ from .objects import (
     peel_product,
     prodn,
     slot_of,
+    tag_d,
+    tag_prod,
     untag_d,
     web,
 )
@@ -97,29 +110,38 @@ def _split_prod(vec: dict) -> tuple[dict, dict]:
     return left, right
 
 
-def _fold_d(vec: dict) -> dict:
-    """pi0(z) + pi1(z) on a D-space vector."""
-    out: dict = {}
-    for a, c in vec.items():
-        _, inner = untag_d(a)
-        out[inner] = out.get(inner, _ZERO) + c
-    return out
+@lru_cache(maxsize=None)
+def functionals(space: Space) -> tuple[dict, ...]:
+    """The structural predual as sparse {atom: coeff} rows (shared; do not
+    mutate): a ground space's predual rows, the union of a product's two
+    sides' rows, and each row of a D-space's inner space placed on both D
+    tags.  A point lies in the space exactly when its pairing with every row
+    is at most 1."""
+    if isinstance(space, Ground):
+        return tuple(
+            {a: c for a, c in zip(space.web, row) if c} for row in space.predual
+        )
+    if isinstance(space, Prod):
+        return tuple(
+            {tag_prod(side, a): c for a, c in row.items()}
+            for side, part in enumerate((space.left, space.right))
+            for row in functionals(part)
+        )
+    return tuple(
+        {tag_d(i, a): c for a, c in row.items() for i in (0, 1)}
+        for row in functionals(space.inner)
+    )
 
 
 def sup_norm(space: Space, vec: dict) -> Fraction:
-    """sup over the (structural) predual of <vec, x'>; membership is <= 1."""
-    if isinstance(space, Ground):
-        index = {a: i for i, a in enumerate(space.web)}
-        best = _ZERO
-        for row in space.predual:
-            val = sum((row[index[a]] * c for a, c in vec.items()), _ZERO)
-            if val > best:
-                best = val
-        return best
-    if isinstance(space, Prod):
-        left, right = _split_prod(vec)
-        return max(sup_norm(space.left, left), sup_norm(space.right, right))
-    return sup_norm(space.inner, _fold_d(vec))
+    """max over functionals(space) of <vec, row>; membership is <= 1."""
+    return max(
+        (
+            sum((c * vec[a] for a, c in row.items() if a in vec), _ZERO)
+            for row in functionals(space)
+        ),
+        default=_ZERO,
+    )
 
 
 def membership(space: Space, vec: dict) -> bool:
@@ -133,17 +155,114 @@ def membership(space: Space, vec: dict) -> bool:
     return sup_norm(space, vec) <= 1
 
 
+# A ground space with more candidate bases than this, C(|web| + |predual|,
+# |web|), is not enumerated; maps out of it keep the probe path.
+_VERTEX_BASES = 4096
+
+
+def _solve_ones(a: list[list[Fraction]]) -> Optional[list[Fraction]]:
+    """The solution x of a x = (1, ..., 1) for square a, or None if a is
+    singular; exact Gauss-Jordan elimination."""
+    k = len(a)
+    rows = [row + [_ONE] for row in a]
+    for col in range(k):
+        piv = next((r for r in range(col, k) if rows[r][col]), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        top = rows[col]
+        for r in range(k):
+            if r != col and rows[r][col]:
+                factor = rows[r][col] / top[col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], top)]
+    return [rows[i][k] / rows[i][i] for i in range(k)]
+
+
+@lru_cache(maxsize=None)
+def _vertices(space: Ground) -> Optional[tuple[dict, ...]]:
+    """The vertices of {x >= 0, Px <= 1} as sparse points, or None when
+    there are more than _VERTEX_BASES candidate bases.
+
+    A vertex has a support S and |S| tight predual rows R whose square
+    block P[R, S] is nonsingular; every such pair is tried."""
+    n, m = len(space.web), len(space.predual)
+    if comb(n + m, n) > _VERTEX_BASES:
+        return None
+    found: dict = {}
+    for k in range(min(n, m) + 1):
+        for cols in combinations(range(n), k):
+            for rows in combinations(range(m), k):
+                x = _solve_ones([[space.predual[r][j] for j in cols] for r in rows])
+                if x is None or any(c < 0 for c in x):
+                    continue
+                if all(
+                    sum((row[j] * c for j, c in zip(cols, x)), _ZERO) <= 1
+                    for row in space.predual
+                ):
+                    found[tuple((space.web[j], c) for j, c in zip(cols, x) if c)] = None
+    return tuple(dict(v) for v in found)
+
+
+@lru_cache(maxsize=None)
+def _enumerable(space: Space) -> bool:
+    """Every ground leaf of the space has its vertices enumerated."""
+    if isinstance(space, Ground):
+        return _vertices(space) is not None
+    if isinstance(space, Prod):
+        return _enumerable(space.left) and _enumerable(space.right)
+    return _enumerable(space.inner)
+
+
+def space_sup(space: Space, v: dict) -> Fraction:
+    """sup over the points x of the space of <x, v>, for v >= 0.
+
+    A ground space attains it at a vertex; a product is the sum of its two
+    sides' sups; a D-space puts all of x + u on the larger of the 0./1.
+    coefficients, so it is the inner sup of their coordinatewise max.
+    Requires _enumerable(space)."""
+    if isinstance(space, Ground):
+        return max(
+            sum((c * v[a] for a, c in x.items() if a in v), _ZERO)
+            for x in _vertices(space)
+        )
+    if isinstance(space, Prod):
+        left, right = _split_prod(v)
+        return space_sup(space.left, left) + space_sup(space.right, right)
+    folded: dict = {}
+    for a, c in v.items():
+        _, inner = untag_d(a)
+        if c > folded.get(inner, _ZERO):
+            folded[inner] = c
+    return space_sup(space.inner, folded)
+
+
+def affine_morphism(f: PolyMap) -> bool:
+    """Exact test that a non-negative f of degree <= 1 is a morphism.
+
+    With f(x) = k + Lx, f maps the domain into the codomain exactly when
+    <k, row> + space_sup(dom, L^T row) <= 1 for every row of
+    functionals(cod).  Requires _enumerable(f.dom)."""
+    const: dict = {}
+    lin: dict = {}  # output atom -> {input atom: coeff}
+    for (m, b), c in f.entries.items():
+        if m:
+            lin.setdefault(b, {})[m[0]] = c
+        else:
+            const[b] = c
+    for row in functionals(f.cod):
+        pulled: dict = {}
+        for b, r in row.items():
+            for a, c in lin.get(b, {}).items():
+                pulled[a] = pulled.get(a, _ZERO) + r * c
+        offset = sum((r * const[b] for b, r in row.items() if b in const), _ZERO)
+        if offset + space_sup(f.dom, pulled) > 1:
+            return False
+    return True
+
+
 def coord_sup(space: Space, atom: Atom) -> Fraction:
     """sup of a single coordinate over the space (finite by validation)."""
-    if isinstance(space, Ground):
-        idx = space.web.index(atom)
-        best = max(row[idx] for row in space.predual)
-        return _ONE / best
-    if isinstance(space, Prod):
-        side, inner = atom
-        return coord_sup(space.left if side == "L" else space.right, inner)
-    _, inner = untag_d(atom)
-    return coord_sup(space.inner, inner)
+    return _ONE / max(row.get(atom, _ZERO) for row in functionals(space))
 
 
 def probe_points(space: Space) -> list[dict]:
@@ -190,11 +309,19 @@ class PcsInstance(Instance):
 
     def certify(self, candidate: PolyMap,
                 expected: Optional[PolyMap] = None) -> bool:
-        """Exact when compared against a known morphism, else probe-based."""
+        """Whether candidate maps its domain into its codomain.
+
+        Exact when it equals expected, or when every monomial has degree
+        <= 1 and its domain's ground spaces are enumerable
+        (affine_morphism).  Otherwise, a candidate of degree >= 2 or over
+        too large a ground space, it is tested at the probe points of its
+        domain: a semi-decision."""
         if expected is not None and candidate == expected:
             return True
         if any(c < 0 for c in candidate.entries.values()):
             return False
+        if candidate.max_degree() <= 1 and _enumerable(candidate.dom):
+            return affine_morphism(candidate)
         for x in self.probes(candidate.dom):
             if not membership(candidate.cod, candidate.eval(x)):
                 return False
@@ -440,5 +567,5 @@ def build_symbol_matrix(
     result = PolyMap(dom, cod, matrix)
     if not inst.certify(result):
         raise ModelError(f"{header[0]}:{header[1]}: interp {name!r} escapes "
-                         "the codomain on a probe")
+                         "the codomain")
     return result

@@ -204,7 +204,7 @@ def test_interp_for_an_undeclared_symbol_is_model_error(tmp_path):
     "entry, message",
     [
         ("entry (7) -> 1 : 1;", "6:3: interp 'succ': atom '7' not in slot 0 web"),
-        ("entry (2) -> 1 : 2;", "4:1: interp 'succ' escapes the codomain on a probe"),
+        ("entry (2) -> 1 : 2;", "4:1: interp 'succ' escapes the codomain"),
     ],
 )
 def test_interp_fault_carries_its_position(tmp_path, entry, message):
@@ -216,6 +216,27 @@ def test_interp_fault_carries_its_position(tmp_path, entry, message):
     )
     assert code == 3
     assert out.strip().splitlines() == [f"model error: {message}"]
+
+
+def test_linear_interp_escaping_at_a_vertex_is_model_error(tmp_path):
+    # 5/9 a + 5/9 b stays below 1 at every probe of the unit square, but
+    # reaches 10/9 at its vertex (1, 1).
+    program = tmp_path / "square.cohdiff"
+    program.write_text("fn f : (S) -> U;\nterm t [x: S] = f(x);\n")
+    model = tmp_path / "square.pcsmodel"
+    model.write_text(
+        "object S { web=[a,b]; predual=[[1,0],[0,1]]; }\n"
+        "object U { web=[u]; predual=[[1]]; }\n"
+        "interp f { entry (a) -> u : 5/9; entry (b) -> u : 5/9; }\n"
+    )
+    code, out = run(
+        "eval", str(program), "--model", str(model), "--term", "t",
+        "--at", "a=1,b=1",
+    )
+    assert code == 3
+    assert out.strip().splitlines() == [
+        "model error: 3:1: interp 'f' escapes the codomain"
+    ]
 
 
 @pytest.mark.parametrize(

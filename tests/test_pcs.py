@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
+from cohdiff import pcs
 from cohdiff import polymap as pm
 from cohdiff.gen import default_pcs_model, law_generators, truncated_nat
 from cohdiff.objects import (
+    DPair,
     Ground,
     atom_key,
     d_space,
@@ -20,11 +23,13 @@ from cohdiff.pcs import (
     ModelError,
     PcsInstance,
     build_symbol_matrix,
+    functionals,
     is_linear,
     is_multilinear,
     membership,
     parse_model_file,
     probe_points,
+    space_sup,
     sup_norm,
     validate_space,
 )
@@ -78,6 +83,113 @@ def test_sup_norm_exact():
     n = truncated_nat(2)
     assert sup_norm(n, {"0": F(1, 2), "2": F(1, 2)}) == F(1)
     assert sup_norm(n, {"0": F(2, 3), "2": F(1, 2)}) == F(7, 6)
+
+
+SQUARE = Ground("sq", ("a", "b"), ((F(1), F(0)), (F(0), F(1))))
+TWO_ROW = Ground("tr", ("p", "q", "r"), ((F(1), F(1), F(0)), (F(0), F(1, 2), F(2))))
+
+
+def test_functionals_structural_rows():
+    assert functionals(SQUARE) == ({"a": F(1)}, {"b": F(1)})
+    assert functionals(product(ONE, SQUARE)) == (
+        {("L", "*"): F(1)}, {("R", "a"): F(1)}, {("R", "b"): F(1)}
+    )
+    assert functionals(d_space(ONE)) == ({("0", "*"): F(1), ("1", "*"): F(1)},)
+
+
+def test_space_sup_per_construction():
+    assert space_sup(SQUARE, {"a": F(2), "b": F(3)}) == F(5)
+    # x + u lies in the square: every unit of it takes the larger weight.
+    assert space_sup(d_space(SQUARE), {("0", "a"): F(2), ("1", "a"): F(3)}) == F(3)
+    assert space_sup(product(ONE, TWO_ROW), {("L", "*"): F(1), ("R", "q"): F(1)}) == F(2)
+
+
+def test_unit_square_sum_escapes(inst):
+    # The probes never reach the vertex (1, 1), where 5/9 a + 5/9 b is 10/9.
+    f = pm.PolyMap(SQUARE, ONE, {(("a",), "*"): F(5, 9), (("b",), "*"): F(5, 9)})
+    assert all(membership(ONE, f.eval(x)) for x in probe_points(SQUARE))
+    assert not inst.certify(f)
+    assert inst.certify(pm.scale(f, F(9, 10)))
+
+
+def _solve(rows, rhs):
+    """Exact Gauss-Jordan solution of a square system, or None if singular."""
+    k = len(rows)
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    for col in range(k):
+        piv = next((r for r in range(col, k) if aug[r][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        for r in range(k):
+            if r != col:
+                factor = aug[r][col] / aug[col][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return [aug[i][k] / aug[i][i] for i in range(k)]
+
+
+def _flat_vertices(space):
+    """Every vertex of {x >= 0, <x, row> <= 1 for row in functionals(space)}
+    over the whole web at once: n tight constraints out of rows and x >= 0."""
+    atoms = web(space)
+    n = len(atoms)
+    cons = [[row.get(a, F(0)) for a in atoms] for row in functionals(space)]
+    cons += [[F(-1) if j == i else F(0) for j in range(n)] for i in range(n)]
+    rhs = [F(1)] * len(functionals(space)) + [F(0)] * n
+    found = []
+    for pick in combinations(range(len(cons)), n):
+        x = _solve([cons[i] for i in pick], [rhs[i] for i in pick])
+        if x is None:
+            continue
+        if all(sum(c * v for c, v in zip(row, x)) <= b for row, b in zip(cons, rhs)):
+            found.append({a: v for a, v in zip(atoms, x) if v})
+    return found
+
+
+def _random_affine(rng, dom, cod):
+    entries = {}
+    for b in web(cod):
+        for m in [()] + [(a,) for a in web(dom)]:
+            if rng.random() < 0.45:
+                entries[(m, b)] = F(rng.randint(1, 4), rng.randint(3, 9))
+    return pm.PolyMap(dom, cod, entries)
+
+
+@pytest.mark.parametrize(
+    "dom",
+    [
+        SQUARE,
+        TWO_ROW,
+        product(ONE, SQUARE),
+        d_space(TWO_ROW),
+        DPair(product(ONE, SQUARE)),
+    ],
+    ids=["square", "two-row", "prod", "D", "D-of-prod"],
+)
+def test_affine_certify_matches_flat_vertex_oracle(inst, dom):
+    rng = random.Random(f"affine-{web(dom)}")
+    vertices = _flat_vertices(dom)
+    verdicts = set()
+    for trial in range(40):
+        cod = [ONE, SQUARE, d_space(ONE)][trial % 3]
+        f = _random_affine(rng, dom, cod)
+        expected = all(membership(cod, f.eval(x)) for x in vertices)
+        assert inst.certify(f) == expected, f.render()
+        if expected:
+            for x in probe_points(dom):
+                assert membership(cod, f.eval(x))
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_large_ground_keeps_the_probe_path(inst):
+    # C(16, 8) candidate bases is past the enumeration cap.
+    atoms = tuple(str(i) for i in range(8))
+    rows = tuple(tuple(F(int(i == j)) for j in range(8)) for i in range(8))
+    big = Ground("big", atoms, rows)
+    assert pcs._vertices(big) is None
+    assert inst.certify(pm.identity(big))
+    assert not inst.certify(pm.scale(pm.identity(big), F(2)))
 
 
 def test_probe_points_deterministic_and_valid():
