@@ -3,15 +3,16 @@
 The category is PolyMap: composition, D on objects and maps, the projections
 pi_0, pi_1 : DX -> X, their sum sigma and the cartesian structure are the
 functions of polymap and objects, called there.  Instance adds the
-summability structure: pair_witness pairs parallel maps into a witness
-X -> DY, and family_sum adds a family.  Both are total here, as in a
-cartesian differential category (Blute, Cockett and Seely); a backend with
-partial sums overrides them to certify the pointwise sum, and terminal when
-its terminal object differs.  sigma is a method so that a negative control
-can corrupt it.  Everything else (injections, the monad sum theta, the lift
-l, the swap c, strengths, partial derivatives, n-ary sums) is derived here,
-and check_axioms verifies the axioms and the derived theorems on any
-instance by exact morphism equality.
+summability structure through one hook, certify, which decides whether a
+candidate map is a morphism.  pair_witness pairs parallel maps into the
+witness <f0, f1> : X -> DY and keeps it when it certifies; family_sum adds a
+family and keeps the total when it certifies.  certify is always true here,
+so sums are total, as in a cartesian differential category (Blute, Cockett
+and Seely); a backend with partial sums overrides certify alone.  sigma is a
+method so that a negative control can corrupt it.  Everything else
+(injections, the monad sum theta, the lift l, the swap c, strengths, partial
+derivatives, n-ary sums) is derived here, and check_axioms verifies the
+axioms and the derived theorems on any instance by exact morphism equality.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import polymap as pm
-from .objects import Ground, Prod, Space, d_space, prodn, product, space_str
+from .objects import Prod, Space, d_space, prodn, product, space_str
 from .polymap import PolyMap
 
 HALF = Fraction(1, 2)
@@ -34,15 +35,12 @@ class StructureError(Exception):
 
 
 class Instance:
-    """Summability over PolyMap: total unless a backend certifies sums."""
+    """Summability over PolyMap: total unless a backend overrides certify."""
 
     name = "total"
 
     def __init__(self):
         self._derived: dict = {}
-
-    def terminal(self) -> Space:
-        return Ground("top", (), ())
 
     def sigma(self, x: Space) -> PolyMap:
         return pm.sigma(x)
@@ -54,11 +52,17 @@ class Instance:
 
     # -- summability -------------------------------------------------------
 
+    def certify(self, candidate: PolyMap,
+                expected: Optional[PolyMap] = None) -> bool:
+        """Whether candidate is a morphism of its domain into its codomain;
+        expected, a morphism it should equal, lets a backend decide exactly.
+        Every map is one here."""
+        return True
+
     def pair_witness(self, f0: PolyMap, f1: PolyMap) -> Optional[PolyMap]:
-        """The witness <f0, f1> : X -> DY, absent when not summable."""
-        if f0.dom != f1.dom or f0.cod != f1.cod:
-            raise pm.ShapeError("pair_witness needs parallel morphisms")
-        return pm.pair_witness_matrix(f0, f1)
+        """The witness <f0, f1> : X -> DY, absent when it is not a morphism."""
+        w = pm.pair_witness_matrix(f0, f1)
+        return w if self.certify(w) else None
 
     def sum2(self, f0: PolyMap, f1: PolyMap) -> Optional[PolyMap]:
         """The defined sum sigma . <f0, f1>, absent when not summable."""
@@ -74,12 +78,12 @@ class Instance:
         cod: Space,
         expected: Optional[PolyMap] = None,
     ) -> Optional[PolyMap]:
-        """n-ary sum; the empty family sums to zero.  expected, a morphism
-        the sum should equal, lets a partial backend certify exactly."""
+        """n-ary sum, absent when the pointwise total is not a morphism; the
+        empty family sums to zero.  expected is passed to certify."""
         total = pm.zero(dom, cod)
         for f in maps:
             total = pm.add(total, f)
-        return total
+        return total if self.certify(total, expected) else None
 
     # -- derived morphisms --------------------------------------------------
 
@@ -329,13 +333,7 @@ class LawEnv:
         """(g, f) with g . f defined and degree product at most 12."""
         for _ in range(200):
             f = self.pick_map()
-            candidates = [
-                g
-                for g in self.morphisms
-                if g.dom == f.cod
-                and max(1, g.max_degree()) * max(1, f.max_degree())
-                <= 12
-            ]
+            candidates = [g for g in self.morphisms if _composable(g, f, 12)]
             if candidates:
                 return self.rng.choice(candidates), f
         raise StructureError("no composable pair in pool")
@@ -355,6 +353,11 @@ class LawEnv:
         f = self.pick_map(lambda h: isinstance(h.dom, Prod))
         assert isinstance(f.dom, Prod)
         return f, (f.dom.left, f.dom.right)
+
+
+def _composable(g: PolyMap, f: PolyMap, bound: int) -> bool:
+    """g . f is defined and deg g * deg f, each at least 1, is within bound."""
+    return g.dom == f.cod and max(1, g.max_degree()) * max(1, f.max_degree()) <= bound
 
 
 Law = Callable[[LawEnv], Optional[str]]
@@ -700,7 +703,7 @@ def _law_pair_derivative(env: LawEnv) -> Optional[str]:
 def _law_left_compat(env: LawEnv) -> Optional[str]:
     inst = env.inst
     f0, f1 = env.summable_pair()
-    candidates = [g for g in env.morphisms if g.cod == f0.dom and g.max_degree() * max(1, f0.max_degree()) <= 12]
+    candidates = [g for g in env.morphisms if _composable(f0, g, 12)]
     if not candidates:
         return None
     g = env.rng.choice(candidates)
@@ -801,10 +804,14 @@ def _law_additive_char(env: LawEnv) -> Optional[str]:
     return _neq("h (f0 + f1) = h f0 + h f1", pm.compose(h, total), lhs)
 
 
+def _is_dlinear(h: PolyMap) -> bool:
+    return _derivative(h) == pm.compose(h, pm.proj(1, h.dom))
+
+
 def _law_linear_char(env: LawEnv) -> Optional[str]:
     inst = env.inst
     h = env.pick_map()
-    if _derivative(h) != pm.compose(h, pm.proj(1, h.dom)):
+    if not _is_dlinear(h):
         return None
     # The derivative equation alone must imply the other two diagrams.
     err = _neq(
@@ -820,10 +827,6 @@ def _law_linear_char(env: LawEnv) -> Optional[str]:
         pm.compose(h, pm.zero(w, h.dom)),
         pm.zero(w, h.cod),
     )
-
-
-def _is_dlinear(h: PolyMap) -> bool:
-    return _derivative(h) == pm.compose(h, pm.proj(1, h.dom))
 
 
 def _law_linear_closure(env: LawEnv) -> Optional[str]:
@@ -1056,11 +1059,7 @@ def close_generators(
             f = rng.choice(pool)
             if choice == 0:
                 candidates = [
-                    g
-                    for g in pool
-                    if g.dom == f.cod
-                    and max(1, g.max_degree()) * max(1, f.max_degree())
-                    <= CLOSURE_MAX_DEGREE
+                    g for g in pool if _composable(g, f, CLOSURE_MAX_DEGREE)
                 ]
                 if candidates:
                     fresh.append(pm.compose(rng.choice(candidates), f))

@@ -164,7 +164,8 @@ def _build_model_from_files(program, model_path: str) -> Model:
     return Model(inst, dict(parsed.spaces), program.signature, symbols)
 
 
-def _parse_point(text: str) -> dict:
+def _parse_point(text: str, known: set) -> dict:
+    """The point atom=p/q,...; each atom once, and only atoms of known."""
     point = {}
     for piece in text.split(","):
         piece = piece.strip()
@@ -173,7 +174,13 @@ def _parse_point(text: str) -> dict:
         if "=" not in piece:
             raise ModelError(f"bad point entry {piece!r}, want atom=p/q")
         path, _, value = piece.partition("=")
-        point[_parse_atom(path.strip())] = _parse_rational(value)
+        atom = _parse_atom(path.strip())
+        coeff = _parse_rational(value)
+        if atom not in known:
+            raise ModelError(f"point atom outside the context web: {atom_str(atom)}")
+        if atom in point:
+            raise ModelError(f"point gives {atom_str(atom)} twice")
+        point[atom] = coeff
     return point
 
 
@@ -183,17 +190,14 @@ def cmd_eval(args, out) -> int:
     ctx, t = _named_term(program, args.term)
     ty = typecheck(program.signature, ctx, t)
     matrix = interp_term(model, ctx, t)
+    if args.at is not None:  # a faulty point fails before any output
+        point = _parse_point(args.at, set(web(matrix.dom)))
+        inside = membership(matrix.dom, point)
     print(f"term {args.term} : {type_str(ty)}", file=out)
     print(f"domain : {space_str(matrix.dom)}", file=out)
     print(matrix.render(), file=out)
     if args.at is not None:
-        point = _parse_point(args.at)
-        for atom in point:
-            if atom not in set(web(matrix.dom)):
-                raise ModelError(
-                    f"point atom outside the context web: {atom_str(atom)}"
-                )
-        if not membership(matrix.dom, point):
+        if not inside:
             print("warning: point is outside the domain space", file=out)
         value = matrix.eval(point)
         if value:

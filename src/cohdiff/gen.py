@@ -17,7 +17,7 @@ from . import polymap as pm
 from .ccdc import Instance
 from .objects import Ground, Space, d_space, embed_slot, prodn, product, web
 from .pcs import PcsInstance, validate_space
-from .poly import PolyInstance, ground_like
+from .poly import PolyInstance
 from .polymap import PolyMap
 from .semantics import Model
 from .syntax import (
@@ -98,7 +98,7 @@ def default_pcs_model() -> Model:
 
 
 def default_poly_model() -> Model:
-    return _build_model(PolyInstance(), ground_like(truncated_nat()))
+    return _build_model(PolyInstance(), truncated_nat())
 
 
 def _build_model(inst: Instance, base: Ground) -> Model:
@@ -264,7 +264,7 @@ def law_generators(model: Model, seed: int = 0):
     inst = model.inst
     rng = random.Random(seed)
     base = model.grounds["N"]
-    unit = Ground("one", ("*",), ((Fraction(1),),) if isinstance(inst, PcsInstance) else ())
+    unit = Ground("one", ("*",), ((Fraction(1),),))
     nn = product(base, base)
     objects = [unit, base, nn, d_space(base), product(base, d_space(base))]
 

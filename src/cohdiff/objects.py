@@ -1,10 +1,12 @@
 """Coordinate spaces shared by both backends.
 
 A space is a finite labelled coordinate system: a ground space carries its
-atoms directly (plus, for the probabilistic backend, a finite predual), and
-composite spaces arise from the binary product and from the summable-pair
-construction D.  Atoms are token trees: a ground atom is a plain string, a
-product tags with "L"/"R", and D tags with "0"/"1".
+atoms directly, with a finite predual that only the probabilistic backend
+reads, and composite spaces arise from the binary product and from the
+summable-pair construction D.  The terminal object is prodn([]), the empty
+web with one empty predual row, so that it is a valid PCS.  Atoms are token
+trees: a ground atom is a plain string, a product tags with "L"/"R", and D
+tags with "0"/"1".
 
 D tags are pushed inside product tags, so that d_space(X & Y) and
 d_space(X) & d_space(Y) are the same space with the same atoms.  Both
@@ -86,10 +88,15 @@ def product(left: Space, right: Space) -> Space:
     return Prod(left, right)
 
 
+# The empty product; its one predual row makes {} its one point.
+_TERMINAL = Ground("top", (), ((),))
+
+
 def prodn(spaces: list[Space]) -> Space:
-    """Left-associated n-ary product; requires at least one factor."""
+    """Left-associated n-ary product; the empty product is the terminal
+    object."""
     if not spaces:
-        raise ValueError("empty product has no canonical space here; use terminal")
+        return _TERMINAL
     acc = spaces[0]
     for s in spaces[1:]:
         acc = Prod(acc, s)

@@ -8,10 +8,11 @@ both D tags, i.e. pi0(z) + pi1(z) in the inner space.  Analytic morphisms
 are the shared sparse matrices with positive coefficients, evaluated as
 power series.
 
-PcsInstance is ccdc.Instance with two differences: a pair or family is
-summable only when its pointwise sum certifies as a morphism, and the
-terminal object (the empty web) carries one empty predual row, so that it
-is a valid PCS.
+PcsInstance is ccdc.Instance with one difference, certify: a pair is
+summable only when its witness <f0, f1> : X -> DY certifies as a morphism,
+which, since functionals(DY) puts each row of Y on both D tags, is the test
+of f0 + f1 for non-negative maps; a family only when its pointwise total
+certifies.
 
 Certification is exact in two cases: the candidate equals a
 compositionally known morphism, or every monomial has degree <= 1.  An
@@ -41,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import polymap as pm
 from .ccdc import Instance
@@ -51,6 +52,7 @@ from .objects import (
     Prod,
     Space,
     atom_from_str,
+    atom_str,
     embed_slot,
     fingerprint,
     peel_product,
@@ -149,9 +151,9 @@ def membership(space: Space, vec: dict) -> bool:
     known = set(web(space))
     for a, c in vec.items():
         if a not in known:
-            raise ModelError(f"atom {a!r} outside the web")
+            raise ModelError(f"atom {atom_str(a)} outside the web")
         if c < 0:
-            raise ModelError(f"negative coordinate at {a!r}")
+            raise ModelError(f"negative coordinate at {atom_str(a)}")
     return sup_norm(space, vec) <= 1
 
 
@@ -265,9 +267,10 @@ def coord_sup(space: Space, atom: Atom) -> Fraction:
     return _ONE / max(row.get(atom, _ZERO) for row in functionals(space))
 
 
-def probe_points(space: Space) -> list[dict]:
-    """Deterministic probe set: zero, coordinate suprema, and six rounds of
-    rationals seeded by the space's fingerprint."""
+@lru_cache(maxsize=None)
+def probe_points(space: Space) -> tuple[dict, ...]:
+    """Deterministic probe set (shared; do not mutate): zero, coordinate
+    suprema, and six rounds of rationals seeded by the space's fingerprint."""
     points: list[dict] = [{}]
     for a in web(space):
         points.append({a: coord_sup(space, a)})
@@ -287,25 +290,13 @@ def probe_points(space: Space) -> list[dict]:
         if norm > 0:
             points.append({a: c / norm for a, c in raw.items()})
             points.append({a: c / (2 * norm) for a, c in raw.items()})
-    return points
+    return tuple(points)
 
 
 class PcsInstance(Instance):
     """Analytic morphisms between finite PCSs, with partial sums."""
 
     name = "pcs"
-
-    def __init__(self):
-        super().__init__()
-        self._probes: dict = {}
-
-    def terminal(self) -> Space:
-        return Ground("top", (), ((),))
-
-    def probes(self, space: Space) -> list[dict]:
-        if space not in self._probes:
-            self._probes[space] = probe_points(space)
-        return self._probes[space]
 
     def certify(self, candidate: PolyMap,
                 expected: Optional[PolyMap] = None) -> bool:
@@ -322,21 +313,10 @@ class PcsInstance(Instance):
             return False
         if candidate.max_degree() <= 1 and _enumerable(candidate.dom):
             return affine_morphism(candidate)
-        for x in self.probes(candidate.dom):
+        for x in probe_points(candidate.dom):
             if not membership(candidate.cod, candidate.eval(x)):
                 return False
         return True
-
-    def pair_witness(self, f0: PolyMap, f1: PolyMap) -> Optional[PolyMap]:
-        w = super().pair_witness(f0, f1)
-        return w if self.certify(pm.add(f0, f1)) else None
-
-    def family_sum(self, maps: Sequence[PolyMap], dom: Space, cod: Space,
-                   expected: Optional[PolyMap] = None) -> Optional[PolyMap]:
-        """Coefficients are non-negative, so a family is summable exactly
-        when its pointwise total is a morphism; partial sums are dominated."""
-        total = super().family_sum(maps, dom, cod)
-        return total if self.certify(total, expected) else None
 
 
 def is_linear(f: PolyMap) -> bool:
@@ -542,7 +522,7 @@ def build_symbol_matrix(
             raise fault(pos, str(exc)) from None
 
     arity = len(slots)
-    dom = prodn(slots) if slots else inst.terminal()
+    dom = prodn(slots)
     matrix: dict = {}
     slot_webs = [set(web(s)) for s in slots]
     cod_web = set(web(cod))

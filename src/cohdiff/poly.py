@@ -1,10 +1,10 @@
 """The total-sum instance and the cartesian differential combinator.
 
-PolyInstance is ccdc.Instance as it stands, under its own name: every pair
-of parallel maps is summable (hom-sets are commutative monoids), which
-makes this the cartesian-differential-category end of the correspondence.
-ground_like drops a ground object's predual so that the same web serves
-this backend.  The differential combinator d sends f : X -> Y to
+PolyInstance is ccdc.Instance as it stands, under its own name: certify is
+always true, so every pair of parallel maps is summable (hom-sets are
+commutative monoids), which makes this the cartesian-differential-category
+end of the correspondence.  Its spaces are the probabilistic backend's; no
+predual is ever read.  The differential combinator d sends f : X -> Y to
 d f : X & X -> Y, the directional derivative with the base point in the
 left factor; Df = <f . pi0, d f> up to the relabelling between the product
 tags of X & X and the D tags of DX.  is_additive and is_linear are the
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from . import polymap as pm
 from .ccdc import Instance
-from .objects import Atom, Ground, product, tag_prod, untag_d
+from .objects import Atom, product, tag_prod, untag_d
 from .polymap import PolyMap
 
 
@@ -23,11 +23,6 @@ class PolyInstance(Instance):
     """Sums always defined: the carrier of a cartesian differential category."""
 
     name = "poly"
-
-
-def ground_like(space: Ground) -> Ground:
-    """The same web without a predual, for reuse across backends."""
-    return Ground(space.name, space.web, ())
 
 
 def _retag_d_to_prod(a: Atom) -> Atom:

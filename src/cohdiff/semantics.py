@@ -77,8 +77,7 @@ class Model:
                 raise ModelError(f"symbol {name!r} has no matrix")
             matrix = self.symbols[name]
             slots = [interp_type(self.grounds, a) for a in ftype.args]
-            expected_dom = prodn(slots) if slots else self.inst.terminal()
-            if matrix.dom != expected_dom:
+            if matrix.dom != prodn(slots):
                 raise ModelError(
                     f"symbol {name!r}: domain does not match its type"
                 )
@@ -105,8 +104,6 @@ def interp_type(grounds: dict[str, Space], a: Type) -> Space:
 
 
 def interp_ctx(model: Model, ctx: Context) -> Space:
-    if not ctx:
-        return model.inst.terminal()
     return prodn(_ctx_slots(model, ctx))
 
 
@@ -151,7 +148,7 @@ def _interp_app(model: Model, ctx: Context, t: App) -> PolyMap:
         if base is None:
             raise ModelError(f"symbol {f.name!r} unassigned")
         if not t.args:
-            bang = pm.zero(interp_ctx(model, ctx), inst.terminal())
+            bang = pm.zero(interp_ctx(model, ctx), prodn([]))
             return pm.compose(base, bang)
         slots = peel_product(base.dom, len(t.args))
         lifted = inst.partial_derivative_word(base, slots, t.word)

@@ -123,6 +123,9 @@ def test_eval_model_error_exit_code(tmp_path):
         ("L.0=abc", "bad rational 'abc'"),
         ("L.0=1/0", "bad rational '1/0'"),
         ("Q.0=1", "unknown atom tag 'Q'"),
+        ("L.9=1", "point atom outside the context web: L.9"),
+        ("L.0=-1", "negative coordinate at L.0"),
+        ("L.0=1,L.0=2", "point gives L.0 twice"),
     ],
 )
 def test_eval_bad_point_is_model_error(at, message):
@@ -137,8 +140,10 @@ def test_eval_bad_point_is_model_error(at, message):
         at,
     )
     assert code == 3
-    last = text.strip().splitlines()[-1]
-    assert last.startswith("model error: ") and message in last
+    # The point is checked before the map is printed.
+    lines = text.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("model error: ") and message in lines[0]
 
 
 def test_model_file_unknown_atom_tag_is_model_error(tmp_path):
@@ -216,6 +221,33 @@ def test_interp_fault_carries_its_position(tmp_path, entry, message):
     )
     assert code == 3
     assert out.strip().splitlines() == [f"model error: {message}"]
+
+
+def _constant_model(tmp_path, coeff):
+    """The demo program and model plus a constant k : () -> N."""
+    program = tmp_path / "k.cohdiff"
+    program.write_text((DEMO / "nat.cohdiff").read_text()
+                       + "fn k : () -> N;\nterm c [u: N] = succ(k());\n")
+    model = tmp_path / "k.pcsmodel"
+    text = (DEMO / "nat.pcsmodel").read_text()
+    model.write_text(text + f"interp k {{ entry () -> 1 : {coeff}; }}\n")
+    return str(program), str(model), text.count("\n") + 1
+
+
+def test_model_file_constant_is_a_map_out_of_the_terminal_object(tmp_path):
+    program, model, _ = _constant_model(tmp_path, "1/2")
+    code, out = run("eval", program, "--model", model, "--term", "c")
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "  entry () -> 0 : 1/2"
+
+
+def test_model_file_constant_escaping_is_model_error(tmp_path):
+    program, model, line = _constant_model(tmp_path, "3/2")
+    code, out = run("eval", program, "--model", model, "--term", "c")
+    assert code == 3
+    assert out.strip().splitlines() == [
+        f"model error: {line}:1: interp 'k' escapes the codomain"
+    ]
 
 
 def test_linear_interp_escaping_at_a_vertex_is_model_error(tmp_path):

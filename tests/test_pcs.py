@@ -50,10 +50,11 @@ def test_membership_on_the_unit_interval():
     assert not membership(ONE, {"*": F(3, 2)})
 
 
-def test_membership_terminal(inst):
-    top = inst.terminal()
+def test_membership_terminal():
+    top = prodn([])
     assert web(top) == ()
     assert membership(top, {})
+    validate_space(top)
 
 
 def test_membership_d_space_sums_projections():
@@ -155,16 +156,17 @@ def _random_affine(rng, dom, cod):
     return pm.PolyMap(dom, cod, entries)
 
 
+ORACLE_DOMS = [
+    SQUARE,
+    TWO_ROW,
+    product(ONE, SQUARE),
+    d_space(TWO_ROW),
+    DPair(product(ONE, SQUARE)),
+]
+
+
 @pytest.mark.parametrize(
-    "dom",
-    [
-        SQUARE,
-        TWO_ROW,
-        product(ONE, SQUARE),
-        d_space(TWO_ROW),
-        DPair(product(ONE, SQUARE)),
-    ],
-    ids=["square", "two-row", "prod", "D", "D-of-prod"],
+    "dom", ORACLE_DOMS, ids=["square", "two-row", "prod", "D", "D-of-prod"]
 )
 def test_affine_certify_matches_flat_vertex_oracle(inst, dom):
     rng = random.Random(f"affine-{web(dom)}")
@@ -180,6 +182,50 @@ def test_affine_certify_matches_flat_vertex_oracle(inst, dom):
                 assert membership(cod, f.eval(x))
         verdicts.add(expected)
     assert verdicts == {True, False}
+
+
+def _random_sparse(rng, dom, cod, degree):
+    """A non-negative map with one to three entries, one of them of the
+    given degree."""
+    atoms = web(dom)
+    entries = {}
+    for k in range(rng.randint(1, 3)):
+        size = degree if k == 0 else rng.randint(0, degree)
+        m = pm.mono(rng.choice(atoms) for _ in range(size))
+        entries[(m, rng.choice(web(cod)))] = F(rng.randint(1, 3), rng.randint(2, 5))
+    return pm.PolyMap(dom, cod, entries)
+
+
+def test_pair_witness_certifies_like_the_pointwise_sum(inst, monkeypatch):
+    # For non-negative maps the witness <f0, f1> : X -> DY is a morphism
+    # exactly when f0 + f1 : X -> Y is one, on both certification paths.
+    paths = []
+    affine, probes = pcs.affine_morphism, pcs.probe_points
+    monkeypatch.setattr(pcs, "affine_morphism",
+                        lambda f: paths.append("exact") or affine(f))
+    monkeypatch.setattr(pcs, "probe_points",
+                        lambda space: paths.append("probe") or probes(space))
+    nat = truncated_nat()
+    cases = [(dom, 1) for dom in ORACLE_DOMS] + [(nat, 2), (d_space(nat), 2)]
+    verdicts = {"exact": set(), "probe": set()}
+    for dom, degree in cases:
+        rng = random.Random(f"pair-{degree}-{web(dom)}")
+        for trial in range(30):
+            cod = [ONE, SQUARE, d_space(ONE), nat][trial % 4]
+            f0 = _random_sparse(rng, dom, cod, degree)
+            f1 = _random_sparse(rng, dom, cod, degree)
+            old = inst.certify(pm.add(f0, f1))
+            paths.clear()
+            assert (inst.pair_witness(f0, f1) is not None) == old
+            (path,) = paths
+            verdicts[path].add(old)
+    assert verdicts == {"exact": {True, False}, "probe": {True, False}}
+    # Neither map of a pair whose coefficients cancel in the sum is a
+    # morphism, so the pair is refused although the sum, id, is one.
+    f0 = pm.PolyMap(ONE, ONE, {(("*",), "*"): F(1), ((), "*"): F(-1, 2)})
+    f1 = pm.PolyMap(ONE, ONE, {((), "*"): F(1, 2)})
+    assert pm.add(f0, f1) == pm.identity(ONE)
+    assert inst.pair_witness(f0, f1) is None
 
 
 def test_large_ground_keeps_the_probe_path(inst):

@@ -10,7 +10,7 @@ from cohdiff.gen import (
     default_poly_model,
     generate_typed_terms,
 )
-from cohdiff.objects import d_space, product
+from cohdiff.objects import d_space, prodn, product
 from cohdiff.pcs import ModelError
 from cohdiff.rewrite import TermMultiset
 from cohdiff.semantics import (
@@ -67,7 +67,7 @@ def test_interp_type_compositional(pcs):
 
 
 def test_interp_empty_context_is_terminal(pcs):
-    assert interp_ctx(pcs, ()) == pcs.inst.terminal()
+    assert interp_ctx(pcs, ()) == prodn([])
 
 
 def test_interp_var_is_projection(pcs):
@@ -308,3 +308,15 @@ def test_blocked_pair_split_redex_keeps_invariance(pcs):
     )
     ty = ProductType(N, N)
     assert interp_multiset(pcs, ctx, naive, ty) is None  # not C-summable
+
+
+def test_poly_constant_is_a_map_out_of_the_empty_product(poly):
+    base = poly.grounds["N"]
+    k = pm.PolyMap(prodn([]), base, {((), "1"): F(1, 2)})
+    sig = Signature({**poly.sig.decls, "k": FunctionType((), N)})
+    model = Model(poly.inst, poly.grounds, sig, {**poly.symbols, "k": k})
+    ctx = (("x", N), ("p", ProductType(N, N)))
+    got = interp_term(model, ctx, App(UserFn("k")))
+    assert got == pm.PolyMap(interp_ctx(model, ctx), base, {((), "1"): F(1, 2)})
+    succ = interp_term(model, ctx, App(UserFn("lin"), (), (App(UserFn("k")),)))
+    assert succ == pm.PolyMap(interp_ctx(model, ctx), base, {((), "0"): F(1, 2)})
