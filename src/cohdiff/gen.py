@@ -43,8 +43,6 @@ from .syntax import (
     try_strip_d_n,
 )
 
-_ONE = Fraction(1)
-
 N = ground("N")
 NN = ProductType(N, N)
 
@@ -52,7 +50,7 @@ NN = ProductType(N, N)
 def truncated_nat(k: int = 2) -> Ground:
     """The sub-probability simplex on {0, ..., k}."""
     atoms = tuple(str(i) for i in range(k + 1))
-    space = Ground("N", atoms, ((_ONE,) * (k + 1),))
+    space = Ground("N", atoms, ((1,) * (k + 1),))
     validate_space(space)
     return space
 
@@ -73,7 +71,7 @@ def _symbol_matrices(base: Ground) -> dict[str, dict]:
     k = len(atoms) - 1
     lin = {}
     for i in range(k):
-        lin[(pm.mono([atoms[i + 1]]), atoms[i])] = _ONE
+        lin[(pm.mono([atoms[i + 1]]), atoms[i])] = 1
 
     # bil(u, (x, y)) = u_0 * x + (u_1 + ... + u_k) * y, an if-zero branch.
     bil = {}
@@ -81,7 +79,7 @@ def _symbol_matrices(base: Ground) -> dict[str, dict]:
         for m in atoms:
             pair_atom = ("L", c) if m == atoms[0] else ("R", c)
             key = pm.mono([embed_slot(0, 2, m), embed_slot(1, 2, pair_atom)])
-            bil[(key, c)] = _ONE
+            bil[(key, c)] = 1
 
     # tri(u, v, w) = (total mass of u) * (total mass of v) * w.
     tri = {}
@@ -89,7 +87,7 @@ def _symbol_matrices(base: Ground) -> dict[str, dict]:
         for p in atoms:
             for c in atoms:
                 key = pm.mono([embed_slot(i, 3, a) for i, a in enumerate((m, p, c))])
-                tri[(key, c)] = _ONE
+                tri[(key, c)] = 1
     return {"lin": lin, "bil": bil, "tri": tri}
 
 
@@ -264,7 +262,7 @@ def law_generators(model: Model, seed: int = 0):
     inst = model.inst
     rng = random.Random(seed)
     base = model.grounds["N"]
-    unit = Ground("one", ("*",), ((Fraction(1),),))
+    unit = Ground("one", ("*",), ((1,),))
     nn = product(base, base)
     objects = [unit, base, nn, d_space(base), product(base, d_space(base))]
 
@@ -286,14 +284,10 @@ def law_generators(model: Model, seed: int = 0):
         # a negative coefficient, none of which live in the probabilistic
         # hom-sets.
         a0 = web(base)[0]
-        morphisms.append(PolyMap(base, base, {((a0, a0), a0): Fraction(1)}))
-        morphisms.append(
-            PolyMap(base, base, {((a0,), a0): Fraction(1), ((), a0): Fraction(1)})
-        )
-        morphisms.append(PolyMap(base, base, {((a0,), a0): Fraction(3)}))
-        morphisms.append(
-            PolyMap(base, base, {((a0,), a0): Fraction(1), ((a0, a0), a0): Fraction(-1)})
-        )
+        morphisms.append(PolyMap(base, base, {((a0, a0), a0): 1}))
+        morphisms.append(PolyMap(base, base, {((a0,), a0): 1, ((), a0): 1}))
+        morphisms.append(PolyMap(base, base, {((a0,), a0): 3}))
+        morphisms.append(PolyMap(base, base, {((a0,), a0): 1, ((a0, a0), a0): -1}))
 
     # Random sub-convex matrices: scaled monomial maps are always morphisms
     # over webs whose coordinate suprema are 1.

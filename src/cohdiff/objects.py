@@ -14,8 +14,10 @@ backends rely on this: the swap mediating D(X & Y) and DX & DY is literally
 the identity matrix.
 
 Spaces key the web() cache and every derived-morphism cache, and a ground
-space's hash walks its Fraction predual, so each space computes its hash
-once, at construction.  The value and equality are the dataclass defaults.
+space's hash walks its predual, so each space computes its hash once, at
+construction.  The value and equality are the dataclass defaults.  A ground
+space stores its predual as Fraction, whatever rationals it was given (ints
+compare and hash alike), since the vertex enumeration divides by them.
 """
 
 from __future__ import annotations
@@ -41,7 +43,9 @@ class Ground:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.name, self.web, self.predual)))
+        predual = tuple(tuple(map(Fraction, row)) for row in self.predual)
+        object.__setattr__(self, "predual", predual)
+        object.__setattr__(self, "_hash", hash((self.name, self.web, predual)))
 
     def __hash__(self) -> int:
         return self._hash

@@ -352,13 +352,15 @@ def corrupted_sigma_instance() -> PcsInstance:
 # Model files
 
 
-def _parse_rational(text: str) -> Fraction:
+def _parse_rational(text: str) -> int | Fraction:
+    """p/q or n, as an int when integral (polymap's coefficient rule)."""
     text = text.strip()
     try:
         if "/" in text:
             num, den = text.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
+            value = Fraction(int(num), int(den))
+            return value.numerator if value.denominator == 1 else value
+        return int(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ModelError(f"bad rational {text!r}: {exc}") from None
 
@@ -382,7 +384,7 @@ class PcsModelFile:
 
     def __init__(self):
         self.spaces: dict[str, Ground] = {}
-        self.interps: dict[str, list[tuple[tuple[str, ...], str, Fraction]]] = {}
+        self.interps: dict[str, list[tuple[tuple[str, ...], str, int | Fraction]]] = {}
         self.where: dict[str, tuple[Pos, list[Pos]]] = {}
 
 
@@ -444,7 +446,7 @@ class _ModelReader(_Parser):
         self.expect("[")
         return tuple(self.comma_list(self.parse_rational, "]", allow_empty=True))
 
-    def parse_rational(self) -> Fraction:
+    def parse_rational(self) -> int | Fraction:
         tok = self.peek()
         text = self.expect_kind("nat").text
         if self.peek().text == "/":
@@ -500,7 +502,7 @@ def build_symbol_matrix(
     inst: PcsInstance,
     slots: list[Space],
     cod: Space,
-    entries: list[tuple[tuple[str, ...], str, Fraction]],
+    entries: list[tuple[tuple[str, ...], str, int | Fraction]],
     name: str,
     where: tuple[Pos, list[Pos]],
 ) -> PolyMap:

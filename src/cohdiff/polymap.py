@@ -4,14 +4,21 @@ A map f : X -> Y is stored as a dictionary from (monomial, output atom) to a
 nonzero exact rational, where a monomial is a finite multiset over the atoms
 of X (a sorted tuple).  Evaluation reads the entry (m, b) as the coefficient
 of x^m in the power series for coordinate b.  Composition is formal
-substitution of series, exact over Fraction.
+substitution of series.
+
+A coefficient is a plain int when it is integral and a Fraction only where a
+real denominator appears.  The two compare, hash and print alike, and the
+engine only adds and multiplies, so results stay exact, never float, and
+integral arithmetic runs on ints.
 
 Composition has a fast path for substitutions: when every entry of f is a
 one-atom monomial with coefficient 1 and no output atom repeats (projections,
 injections, var_proj, the strengths and their pairings), g . f renames the
 atoms of g's monomials.  A monomial that reads a coordinate f does not
-produce is dropped; the others are re-sorted and their coefficients summed,
-with no series multiplication.  Every other map takes the series path.
+produce is dropped; the others have their coefficients summed, with no
+series multiplication.  They are re-sorted only when the renaming does not
+keep atom_key order on g's domain (a swap of product sides, say); checked
+once per composition.  Every other map takes the series path.
 
 Composition raises DegreeCapError when a monomial of the composite would
 exceed DEGREE_CAP (16).  compose reads the module constant at call time, so
@@ -47,11 +54,9 @@ from .objects import (
 )
 
 Mono = tuple  # sorted tuple of atoms, multiplicity by repetition
-Entries = dict  # {(Mono, Atom): Fraction}
+Entries = dict  # {(Mono, Atom): int | Fraction}
 
 DEGREE_CAP = 16
-
-_ONE = Fraction(1)
 
 
 class DegreeCapError(Exception):
@@ -92,7 +97,7 @@ class PolyMap:
         return max((len(m) for m, _ in self.entries), default=0)
 
     def eval(self, x: dict) -> dict:
-        """Evaluate the power series at a point (sparse atom -> Fraction)."""
+        """Evaluate the power series at a point (sparse atom -> rational)."""
         nonzero = {a: v for a, v in x.items() if v != 0}
         out: dict = {}
         for (m, b), c in self.entries.items():
@@ -128,7 +133,7 @@ class PolyMap:
 
 
 def identity(x: Space) -> PolyMap:
-    return PolyMap(x, x, {((a,), a): _ONE for a in web(x)})
+    return PolyMap(x, x, {((a,), a): 1 for a in web(x)})
 
 
 def zero(dom: Space, cod: Space) -> PolyMap:
@@ -144,7 +149,7 @@ def add(f: PolyMap, g: PolyMap) -> PolyMap:
     return PolyMap(f.dom, f.cod, entries)
 
 
-def scale(f: PolyMap, factor: Fraction) -> PolyMap:
+def scale(f: PolyMap, factor: int | Fraction) -> PolyMap:
     return PolyMap(f.dom, f.cod, {k: c * factor for k, c in f.entries.items()})
 
 
@@ -160,8 +165,10 @@ def _poly_mul(p: dict, q: dict, cap: int) -> dict:
         for m2, c2 in q.items():
             if len(m1) + len(m2) > cap:
                 raise _cap_error(len(m1) + len(m2), cap)
-            m = tuple(sorted(m1 + m2, key=atom_key)) if m1 else m2
-            _add_to(out, m, c1 * c2)
+            m = tuple(sorted(m1 + m2, key=atom_key)) if m1 and m2 else m1 or m2
+            c = c1 * c2
+            prev = out.get(m)
+            out[m] = c if prev is None else prev + c
     return {m: c for m, c in out.items() if c != 0}
 
 
@@ -204,7 +211,9 @@ def _series_entries(g: PolyMap, f: PolyMap, cap: int) -> Entries:
             if not acc:
                 break
         for m, c in acc.items():
-            _add_to(entries, (m, c_out), c)
+            key = (m, c_out)
+            prev = entries.get(key)
+            entries[key] = c if prev is None else prev + c
     return entries
 
 
@@ -228,15 +237,21 @@ def _substitution(f: PolyMap) -> Optional[dict]:
 
 def _renamed_entries(g: PolyMap, renaming: dict, cap: int) -> Entries:
     """The entries of g . f for a substitution f, in the series path's order."""
+    keys = [atom_key(renaming[b]) for b in sorted(renaming, key=atom_key)]
+    in_order = all(k0 <= k1 for k0, k1 in zip(keys, keys[1:]))
     entries: Entries = {}
     for (p, c_out), coeff in g.entries.items():
         if len(p) > cap:
             _check_renamed_cap(p, renaming, cap)
         try:
-            m = tuple(sorted([renaming[b] for b in p], key=atom_key))
+            m = tuple([renaming[b] for b in p])
         except KeyError:
             continue  # p reads a coordinate f does not produce
-        _add_to(entries, (m, c_out), coeff)
+        if not in_order and len(m) > 1:
+            m = tuple(sorted(m, key=atom_key))
+        key = (m, c_out)
+        prev = entries.get(key)
+        entries[key] = coeff if prev is None else prev + coeff
     return entries
 
 
@@ -261,38 +276,43 @@ def differential(f: PolyMap) -> PolyMap:
     """D on maps: Df = (f(x), sum_a m(a) x^(m-[a]) u_a) over the D-tagged webs."""
     dd = d_space(f.dom)
     dc = d_space(f.cod)
+    # No key repeats: tag_d is injective, and a derivative monomial's one
+    # 1-tagged atom names the atom a it came from.
     entries: Entries = {}
     for (m, b), c in f.entries.items():
         base = tuple([tag_d(0, a) for a in m])  # stays sorted
-        _add_to(entries, (base, tag_d(0, b)), c)
+        entries[(base, tag_d(0, b))] = c
         d_out = tag_d(1, b)
         for idx, a in enumerate(m):
             if idx and m[idx - 1] == a:
                 continue  # equal atoms are adjacent; count each once
-            mm = mono(base[:idx] + base[idx + 1 :] + (tag_d(1, a),))
+            if len(m) == 1:
+                mm = (tag_d(1, a),)
+            else:
+                mm = mono(base[:idx] + base[idx + 1 :] + (tag_d(1, a),))
             mult = m.count(a)
-            _add_to(entries, (mm, d_out), c * mult if mult > 1 else c)
+            entries[(mm, d_out)] = c * mult if mult > 1 else c
     return PolyMap(dd, dc, entries)
 
 
 def proj(i: int, x: Space) -> PolyMap:
     """pi_i : DX -> X."""
-    return PolyMap(d_space(x), x, {((tag_d(i, a),), a): _ONE for a in web(x)})
+    return PolyMap(d_space(x), x, {((tag_d(i, a),), a): 1 for a in web(x)})
 
 
 def sigma(x: Space) -> PolyMap:
     """sigma : DX -> X, the sum of the two projections."""
     entries: Entries = {}
     for a in web(x):
-        entries[((tag_d(0, a),), a)] = _ONE
-        entries[((tag_d(1, a),), a)] = _ONE
+        entries[((tag_d(0, a),), a)] = 1
+        entries[((tag_d(1, a),), a)] = 1
     return PolyMap(d_space(x), x, entries)
 
 
 def prod_proj(i: int, left: Space, right: Space) -> PolyMap:
     src = product(left, right)
     out = left if i == 0 else right
-    return PolyMap(src, out, {((tag_prod(i, a),), a): _ONE for a in web(out)})
+    return PolyMap(src, out, {((tag_prod(i, a),), a): 1 for a in web(out)})
 
 
 def prod_pair(f0: PolyMap, f1: PolyMap) -> PolyMap:

@@ -113,6 +113,29 @@ def test_unit_square_sum_escapes(inst):
     assert inst.certify(pm.scale(f, F(9, 10)))
 
 
+@pytest.mark.parametrize("kind", [int, F])
+def test_int_predual_keeps_exact_vertices(inst, kind):
+    # An int predual once reached Gauss-Jordan's "/" and gave the float
+    # 0.25000000000000006 for the vertex (1/4, 1/4), which then failed its
+    # own <= 1 test: the sup of a + b read 1/3, not 1/2, and 5/2 a + 5/2 b
+    # (5/4 at that vertex) was certified.
+    rows = ((3, 1), (1, 3))
+    g = Ground("g", ("a", "b"), tuple(tuple(map(kind, row)) for row in rows))
+    assert all(type(c) is F for row in g.predual for c in row)
+    assert g == Ground("g", ("a", "b"), rows)
+    assert hash(g) == hash(("g", ("a", "b"), rows))
+    for cached in (pcs._vertices, pcs._enumerable, functionals):
+        cached.cache_clear()  # int and Fraction spaces share cache entries
+    vertices = {tuple(sorted(v.items())) for v in pcs._vertices(g)}
+    assert vertices == {
+        (), (("a", F(1, 3)),), (("b", F(1, 3)),), (("a", F(1, 4)), ("b", F(1, 4)))
+    }
+    assert space_sup(g, {"a": 1, "b": 1}) == F(1, 2)
+    f = pm.PolyMap(g, ONE, {(("a",), "*"): F(5, 2), (("b",), "*"): F(5, 2)})
+    assert not inst.certify(f)
+    assert inst.certify(pm.PolyMap(g, ONE, {(("a",), "*"): 2, (("b",), "*"): 2}))
+
+
 def _solve(rows, rhs):
     """Exact Gauss-Jordan solution of a square system, or None if singular."""
     k = len(rows)
@@ -422,6 +445,11 @@ def test_parse_model_file():
     assert model.spaces["N"].web == ("0", "1", "2")
     assert len(model.interps["k"]) == 2
     assert model.interps["h"][1][2] == F(1, 2)
+    # Integral coefficients are ints, p/q with q | p included; preduals are
+    # Fraction whatever they were written as.
+    assert [type(c) for _, _, c in model.interps["h"]] == [int, F]
+    assert pcs._parse_rational("4/2") == 2 and type(pcs._parse_rational("4/2")) is int
+    assert all(type(c) is F for c in model.spaces["N"].predual[0])
 
 
 def test_build_symbol_matrix_multilinear():

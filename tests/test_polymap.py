@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from cohdiff import polymap as pm
+from cohdiff.ccdc import Instance
+from cohdiff.gen import default_poly_model
 from cohdiff.objects import Ground, d_space, product, web
 
 F = Fraction
@@ -281,6 +283,94 @@ def test_substitution_degree_cap_matches_series(monkeypatch):
             assert fast == _outcome(lambda: _series(g, f, cap=3))
     with pytest.raises(pm.DegreeCapError):
         pm.compose(pm.PolyMap(N, ONE, {((a,) * 17, "*"): F(1)}), both)
+
+
+def test_order_reversing_substitutions_sort_like_series():
+    # Both swaps send an earlier atom past a later one, so renamed monomials
+    # must be re-sorted; entries and their order must match the series path.
+    rng = random.Random(24)
+    x, y = N, d_space(ONE)
+    swaps = [
+        pm.prod_pair(pm.prod_proj(1, x, y), pm.prod_proj(0, x, y)),
+        Instance().swap(N),
+    ]
+    for f in swaps:
+        renaming = pm._substitution(f)
+        assert renaming is not None
+        reordered = 0
+        for _ in range(40):
+            g = _random_map(rng, f.cod, N)
+            fast, ref = pm.compose(g, f), _series(g, f)
+            assert list(fast.entries.items()) == list(ref.entries.items())
+            for m, _ in g.entries:
+                renamed = tuple(renaming[b] for b in m)
+                reordered += renamed != pm.mono(renamed)
+        assert reordered
+
+
+# ---------------------------------------------------------------------------
+# Integral coefficients as int against the same coefficients as Fraction
+
+
+def _integral_map(rng, dom, cod, max_degree=3):
+    ins = web(dom)
+    entries = {}
+    for _ in range(rng.randint(1, 8)):
+        m = pm.mono(rng.choice(ins) for _ in range(rng.randint(0, max_degree)))
+        entries[(m, rng.choice(web(cod)))] = rng.choice([-3, -1, 1, 2, 5])
+    return pm.PolyMap(dom, cod, entries)
+
+
+def _as_fractions(f):
+    return pm.PolyMap(f.dom, f.cod, {k: F(c) for k, c in f.entries.items()})
+
+
+def _same_result(int_side, fraction_side):
+    """Equal values and renders; the int side stays int, and no float."""
+    assert int_side == fraction_side
+    assert int_side.render() == fraction_side.render()
+    assert all(type(c) is int for c in int_side.entries.values())
+    assert all(type(c) in (int, F) for c in fraction_side.entries.values())
+
+
+def test_int_coefficients_agree_with_fractions():
+    rng = random.Random(25)
+    series = 0
+    for _ in range(150):
+        x, y, z = (rng.choice(SPACES) for _ in range(3))
+        f, f2 = _integral_map(rng, x, y, 2), _integral_map(rng, x, y, 2)
+        g = _integral_map(rng, y, z)
+        s = pm.PolyMap(x, y, {k: 1 for k in _random_substitution(rng, x, y).entries})
+        ff, f2f, gf, sf = map(_as_fractions, (f, f2, g, s))
+        assert pm._substitution(s) is not None
+        series += pm._substitution(f) is None
+        _same_result(pm.compose(g, f), pm.compose(gf, ff))
+        _same_result(pm.compose(g, s), pm.compose(gf, sf))
+        _same_result(pm.differential(f), pm.differential(ff))
+        _same_result(pm.add(f, f2), pm.add(ff, f2f))
+        point = _random_point(rng, x)
+        out = f.eval(point)
+        assert out == ff.eval(point)
+        assert all(type(v) in (int, F) for v in out.values())
+        int_point = {a: rng.randint(0, 2) for a in web(x)}
+        out = f.eval(int_point)
+        assert out == ff.eval(int_point)
+        assert all(type(v) is int for v in out.values())
+    assert series > 100
+
+
+def test_structural_and_default_maps_hold_ints():
+    dn = d_space(N)
+    model = default_poly_model()
+    for f in [
+        pm.identity(dn),
+        pm.proj(1, N),
+        pm.sigma(dn),
+        pm.prod_proj(0, N, dn),
+        *model.symbols.values(),
+    ]:
+        assert all(type(c) is int for c in f.entries.values())
+    assert all(type(c) is F for row in model.grounds["N"].predual for c in row)
 
 
 def test_d_tag_zero_keeps_monomials_sorted():
