@@ -11,7 +11,7 @@ through a shared semantics module.
 from .ccdc import Instance, LawConfig, LawReport, check_axioms
 from .objects import Ground, Prod, DPair, d_space, product, web
 from .parser import ParseError, parse_program, parse_term_text
-from .pcs import PcsInstance, is_linear, is_multilinear, membership
+from .pcs import PcsInstance, is_multilinear, membership
 from .poly import PolyInstance, d_combinator
 from .polymap import PolyMap
 from .rewrite import (
@@ -100,7 +100,6 @@ __all__ = [
     "interp_multiset",
     "interp_term",
     "interp_type",
-    "is_linear",
     "is_multilinear",
     "membership",
     "normalize",

@@ -23,7 +23,9 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import polymap as pm
-from .objects import Prod, Space, d_space, prodn, product, space_str
+from .objects import (
+    Prod, Space, d_space, embed_slot, prodn, product, space_str, web,
+)
 from .polymap import PolyMap
 
 HALF = Fraction(1, 2)
@@ -176,47 +178,27 @@ class Instance:
             pm.differential(pm.prod_proj(1, x, y)),
         )
 
-    def single_app(
-        self, slots: Sequence[Space], i: int, g: PolyMap, fill: str = "id"
-    ) -> PolyMap:
-        """g at slot i, identities (or endo-zeros) elsewhere, as a with-map."""
-        maps = []
-        for j, s in enumerate(slots):
-            if j == i:
-                maps.append(g)
-            elif fill == "id":
-                maps.append(pm.identity(s))
-            else:
-                maps.append(pm.zero(s, s))
-        acc = maps[0]
-        for m in maps[1:]:
-            acc = pm.with_map(acc, m)
-        return acc
-
-    def prod_pair_n(self, maps: Sequence[PolyMap]) -> PolyMap:
-        acc = maps[0]
-        for m in maps[1:]:
-            acc = pm.prod_pair(acc, m)
-        return acc
+    def single_app(self, slots: Sequence[Space], i: int, g: PolyMap) -> PolyMap:
+        """g at slot i, identities elsewhere; slot i's object is g's own."""
+        return pm.with_map(*[
+            g if j == i else pm.identity(s) for j, s in enumerate(slots)
+        ])
 
     def var_proj(self, slots: Sequence[Space], i: int) -> PolyMap:
-        """Projection from the left-associated product onto slot i."""
-        n = len(slots) - 1
-        if n == 0:
-            return pm.identity(slots[0])
-        prefix = prodn(list(slots[:-1]))
-        if i == n:
-            return pm.prod_proj(1, prefix, slots[n])
-        inner = self.var_proj(slots[:-1], i)
-        return pm.compose(inner, pm.prod_proj(0, prefix, slots[n]))
+        """Projection from the product of the slots onto slot i."""
+        n = len(slots)
+        return PolyMap(prodn(list(slots)), slots[i], {
+            ((embed_slot(i, n, a),), a): 1 for a in web(slots[i])
+        })
 
     def strength(self, slots: Sequence[Space], i: int) -> PolyMap:
-        """phi_i = <(id ... pi0 at i ... id), (0 ... pi1 at i ... 0)>."""
-        dslots = list(slots)
-        dslots[i] = d_space(slots[i])
-        first = self.single_app(dslots, i, pm.proj(0, slots[i]), fill="id")
-        second = self.single_app(dslots, i, pm.proj(1, slots[i]), fill="zero")
-        return pm.pair_witness_matrix(first, second)
+        """phi_i = <(id ... pi0 at i ... id), (0 ... pi1 at i ... 0)>: the
+        identity of D slots[i] at i, iota_0 = <id, 0> elsewhere."""
+        return pm.with_map(*[
+            pm.identity(d_space(s)) if j == i
+            else pm.pair_witness_matrix(pm.identity(s), pm.zero(s, s))
+            for j, s in enumerate(slots)
+        ])
 
     def partial_derivative(
         self, f: PolyMap, slots: Sequence[Space], i: int
@@ -245,15 +227,8 @@ class Instance:
         for two slots, the inverse of c_with."""
 
         def build() -> PolyMap:
-            halves = []
-            for i in (0, 1):
-                acc = pm.proj(i, slots[0])
-                for s in slots[1:]:
-                    acc = pm.with_map(acc, pm.proj(i, s))
-                halves.append(acc)
-            return self._require(
-                self.pair_witness(halves[0], halves[1]), "c_n inverse"
-            )
+            halves = [pm.with_map(*[pm.proj(k, s) for s in slots]) for k in (0, 1)]
+            return self._require(self.pair_witness(*halves), "c_n inverse")
 
         return self._cache(("c_n_inv", tuple(slots)), build)
 
@@ -632,9 +607,7 @@ def _law_partial_proj0(env: LawEnv) -> Optional[str]:
     for i in (0, 1):
         di = inst.partial_derivative(f, slots, i)
         lhs = pm.compose(pm.proj(0, f.cod), di)
-        rhs = pm.compose(
-            f, inst.single_app([d_space(slots[i]) if j == i else slots[j] for j in range(2)], i, pm.proj(0, slots[i]))
-        )
+        rhs = pm.compose(f, inst.single_app(slots, i, pm.proj(0, slots[i])))
         err = _neq(f"pi0 . D{i} f = f . (pi0 at {i})", lhs, rhs)
         if err:
             return err
@@ -873,9 +846,7 @@ def _multilinear_equation(
     for i in range(len(slots)):
         di = inst.partial_derivative(f, slots, i)
         lhs = pm.compose(pm.proj(1, f.cod), di)
-        dslots = list(slots)
-        dslots[i] = d_space(slots[i])
-        rhs = pm.compose(f, inst.single_app(dslots, i, pm.proj(1, slots[i])))
+        rhs = pm.compose(f, inst.single_app(slots, i, pm.proj(1, slots[i])))
         if lhs != rhs:
             return i
     return None
@@ -924,10 +895,8 @@ def _law_proj_commute(env: LawEnv) -> Optional[str]:
         rhs_slots = list(slots)
         for letter in tail:
             rhs_slots[letter] = d_space(rhs_slots[letter])
-        arg_slots = list(rhs_slots)
-        arg_slots[i] = d_space(arg_slots[i])
         pk_h = inst.d_morphism_n(pm.proj(k, slots[i]), h)
-        rhs = pm.compose(rhs_inner, inst.single_app(arg_slots, i, pk_h))
+        rhs = pm.compose(rhs_inner, inst.single_app(rhs_slots, i, pk_h))
         if lhs != rhs:
             return (
                 f"projection commutation failed: k={k} d={d} i={i} tail={tail}"

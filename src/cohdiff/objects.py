@@ -13,6 +13,10 @@ d_space(X) & d_space(Y) are the same space with the same atoms.  Both
 backends rely on this: the swap mediating D(X & Y) and DX & DY is literally
 the identity matrix.
 
+An n-fold product is a left-nested binary product.  prodn, embed_slot,
+slot_of and peel_product are the only code that knows this layout; the n-ary
+map builders of polymap place slot i's atoms with the cached embed_slot.
+
 Spaces key the web() cache and every derived-morphism cache, and a ground
 space's hash walks its predual, so each space computes its hash once, at
 construction.  The value and equality are the dataclass defaults.  A ground
@@ -153,6 +157,7 @@ def tag_prod(side: int, a: Atom) -> Atom:
     return (_PROD_TAGS[side], a)
 
 
+@lru_cache(maxsize=None)
 def embed_slot(i: int, arity: int, atom: Atom) -> Atom:
     """Slot i's atom in prodn: an R tag unless i == 0, then L^(arity-1-i)."""
     if i > 0:

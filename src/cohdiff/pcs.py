@@ -319,11 +319,6 @@ class PcsInstance(Instance):
         return True
 
 
-def is_linear(f: PolyMap) -> bool:
-    """Support shape: every monomial is a single atom."""
-    return all(len(m) == 1 for m, _ in f.entries)
-
-
 def is_multilinear(f: PolyMap, arity: int) -> bool:
     """One atom from each argument slot in every monomial."""
     peel_product(f.dom, arity)  # raises if the domain is not such a product

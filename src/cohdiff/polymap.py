@@ -20,6 +20,9 @@ series multiplication.  They are re-sorted only when the renaming does not
 keep atom_key order on g's domain (a swap of product sides, say); checked
 once per composition.  Every other map takes the series path.
 
+with_map and prod_pair are n-ary: they build f0 & ... & fn and <f0, ..., fn>
+in one pass with embed_slot; the binary forms are the case n = 2.
+
 Composition raises DegreeCapError when a monomial of the composite would
 exceed DEGREE_CAP (16).  compose reads the module constant at call time, so
 a test can lower it with monkeypatch.
@@ -46,6 +49,8 @@ from .objects import (
     atom_key,
     atom_str,
     d_space,
+    embed_slot,
+    prodn,
     product,
     space_str,
     tag_d,
@@ -315,26 +320,30 @@ def prod_proj(i: int, left: Space, right: Space) -> PolyMap:
     return PolyMap(src, out, {((tag_prod(i, a),), a): 1 for a in web(out)})
 
 
-def prod_pair(f0: PolyMap, f1: PolyMap) -> PolyMap:
-    if f0.dom != f1.dom:
+def prod_pair(*maps: PolyMap) -> PolyMap:
+    """<f0, ..., fn> : X -> prodn(cods), slot j's outputs placed by embed_slot."""
+    dom = maps[0].dom
+    if any(f.dom != dom for f in maps):
         raise ShapeError("pairing needs a common domain")
+    n = len(maps)
     entries: Entries = {}
-    for (m, b), c in f0.entries.items():
-        entries[(m, ("L", b))] = c
-    for (m, b), c in f1.entries.items():
-        entries[(m, ("R", b))] = c
-    return PolyMap(f0.dom, product(f0.cod, f1.cod), entries)
+    for j, f in enumerate(maps):
+        for (m, b), c in f.entries.items():
+            entries[(m, embed_slot(j, n, b))] = c
+    return PolyMap(dom, prodn([f.cod for f in maps]), entries)
 
 
-def with_map(f0: PolyMap, f1: PolyMap) -> PolyMap:
-    """f0 & f1 acting componentwise on a binary product."""
+def with_map(*maps: PolyMap) -> PolyMap:
+    """f0 & ... & fn acting componentwise on prodn of the domains."""
+    n = len(maps)
     entries: Entries = {}
-    for (m, b), c in f0.entries.items():
-        entries[(mono(("L", a) for a in m), ("L", b))] = c
-    for (m, b), c in f1.entries.items():
-        entries[(mono(("R", a) for a in m), ("R", b))] = c
+    for j, f in enumerate(maps):
+        # One tag path per slot: a sorted monomial stays sorted.
+        for (m, b), c in f.entries.items():
+            key = (tuple([embed_slot(j, n, a) for a in m]), embed_slot(j, n, b))
+            entries[key] = c
     return PolyMap(
-        product(f0.dom, f1.dom), product(f0.cod, f1.cod), entries
+        prodn([f.dom for f in maps]), prodn([f.cod for f in maps]), entries
     )
 
 

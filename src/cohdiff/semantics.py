@@ -115,8 +115,9 @@ def interp_term(model: Model, ctx: Context, t: Term) -> PolyMap:
     """The morphism interp(ctx) -> interp(type of t), for t well typed."""
     check_context(ctx)
     key = (ctx, t)
-    if key in model._cache:
-        return model._cache[key]
+    result = model._cache.get(key)
+    if result is not None:
+        return result
     result = _interp(model, ctx, t)
     model._cache[key] = result
     return result
@@ -152,7 +153,7 @@ def _interp_app(model: Model, ctx: Context, t: App) -> PolyMap:
             return pm.compose(base, bang)
         slots = peel_product(base.dom, len(t.args))
         lifted = inst.partial_derivative_word(base, slots, t.word)
-        return pm.compose(lifted, inst.prod_pair_n(arg_maps))
+        return pm.compose(lifted, pm.prod_pair(*arg_maps))
 
     # Built-ins: the object parameter is the argument's codomain with the
     # word's d D's stripped; then lift with D^d, which is D_w for an

@@ -214,14 +214,12 @@ def test_criterion_6_multilinearity_theorems(pcs_model):
             rhs_slots = list(slots3)
             for letter in tail:
                 rhs_slots[letter] = d_space(rhs_slots[letter])
-            arg_slots = list(rhs_slots)
-            arg_slots[i] = d_space(arg_slots[i])
             for k in (0, 1):
                 pk = pm.proj(k, tri.cod)
                 lhs = pm.compose(inst.d_morphism_n(pk, d), lhs_inner)
                 pk_h = inst.d_morphism_n(pm.proj(k, slots3[i]), h)
                 rhs = pm.compose(
-                    rhs_inner, inst.single_app(arg_slots, i, pk_h)
+                    rhs_inner, inst.single_app(rhs_slots, i, pk_h)
                 )
                 assert lhs == rhs, f"k={k} d={d} i={i} tail={tail}"
     budget.done()

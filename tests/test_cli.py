@@ -223,11 +223,11 @@ def test_interp_fault_carries_its_position(tmp_path, entry, message):
     assert out.strip().splitlines() == [f"model error: {message}"]
 
 
-def _constant_model(tmp_path, coeff):
+def _constant_model(tmp_path, coeff, ctx=" [u: N]"):
     """The demo program and model plus a constant k : () -> N."""
     program = tmp_path / "k.cohdiff"
     program.write_text((DEMO / "nat.cohdiff").read_text()
-                       + "fn k : () -> N;\nterm c [u: N] = succ(k());\n")
+                       + f"fn k : () -> N;\nterm c{ctx} = succ(k());\n")
     model = tmp_path / "k.pcsmodel"
     text = (DEMO / "nat.pcsmodel").read_text()
     model.write_text(text + f"interp k {{ entry () -> 1 : {coeff}; }}\n")
@@ -239,6 +239,20 @@ def test_model_file_constant_is_a_map_out_of_the_terminal_object(tmp_path):
     code, out = run("eval", program, "--model", model, "--term", "c")
     assert code == 0
     assert out.strip().splitlines()[-1] == "  entry () -> 0 : 1/2"
+
+
+def test_closed_term_omits_the_context_brackets(tmp_path):
+    program, model, _ = _constant_model(tmp_path, "1/2", ctx="")
+    code, out = run("eval", program, "--model", model, "--term", "c", "--at", "")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[1] == "domain : top"
+    assert lines[-1] == "value 0 = 1/2"
+    # The grammar has no empty context: brackets hold at least one variable.
+    program, model, _ = _constant_model(tmp_path, "1/2", ctx=" []")
+    code, out = run("eval", program, "--model", model, "--term", "c")
+    assert code == 1
+    assert "expected ident, found ']'" in out
 
 
 def test_model_file_constant_escaping_is_model_error(tmp_path):

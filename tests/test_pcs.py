@@ -24,7 +24,6 @@ from cohdiff.pcs import (
     PcsInstance,
     build_symbol_matrix,
     functionals,
-    is_linear,
     is_multilinear,
     membership,
     parse_model_file,
@@ -356,6 +355,11 @@ def _tag0(a):
     from cohdiff.objects import tag_d
 
     return tag_d(0, a)
+
+
+def is_linear(f: pm.PolyMap) -> bool:
+    """Support shape: every monomial is a single atom."""
+    return all(len(m) == 1 for m, _ in f.entries)
 
 
 def _tag1(a):

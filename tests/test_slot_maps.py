@@ -1,0 +1,134 @@
+"""The n-ary slot maps against left folds of the binary constructors.
+
+with_map and prod_pair build an n-fold map in one pass with embed_slot, and
+var_proj, single_app, strength and c_n_inv are derived from them.  The
+references below are the binary constructors and the folds over them that
+those functions replaced, written out here so that the check does not go
+through the code it checks.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from cohdiff import polymap as pm
+from cohdiff.ccdc import Instance
+from cohdiff.gen import default_pcs_model, law_generators
+from cohdiff.objects import d_space, prodn, product
+
+MODEL = default_pcs_model()
+GENS, _, OBJECTS = law_generators(MODEL, seed=404)  # unit, N, N&N, DN, N&DN
+SLOT_TUPLES = [
+    tuple(slots)
+    for n in (1, 2, 3)
+    for slots in itertools.product(OBJECTS, repeat=n)
+]
+
+
+def ref_with_map2(f0, f1):
+    entries = {}
+    for (m, b), c in f0.entries.items():
+        entries[(pm.mono(("L", a) for a in m), ("L", b))] = c
+    for (m, b), c in f1.entries.items():
+        entries[(pm.mono(("R", a) for a in m), ("R", b))] = c
+    return pm.PolyMap(product(f0.dom, f1.dom), product(f0.cod, f1.cod), entries)
+
+
+def ref_prod_pair2(f0, f1):
+    assert f0.dom == f1.dom
+    entries = {}
+    for (m, b), c in f0.entries.items():
+        entries[(m, ("L", b))] = c
+    for (m, b), c in f1.entries.items():
+        entries[(m, ("R", b))] = c
+    return pm.PolyMap(f0.dom, product(f0.cod, f1.cod), entries)
+
+
+def fold(binary, maps):
+    acc = maps[0]
+    for m in maps[1:]:
+        acc = binary(acc, m)
+    return acc
+
+
+def ref_single_app(slots, i, g, fill):
+    """g at slot i; identities, or endo-zeros with fill="zero", elsewhere."""
+    maps = [
+        g if j == i else pm.identity(s) if fill == "id" else pm.zero(s, s)
+        for j, s in enumerate(slots)
+    ]
+    return fold(ref_with_map2, maps)
+
+
+def ref_var_proj(slots, i):
+    n = len(slots) - 1
+    if n == 0:
+        return pm.identity(slots[0])
+    prefix = prodn(list(slots[:-1]))
+    if i == n:
+        return pm.prod_proj(1, prefix, slots[n])
+    return pm.compose(
+        ref_var_proj(slots[:-1], i), pm.prod_proj(0, prefix, slots[n])
+    )
+
+
+def ref_strength(slots, i):
+    dslots = list(slots)
+    dslots[i] = d_space(slots[i])
+    first = ref_single_app(dslots, i, pm.proj(0, slots[i]), "id")
+    second = ref_single_app(dslots, i, pm.proj(1, slots[i]), "zero")
+    return pm.pair_witness_matrix(first, second)
+
+
+def ref_c_n_inv(slots):
+    halves = [fold(ref_with_map2, [pm.proj(k, s) for s in slots]) for k in (0, 1)]
+    return pm.pair_witness_matrix(*halves)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_derived_slot_maps_match_the_folds(n):
+    inst = Instance()
+    for slots in (s for s in SLOT_TUPLES if len(s) == n):
+        assert inst.c_n_inv(list(slots)) == ref_c_n_inv(slots), slots
+        for i, s in enumerate(slots):
+            assert inst.var_proj(slots, i) == ref_var_proj(slots, i), (slots, i)
+            assert inst.strength(slots, i) == ref_strength(slots, i), (slots, i)
+            lifted = pm.differential(pm.proj(1, s))
+            for g in (pm.proj(0, s), pm.proj(1, s), lifted):
+                gslots = list(slots)
+                gslots[i] = g.dom
+                want = ref_single_app(gslots, i, g, "id")
+                assert inst.single_app(slots, i, g) == want, (slots, i, g)
+
+
+def test_one_slot_maps_are_the_plain_maps():
+    inst = Instance()
+    for x in OBJECTS:
+        assert inst.var_proj([x], 0) == pm.identity(x)
+        assert inst.strength([x], 0) == pm.identity(d_space(x))
+        assert inst.single_app([x], 0, pm.sigma(x)) == pm.sigma(x)
+        f = pm.proj(1, x)
+        assert pm.with_map(f) == f
+        assert pm.prod_pair(f) == f
+
+
+def test_nary_builders_match_the_folds():
+    rng = random.Random(11)
+    by_dom = {}
+    for f in GENS:
+        by_dom.setdefault(f.dom, []).append(f)
+    for _ in range(150):
+        maps = [rng.choice(GENS) for _ in range(rng.randint(1, 3))]
+        assert pm.with_map(*maps) == fold(ref_with_map2, maps)
+        pool = by_dom[rng.choice(maps).dom]
+        maps = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+        assert pm.prod_pair(*maps) == fold(ref_prod_pair2, maps)
+
+
+def test_prod_pair_needs_a_common_domain():
+    x, y = OBJECTS[1], OBJECTS[3]
+    with pytest.raises(pm.ShapeError):
+        pm.prod_pair(pm.identity(x), pm.identity(y))
+    with pytest.raises(pm.ShapeError):
+        pm.prod_pair(pm.identity(x), pm.identity(x), pm.identity(y))
