@@ -10,9 +10,9 @@ through a shared semantics module.
 
 from .ccdc import Instance, LawConfig, LawReport, check_axioms
 from .objects import Ground, Prod, DPair, d_space, product, web
-from .parser import ParseError, parse_program, parse_term_text
+from .parser import ParseError, parse_program
 from .pcs import PcsInstance, is_multilinear, membership
-from .poly import PolyInstance, d_combinator
+from .poly import PolyInstance
 from .polymap import PolyMap
 from .rewrite import (
     FuelExhausted,
@@ -20,8 +20,6 @@ from .rewrite import (
     TermMultiset,
     normalize,
     step,
-    step_multiset,
-    step_root,
 )
 from .semantics import (
     Model,
@@ -92,7 +90,6 @@ __all__ = [
     "check_axioms",
     "check_diff_theorem",
     "check_invariance",
-    "d_combinator",
     "d_space",
     "d_type",
     "differentiate",
@@ -104,11 +101,8 @@ __all__ = [
     "membership",
     "normalize",
     "parse_program",
-    "parse_term_text",
     "product",
     "step",
-    "step_multiset",
-    "step_root",
     "term_str",
     "type_str",
     "typecheck",

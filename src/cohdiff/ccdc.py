@@ -13,6 +13,8 @@ method so that a negative control can corrupt it.  Everything else
 (injections, the monad sum theta, the lift l, the swap c, strengths, partial
 derivatives, n-ary sums) is derived here, and check_axioms verifies the
 axioms and the derived theorems on any instance by exact morphism equality.
+A law draws its case through LawEnv and fails by raising LawFailure;
+check_axioms records the first failing case's message and stops the law.
 """
 
 from __future__ import annotations
@@ -242,7 +244,7 @@ class LawResult:
     name: str
     passed: bool
     cases: int
-    counterexample: Optional[str] = None
+    counterexample: str | None = None
 
 
 @dataclass
@@ -335,73 +337,72 @@ def _composable(g: PolyMap, f: PolyMap, bound: int) -> bool:
     return g.dom == f.cod and max(1, g.max_degree()) * max(1, f.max_degree()) <= bound
 
 
-Law = Callable[[LawEnv], Optional[str]]
+class LawFailure(Exception):
+    """A law case failed; the message is its counterexample."""
 
 
-def _neq(name: str, lhs: PolyMap, rhs: PolyMap) -> Optional[str]:
-    if lhs == rhs:
-        return None
-    return (
-        f"{name}: sides differ\n"
-        f"lhs {lhs.render(limit=8)}\n"
-        f"rhs {rhs.render(limit=8)}"
-    )
+Law = Callable[[LawEnv], None]
 
 
-def _law_d_com(env: LawEnv) -> Optional[str]:
+def _eq(name: str, lhs: PolyMap, rhs: PolyMap) -> None:
+    if lhs != rhs:
+        raise LawFailure(
+            f"{name}: sides differ\n"
+            f"lhs {lhs.render(limit=8)}\n"
+            f"rhs {rhs.render(limit=8)}"
+        )
+
+
+def _need(m: Optional[PolyMap], message: str) -> PolyMap:
+    if m is None:
+        raise LawFailure(message)
+    return m
+
+
+def _law_d_com(env: LawEnv) -> None:
     inst = env.inst
     x = env.pick_object()
-    w = inst.pair_witness(pm.proj(1, x), pm.proj(0, x))
-    if w is None:
-        return f"pi1, pi0 not summable on {space_str(x)}"
+    w = _need(inst.pair_witness(pm.proj(1, x), pm.proj(0, x)),
+              f"pi1, pi0 not summable on {space_str(x)}")
     total = pm.compose(inst.sigma(x), w)
-    err = _neq("pi1 + pi0 = sigma", total, inst.sigma(x))
-    if err:
-        return err
+    _eq("pi1 + pi0 = sigma", total, inst.sigma(x))
     f0, f1 = env.summable_pair()
     s = inst.sum2(f0, f1)
     s_rev = inst.sum2(f1, f0)
     if s is None or s_rev is None:
-        return "constructed summable pair failed to certify"
-    return _neq("f0 + f1 = f1 + f0", s, s_rev)
+        raise LawFailure("constructed summable pair failed to certify")
+    _eq("f0 + f1 = f1 + f0", s, s_rev)
 
 
-def _law_d_zero(env: LawEnv) -> Optional[str]:
+def _law_d_zero(env: LawEnv) -> None:
     inst = env.inst
     x = env.pick_object()
     one = pm.identity(x)
     nil = pm.zero(x, x)
     for pair, label in (((one, nil), "id + 0"), ((nil, one), "0 + id")):
-        w = inst.pair_witness(*pair)
-        if w is None:
-            return f"{label} not summable on {space_str(x)}"
+        w = _need(inst.pair_witness(*pair),
+                  f"{label} not summable on {space_str(x)}")
         total = pm.compose(inst.sigma(x), w)
-        err = _neq(f"{label} = id", total, one)
-        if err:
-            return err
+        _eq(f"{label} = id", total, one)
     f = env.pick_map()
-    s = inst.sum2(f, pm.zero(f.dom, f.cod))
-    if s is None:
-        return "f + 0 failed to certify"
-    return _neq("f + 0 = f", s, f)
+    s = _need(inst.sum2(f, pm.zero(f.dom, f.cod)), "f + 0 failed to certify")
+    _eq("f + 0 = f", s, f)
 
 
-def _law_d_witness(env: LawEnv) -> Optional[str]:
+def _law_d_witness(env: LawEnv) -> None:
     inst = env.inst
     a, b, c, d = env.summable_quadruple()
     f = inst.pair_witness(a, b)
     g = inst.pair_witness(c, d)
     if f is None or g is None:
-        return "quarter-scaled witnesses failed to certify"
+        raise LawFailure("quarter-scaled witnesses failed to certify")
     sf, sg = inst.sum2(a, b), inst.sum2(c, d)
     if sf is None or sg is None or inst.pair_witness(sf, sg) is None:
-        return "sigma-composites of witnesses not summable"
-    if inst.pair_witness(f, g) is None:
-        return "witnesses not summable although their sums are"
-    return None
+        raise LawFailure("sigma-composites of witnesses not summable")
+    _need(inst.pair_witness(f, g), "witnesses not summable although their sums are")
 
 
-def _law_dproj_lin(env: LawEnv) -> Optional[str]:
+def _law_dproj_lin(env: LawEnv) -> None:
     x = env.pick_object()
     dx = d_space(x)
     for i in (0, 1):
@@ -409,13 +410,10 @@ def _law_dproj_lin(env: LawEnv) -> Optional[str]:
         expected = pm.pair_witness_matrix(
             pm.compose(p, pm.proj(0, dx)), pm.compose(p, pm.proj(1, dx))
         )
-        err = _neq(f"D pi{i} linear", pm.differential(p), expected)
-        if err:
-            return err
-    return None
+        _eq(f"D pi{i} linear", pm.differential(p), expected)
 
 
-def _law_dsum_lin(env: LawEnv) -> Optional[str]:
+def _law_dsum_lin(env: LawEnv) -> None:
     inst = env.inst
     x = env.pick_object()
     dx = d_space(x)
@@ -423,124 +421,114 @@ def _law_dsum_lin(env: LawEnv) -> Optional[str]:
     expected = pm.pair_witness_matrix(
         pm.compose(s, pm.proj(0, dx)), pm.compose(s, pm.proj(1, dx))
     )
-    err = _neq("D sigma linear", pm.differential(s), expected)
-    if err:
-        return err
+    _eq("D sigma linear", pm.differential(s), expected)
     y = env.pick_object()
     z = pm.zero(x, y)
-    return _neq(
+    _eq(
         "D 0 = 0",
         pm.differential(z),
         pm.zero(d_space(x), d_space(y)),
     )
 
 
-def _law_d_chain(env: LawEnv) -> Optional[str]:
+def _law_d_chain(env: LawEnv) -> None:
     x = env.pick_object()
-    err = _neq(
+    _eq(
         "D id = id",
         pm.differential(pm.identity(x)),
         pm.identity(d_space(x)),
     )
-    if err:
-        return err
     g, f = env.pick_composable()
-    return _neq(
+    _eq(
         "D(g . f) = Dg . Df",
         pm.differential(pm.compose(g, f)),
         pm.compose(pm.differential(g), pm.differential(f)),
     )
 
 
-def _law_d_add(env: LawEnv) -> Optional[str]:
+def _law_d_add(env: LawEnv) -> None:
     inst = env.inst
     f = env.pick_map()
     df = pm.differential(f)
-    err = _neq(
+    _eq(
         "Df . iota0 = iota0 . f",
         pm.compose(df, inst.inj(0, f.dom)),
         pm.compose(inst.inj(0, f.cod), f),
     )
-    if err:
-        return err
-    return _neq(
+    _eq(
         "Df . theta = theta . D^2 f",
         pm.compose(df, inst.theta(f.dom)),
         pm.compose(inst.theta(f.cod), pm.differential(df)),
     )
 
 
-def _law_d_lin(env: LawEnv) -> Optional[str]:
+def _law_d_lin(env: LawEnv) -> None:
     inst = env.inst
     f = env.pick_map()
     df = pm.differential(f)
-    return _neq(
+    _eq(
         "D^2 f . l = l . Df",
         pm.compose(pm.differential(df), inst.lift(f.dom)),
         pm.compose(inst.lift(f.cod), df),
     )
 
 
-def _law_d_schwarz(env: LawEnv) -> Optional[str]:
+def _law_d_schwarz(env: LawEnv) -> None:
     inst = env.inst
     f = env.pick_map()
     ddf = inst.d_morphism_n(f, 2)
-    return _neq(
+    _eq(
         "D^2 f . c = c . D^2 f",
         pm.compose(ddf, inst.swap(f.dom)),
         pm.compose(inst.swap(f.cod), ddf),
     )
 
 
-def _law_monad_unit(env: LawEnv) -> Optional[str]:
+def _law_monad_unit(env: LawEnv) -> None:
     inst = env.inst
     x = env.pick_object()
     dx = d_space(x)
     ident = pm.identity(dx)
-    err = _neq(
+    _eq(
         "theta . D iota0 = id",
         pm.compose(inst.theta(x), pm.differential(inst.inj(0, x))),
         ident,
     )
-    if err:
-        return err
-    return _neq(
+    _eq(
         "theta . iota0 = id",
         pm.compose(inst.theta(x), inst.inj(0, dx)),
         ident,
     )
 
 
-def _law_monad_assoc(env: LawEnv) -> Optional[str]:
+def _law_monad_assoc(env: LawEnv) -> None:
     inst = env.inst
     x = env.pick_object()
-    return _neq(
+    _eq(
         "theta . D theta = theta . theta",
         pm.compose(inst.theta(x), pm.differential(inst.theta(x))),
         pm.compose(inst.theta(x), inst.theta(d_space(x))),
     )
 
 
-def _law_c_with_iso(env: LawEnv) -> Optional[str]:
+def _law_c_with_iso(env: LawEnv) -> None:
     inst = env.inst
     x, y = env.pick_object(), env.pick_object()
     fwd = inst.c_with(x, y)
     inv = inst.c_n_inv([x, y])
-    err = _neq(
+    _eq(
         "c_with . inv = id",
         pm.compose(fwd, inv),
         pm.identity(inv.dom),
     )
-    if err:
-        return err
-    return _neq(
+    _eq(
         "inv . c_with = id",
         pm.compose(inv, fwd),
         pm.identity(fwd.dom),
     )
 
 
-def _law_strength_comm(env: LawEnv) -> Optional[str]:
+def _law_strength_comm(env: LawEnv) -> None:
     inst = env.inst
     x, y = env.pick_object(), env.pick_object()
     dx, dy = d_space(x), d_space(y)
@@ -551,30 +539,26 @@ def _law_strength_comm(env: LawEnv) -> Optional[str]:
     via_right = pm.compose(
         pm.differential(inst.strength([x, y], 0)), inst.strength([dx, y], 1)
     )
-    err = _neq(
+    _eq(
         "c . (D phi1 . phi0) = D phi0 . phi1",
         pm.compose(inst.swap(product(x, y)), via_left),
         via_right,
     )
-    if err:
-        return err
     p = product(x, y)
     inv = inst.c_n_inv([x, y])
-    err = _neq(
+    _eq(
         "theta . D phi0 . phi1 = c_with_inv",
         pm.compose(inst.theta(p), via_right),
         inv,
     )
-    if err:
-        return err
-    return _neq(
+    _eq(
         "theta . D phi1 . phi0 = c_with_inv",
         pm.compose(inst.theta(p), via_left),
         inv,
     )
 
 
-def _law_leibniz(env: LawEnv) -> Optional[str]:
+def _law_leibniz(env: LawEnv) -> None:
     inst = env.inst
     f, (x, y) = env.pick_product_map()
     inv = inst.c_n_inv([x, y])
@@ -582,25 +566,23 @@ def _law_leibniz(env: LawEnv) -> Optional[str]:
     d0d1 = inst.partial_derivative_word(f, [x, y], (1, 0))
     d1d0 = inst.partial_derivative_word(f, [x, y], (0, 1))
     theta = inst.theta(f.cod)
-    err = _neq("Df . c^-1 = theta . D0 D1 f", lhs, pm.compose(theta, d0d1))
-    if err:
-        return err
-    return _neq("Df . c^-1 = theta . D1 D0 f", lhs, pm.compose(theta, d1d0))
+    _eq("Df . c^-1 = theta . D0 D1 f", lhs, pm.compose(theta, d0d1))
+    _eq("Df . c^-1 = theta . D1 D0 f", lhs, pm.compose(theta, d1d0))
 
 
-def _law_schwarz_partial(env: LawEnv) -> Optional[str]:
+def _law_schwarz_partial(env: LawEnv) -> None:
     inst = env.inst
     f, (x, y) = env.pick_product_map()
     d0d1 = inst.partial_derivative_word(f, [x, y], (1, 0))
     d1d0 = inst.partial_derivative_word(f, [x, y], (0, 1))
-    return _neq(
+    _eq(
         "D0 D1 f = c . D1 D0 f",
         d0d1,
         pm.compose(inst.swap(f.cod), d1d0),
     )
 
 
-def _law_partial_proj0(env: LawEnv) -> Optional[str]:
+def _law_partial_proj0(env: LawEnv) -> None:
     inst = env.inst
     f, (x, y) = env.pick_product_map()
     slots = [x, y]
@@ -608,141 +590,122 @@ def _law_partial_proj0(env: LawEnv) -> Optional[str]:
         di = inst.partial_derivative(f, slots, i)
         lhs = pm.compose(pm.proj(0, f.cod), di)
         rhs = pm.compose(f, inst.single_app(slots, i, pm.proj(0, slots[i])))
-        err = _neq(f"pi0 . D{i} f = f . (pi0 at {i})", lhs, rhs)
-        if err:
-            return err
-    return None
+        _eq(f"pi0 . D{i} f = f . (pi0 at {i})", lhs, rhs)
 
 
 def _derivative(f: PolyMap) -> PolyMap:
     return pm.compose(pm.proj(1, f.cod), pm.differential(f))
 
 
-def _law_d_chain_partial(env: LawEnv) -> Optional[str]:
+def _law_d_chain_partial(env: LawEnv) -> None:
     g, f = env.pick_composable()
     lhs = _derivative(pm.compose(g, f))
     witness = pm.pair_witness_matrix(
         pm.compose(f, pm.proj(0, f.dom)), _derivative(f)
     )
-    return _neq(
+    _eq(
         "d(g . f) = dg . <f pi0, df>",
         lhs,
         pm.compose(_derivative(g), witness),
     )
 
 
-def _law_d_inj0_zero(env: LawEnv) -> Optional[str]:
+def _law_d_inj0_zero(env: LawEnv) -> None:
     inst = env.inst
     f = env.pick_map()
-    return _neq(
+    _eq(
         "df . iota0 = 0",
         pm.compose(_derivative(f), inst.inj(0, f.dom)),
         pm.zero(f.dom, f.cod),
     )
 
 
-def _law_d_lift(env: LawEnv) -> Optional[str]:
+def _law_d_lift(env: LawEnv) -> None:
     inst = env.inst
     f = env.pick_map()
     ddf = _derivative(_derivative(f))
-    return _neq(
+    _eq(
         "dd f . l = d f",
         pm.compose(ddf, inst.lift(f.dom)),
         _derivative(f),
     )
 
 
-def _law_d_swap(env: LawEnv) -> Optional[str]:
+def _law_d_swap(env: LawEnv) -> None:
     inst = env.inst
     f = env.pick_map()
     ddf = _derivative(_derivative(f))
-    return _neq("dd f . c = dd f", pm.compose(ddf, inst.swap(f.dom)), ddf)
+    _eq("dd f . c = dd f", pm.compose(ddf, inst.swap(f.dom)), ddf)
 
 
-def _law_pair_derivative(env: LawEnv) -> Optional[str]:
+def _law_pair_derivative(env: LawEnv) -> None:
     inst = env.inst
     f0, f1 = env.summable_pair()
-    w = inst.pair_witness(f0, f1)
-    if w is None:
-        return "constructed summable pair failed to certify"
+    w = _need(inst.pair_witness(f0, f1), "constructed summable pair failed to certify")
     lhs = pm.pair_witness_matrix(pm.differential(f0), pm.differential(f1))
-    return _neq(
+    _eq(
         "<D f0, D f1> = c . D <f0, f1>",
         lhs,
         pm.compose(inst.swap(f0.cod), pm.differential(w)),
     )
 
 
-def _law_left_compat(env: LawEnv) -> Optional[str]:
+def _law_left_compat(env: LawEnv) -> None:
     inst = env.inst
     f0, f1 = env.summable_pair()
     candidates = [g for g in env.morphisms if _composable(f0, g, 12)]
     if not candidates:
-        return None
+        return
     g = env.rng.choice(candidates)
     w = inst.pair_witness(f0, f1)
     s = inst.sum2(f0, f1)
     if w is None or s is None:
-        return "constructed summable pair failed to certify"
-    err = _neq(
+        raise LawFailure("constructed summable pair failed to certify")
+    _eq(
         "<f0, f1> . g = <f0 g, f1 g>",
         pm.compose(w, g),
         pm.pair_witness_matrix(pm.compose(f0, g), pm.compose(f1, g)),
     )
-    if err:
-        return err
-    s_composed = inst.sum2(pm.compose(f0, g), pm.compose(f1, g))
-    if s_composed is None:
-        return "composed pair lost summability"
-    return _neq("(f0 + f1) g = f0 g + f1 g", pm.compose(s, g), s_composed)
+    s_composed = _need(inst.sum2(pm.compose(f0, g), pm.compose(f1, g)),
+                       "composed pair lost summability")
+    _eq("(f0 + f1) g = f0 g + f1 g", pm.compose(s, g), s_composed)
 
 
-def _law_proj_sum(env: LawEnv) -> Optional[str]:
+def _law_proj_sum(env: LawEnv) -> None:
     inst = env.inst
     x = env.pick_object()
-    w = inst.pair_witness(pm.proj(0, x), pm.proj(1, x))
-    if w is None:
-        return "pi0, pi1 not summable"
-    err = _neq("<pi0, pi1> = id", w, pm.identity(d_space(x)))
-    if err:
-        return err
+    w = _need(inst.pair_witness(pm.proj(0, x), pm.proj(1, x)),
+              "pi0, pi1 not summable")
+    _eq("<pi0, pi1> = id", w, pm.identity(d_space(x)))
     s = inst.sum2(pm.proj(0, x), pm.proj(1, x))
-    return _neq("pi0 + pi1 = sigma", s, inst.sigma(x))
+    _eq("pi0 + pi1 = sigma", s, inst.sigma(x))
 
 
-def _law_family_on_pairs(env: LawEnv) -> Optional[str]:
+def _law_family_on_pairs(env: LawEnv) -> None:
     inst = env.inst
     x, u, v, w = env.summable_quadruple()
     cod = x.cod
     inner0 = inst.pair_witness(x, u)
     inner1 = inst.pair_witness(v, w)
     if inner0 is None or inner1 is None:
-        return "inner witnesses failed"
-    outer = inst.pair_witness(inner0, inner1)
-    if outer is None:
-        return "outer witness failed"
-    s = inst.sum2(u, v)
-    if s is None:
-        return "u + v failed"
-    err = _neq(
+        raise LawFailure("inner witnesses failed")
+    outer = _need(inst.pair_witness(inner0, inner1), "outer witness failed")
+    s = _need(inst.sum2(u, v), "u + v failed")
+    _eq(
         "theta . <<x,u>,<v,w>> = <x, u+v>",
         pm.compose(inst.theta(cod), outer),
         pm.pair_witness_matrix(x, s),
     )
-    if err:
-        return err
-    err = _neq(
+    _eq(
         "c . <<x,u>,<v,w>> = <<x,v>,<u,w>>",
         pm.compose(inst.swap(cod), outer),
         pm.pair_witness_matrix(
             pm.pair_witness_matrix(x, v), pm.pair_witness_matrix(u, w)
         ),
     )
-    if err:
-        return err
     pair = inst.pair_witness(x, u)
     nil = pm.zero(x.dom, cod)
-    return _neq(
+    _eq(
         "l . <x,u> = <<x,0>,<0,u>>",
         pm.compose(inst.lift(cod), pair),
         pm.pair_witness_matrix(
@@ -751,21 +714,21 @@ def _law_family_on_pairs(env: LawEnv) -> Optional[str]:
     )
 
 
-def _law_additive_char(env: LawEnv) -> Optional[str]:
+def _law_additive_char(env: LawEnv) -> None:
     # Additivity characterization: h . 0 = 0 and (h pi0) + (h pi1) = h sigma
     # together imply h distributes over every summable pair.
     inst = env.inst
     h = env.pick_map()
     if pm.compose(h, pm.zero(h.dom, h.dom)) != pm.zero(h.dom, h.cod):
-        return None
+        return
     s = inst.sum2(
         pm.compose(h, pm.proj(0, h.dom)), pm.compose(h, pm.proj(1, h.dom))
     )
     if s is None or s != pm.compose(h, inst.sigma(h.dom)):
-        return None
+        return
     candidates = [g for g in env.morphisms if g.cod == h.dom]
     if not candidates:
-        return None
+        return
     first = env.rng.choice(candidates)
     parallel = [g for g in candidates if g.dom == first.dom]
     f0 = pm.scale(first, HALF)
@@ -773,36 +736,34 @@ def _law_additive_char(env: LawEnv) -> Optional[str]:
     total = inst.sum2(f0, f1)
     lhs = inst.sum2(pm.compose(h, f0), pm.compose(h, f1))
     if total is None or lhs is None:
-        return "additive h failed to distribute over a summable pair"
-    return _neq("h (f0 + f1) = h f0 + h f1", pm.compose(h, total), lhs)
+        raise LawFailure("additive h failed to distribute over a summable pair")
+    _eq("h (f0 + f1) = h f0 + h f1", pm.compose(h, total), lhs)
 
 
 def _is_dlinear(h: PolyMap) -> bool:
     return _derivative(h) == pm.compose(h, pm.proj(1, h.dom))
 
 
-def _law_linear_char(env: LawEnv) -> Optional[str]:
+def _law_linear_char(env: LawEnv) -> None:
     inst = env.inst
     h = env.pick_map()
     if not _is_dlinear(h):
-        return None
+        return
     # The derivative equation alone must imply the other two diagrams.
-    err = _neq(
+    _eq(
         "sigma . Dh = h . sigma",
         pm.compose(inst.sigma(h.cod), pm.differential(h)),
         pm.compose(h, inst.sigma(h.dom)),
     )
-    if err:
-        return err
     w = env.pick_object()
-    return _neq(
+    _eq(
         "h . 0 = 0",
         pm.compose(h, pm.zero(w, h.dom)),
         pm.zero(w, h.cod),
     )
 
 
-def _law_linear_closure(env: LawEnv) -> Optional[str]:
+def _law_linear_closure(env: LawEnv) -> None:
     inst = env.inst
     x = env.pick_object()
     y = env.pick_object()
@@ -820,63 +781,55 @@ def _law_linear_closure(env: LawEnv) -> Optional[str]:
     ]
     for m in structural:
         if not _is_dlinear(m):
-            return f"structural morphism not D-linear: {m!r}"
+            raise LawFailure(f"structural morphism not D-linear: {m!r}")
     # Closure under composition: two linear maps of matching type.
     comp = pm.compose(pm.proj(0, x), inst.theta(x))
     if not _is_dlinear(comp):
-        return f"composite of linear maps not linear: {comp!r}"
+        raise LawFailure(f"composite of linear maps not linear: {comp!r}")
     # Closure under witness pairing and sum, on a scaled linear pair.
     f0 = pm.scale(pm.proj(0, x), HALF)
     f1 = pm.scale(pm.proj(1, x), HALF)
     w = inst.pair_witness(f0, f1)
     s = inst.sum2(f0, f1)
     if w is None or s is None:
-        return "scaled projections failed to certify"
+        raise LawFailure("scaled projections failed to certify")
     if not _is_dlinear(w):
-        return "witness pairing of linear maps not linear"
+        raise LawFailure("witness pairing of linear maps not linear")
     if not _is_dlinear(s):
-        return "sum of linear maps not linear"
-    return None
+        raise LawFailure("sum of linear maps not linear")
 
 
 def _multilinear_equation(
-    inst: Instance, f: PolyMap, slots: Sequence[Space]
-) -> Optional[int]:
-    """First slot violating pi1 . D_i f = f . (pi1 at i), or None."""
+    inst: Instance, f: PolyMap, slots: Sequence[Space], what: str
+) -> None:
+    """pi1 . D_i f = f . (pi1 at i) at every slot i, else LawFailure."""
     for i in range(len(slots)):
         di = inst.partial_derivative(f, slots, i)
         lhs = pm.compose(pm.proj(1, f.cod), di)
         rhs = pm.compose(f, inst.single_app(slots, i, pm.proj(1, slots[i])))
         if lhs != rhs:
-            return i
-    return None
+            raise LawFailure(f"{what} lost linearity in slot {i}")
 
 
-def _law_multilinear_partial(env: LawEnv) -> Optional[str]:
+def _law_multilinear_partial(env: LawEnv) -> None:
     inst = env.inst
     f, slots = env.rng.choice(env.multilinear)
     i = env.rng.randrange(len(slots))
     di = inst.partial_derivative(f, list(slots), i)
     new_slots = list(slots)
     new_slots[i] = d_space(slots[i])
-    bad = _multilinear_equation(inst, di, new_slots)
-    if bad is not None:
-        return f"D_{i} f lost linearity in slot {bad}"
-    return None
+    _multilinear_equation(inst, di, new_slots, f"D_{i} f")
 
 
-def _law_multilinear_compose(env: LawEnv) -> Optional[str]:
+def _law_multilinear_compose(env: LawEnv) -> None:
     inst = env.inst
     f, slots = env.rng.choice(env.multilinear)
     h = inst.inj(env.rng.randrange(2), f.cod)
     composed = pm.compose(h, f)
-    bad = _multilinear_equation(inst, composed, slots)
-    if bad is not None:
-        return f"h . f lost linearity in slot {bad}"
-    return None
+    _multilinear_equation(inst, composed, slots, "h . f")
 
 
-def _law_proj_commute(env: LawEnv) -> Optional[str]:
+def _law_proj_commute(env: LawEnv) -> None:
     inst = env.inst
     f, slots = env.rng.choice(env.multilinear)
     rng = env.rng
@@ -898,18 +851,17 @@ def _law_proj_commute(env: LawEnv) -> Optional[str]:
         pk_h = inst.d_morphism_n(pm.proj(k, slots[i]), h)
         rhs = pm.compose(rhs_inner, inst.single_app(rhs_slots, i, pk_h))
         if lhs != rhs:
-            return (
+            raise LawFailure(
                 f"projection commutation failed: k={k} d={d} i={i} tail={tail}"
             )
-    return None
 
 
-def _law_leibniz_n(env: LawEnv) -> Optional[str]:
+def _law_leibniz_n(env: LawEnv) -> None:
     inst = env.inst
     f, slots = env.rng.choice(env.multilinear)
     n = len(slots) - 1
     if n < 1:
-        return None
+        return
     alpha = list(range(n + 1))
     env.rng.shuffle(alpha)
     lhs = pm.compose(pm.differential(f), inst.c_n_inv(slots))
@@ -917,14 +869,14 @@ def _law_leibniz_n(env: LawEnv) -> Optional[str]:
         inst.theta_pow(f.cod, n),
         inst.partial_derivative_word(f, list(slots), alpha),
     )
-    return _neq(f"Df . c^-1 = theta^{n} . D_alpha f (alpha={alpha})", lhs, rhs)
+    _eq(f"Df . c^-1 = theta^{n} . D_alpha f (alpha={alpha})", lhs, rhs)
 
 
-def _law_bilinear_expansion(env: LawEnv) -> Optional[str]:
+def _law_bilinear_expansion(env: LawEnv) -> None:
     inst = env.inst
     candidates = [(f, s) for f, s in env.multilinear if len(s) == 2]
     if not candidates:
-        return None
+        return
     f, (x, y) = env.rng.choice(candidates)
     lhs = pm.compose(
         pm.proj(1, f.cod),
@@ -932,39 +884,36 @@ def _law_bilinear_expansion(env: LawEnv) -> Optional[str]:
     )
     term0 = pm.compose(f, pm.with_map(pm.proj(1, x), pm.proj(0, y)))
     term1 = pm.compose(f, pm.with_map(pm.proj(0, x), pm.proj(1, y)))
-    return _neq(
+    _eq(
         "bilinear derivative expands to Phi(x,v) + Phi(u,y)",
         lhs,
         pm.add(term0, term1),
     )
 
 
-def _law_n_ary_sum(env: LawEnv) -> Optional[str]:
+def _law_n_ary_sum(env: LawEnv) -> None:
     inst = env.inst
     f, g = env.pick_parallel()
     h = env.pick_map(lambda m: m.dom == f.dom and m.cod == f.cod)
     family = [pm.scale(f, QUARTER), pm.scale(g, QUARTER), pm.scale(h, QUARTER)]
-    total = inst.family_sum(family, f.dom, f.cod)
-    if total is None:
-        return "quarter-scaled family failed to sum"
+    total = _need(inst.family_sum(family, f.dom, f.cod),
+                  "quarter-scaled family failed to sum")
     for perm in ((0, 1, 2), (2, 0, 1), (1, 2, 0)):
         alt = inst.family_sum([family[i] for i in perm], f.dom, f.cod)
         if alt != total:
-            return f"sum depends on insertion order {perm}"
+            raise LawFailure(f"sum depends on insertion order {perm}")
     # Partition {{0}, {1, 2}} must agree with the flat sum.
-    tail = inst.family_sum(family[1:], f.dom, f.cod)
-    if tail is None:
-        return "sub-family failed to sum"
+    tail = _need(inst.family_sum(family[1:], f.dom, f.cod),
+                 "sub-family failed to sum")
     grouped = inst.sum2(family[0], tail)
     if grouped is None or grouped != total:
-        return "partition grouping changed the sum"
+        raise LawFailure("partition grouping changed the sum")
     empty = inst.family_sum([], f.dom, f.cod)
     if empty != pm.zero(f.dom, f.cod):
-        return "empty family must sum to zero"
+        raise LawFailure("empty family must sum to zero")
     single = inst.family_sum([f], f.dom, f.cod)
     if single != f:
-        return "singleton family must sum to its member"
-    return None
+        raise LawFailure("singleton family must sum to its member")
 
 
 ALL_LAWS: list[tuple[str, Law]] = [
@@ -1068,14 +1017,14 @@ def check_axioms(
         )
         counterexample = None
         cases = 0
-        for _ in range(config.cases):
+        while counterexample is None and cases < config.cases:
             cases += 1
             try:
-                counterexample = law(env)
+                law(env)
+            except LawFailure as exc:
+                counterexample = str(exc)
             except (StructureError, pm.ShapeError, pm.DegreeCapError) as exc:
                 counterexample = f"structural failure: {exc}"
-            if counterexample is not None:
-                break
         report.results.append(
             LawResult(name, counterexample is None, cases, counterexample)
         )

@@ -265,12 +265,3 @@ class _Parser:
 def parse_program(text: str) -> Program:
     """Parse a program file into a signature and its named terms."""
     return _Parser(tokenize(text)).parse_program()
-
-
-def parse_term_text(text: str) -> Term:
-    """Parse a single term, for tests and quick experiments."""
-    parser = _Parser(tokenize(text))
-    t = parser.parse_term()
-    if parser.peek().kind != "eof":
-        raise parser.error("trailing input after term")
-    return t

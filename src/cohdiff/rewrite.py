@@ -181,27 +181,16 @@ def _step_term(t: Term, under_pair: bool) -> Optional[StepInfo]:
     return None
 
 
-def step_root(t: Term) -> Optional[TermMultiset]:
-    """Contract the root redex when the term matches one of the six rules."""
-    m = _match_root(t)
-    return TermMultiset(m[1]) if m is not None else None
-
-
 def step(t: Term) -> Optional[TermMultiset]:
     """One contextual step; absent when no redex is soundly contractible."""
     info = _step_term(t, False)
     return TermMultiset(info.result) if info is not None else None
 
 
-def step_multiset(ms: TermMultiset) -> Optional[TermMultiset]:
-    """Reduce the first reducible member, keeping the others unchanged."""
-    detailed = step_multiset_detail(ms)
-    return detailed[0] if detailed is not None else None
-
-
 def step_multiset_detail(
     ms: TermMultiset,
 ) -> Optional[tuple[TermMultiset, str, tuple[int, ...]]]:
+    """Reduce the first reducible member, keeping the others unchanged."""
     offset = 0
     for t, mult in ms.items:
         info = _step_term(t, False)
@@ -210,7 +199,7 @@ def step_multiset_detail(
             for u, k in ms.items:
                 k = k - 1 if u == t else k
                 rest.extend([u] * k)
-            new = TermMultiset(rest).union(TermMultiset(info.result))
+            new = TermMultiset(rest + list(info.result))
             return new, info.rule, (offset,) + info.path
         offset += mult
     return None

@@ -1,9 +1,12 @@
+import io
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from cohdiff import polymap as pm
 from cohdiff.ccdc import LawConfig, check_axioms
+from cohdiff.cli import main
 from cohdiff.gen import (
     _build_model,
     default_pcs_model,
@@ -14,6 +17,7 @@ from cohdiff.gen import (
 from cohdiff.objects import Ground, d_space, product
 from cohdiff.pcs import PcsInstance, corrupted_sigma_instance
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 F = Fraction
 ONE = Ground("one", ("*",), ((F(1),),))
 
@@ -105,3 +109,37 @@ def test_theta_requires_left_summability():
     model = _build_model(inst, truncated_nat())
     report = run_suite(model, cases=4)
     assert not report.passed
+
+
+@pytest.mark.parametrize("seed", [0, 404])
+def test_corrupted_sigma_report_matches_golden(seed):
+    # Recorded before the law contract changed from returning to raising.
+    out = io.StringIO()
+    code = main(
+        ["laws", "--backend", "pcs-corrupt-sigma", "--cases", "10",
+         "--seed", str(seed)],
+        out=out,
+    )
+    assert code == 4
+    golden = GOLDEN / f"laws_pcs_corrupt_sigma_seed{seed}.txt"
+    assert out.getvalue() == golden.read_text()
+
+
+class _RefusingInstance(PcsInstance):
+    """Certifies nothing, so every law that needs a sum fails."""
+
+    name = "pcs-refusing"
+
+    def certify(self, candidate, expected=None):
+        return False
+
+
+def test_refused_summability_report_matches_golden():
+    # The pool is built on the plain instance: the generators need iota_0.
+    gens, multis, objs = law_generators(default_pcs_model(), seed=404)
+    report = check_axioms(
+        _RefusingInstance(), gens, multis, objs, LawConfig(404, 5)
+    )
+    lines = report.render_lines()
+    golden = GOLDEN / "laws_refusing_certify.txt"
+    assert "\n".join(lines) + "\n" == golden.read_text()

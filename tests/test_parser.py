@@ -1,6 +1,6 @@
 import pytest
 
-from cohdiff.parser import ParseError, parse_program, parse_term_text
+from cohdiff.parser import ParseError, _Parser, parse_program, tokenize
 from cohdiff.syntax import (
     App,
     DInj,
@@ -19,6 +19,15 @@ from cohdiff.syntax import (
 )
 
 A, B, C = ground("a"), ground("b"), ground("c")
+
+
+def parse_term_text(text):
+    """Parse a single term with the program parser's term grammar."""
+    parser = _Parser(tokenize(text))
+    t = parser.parse_term()
+    if parser.peek().kind != "eof":
+        raise parser.error("trailing input after term")
+    return t
 
 
 def test_fn_decl():

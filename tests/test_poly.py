@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from cohdiff import polymap as pm
-from cohdiff.objects import Ground, product, web
-from cohdiff.poly import PolyInstance, d_combinator, is_additive, is_linear
+from cohdiff.objects import Atom, Ground, product, tag_prod, untag_d, web
+from cohdiff.poly import PolyInstance
 
 F = Fraction
 
@@ -154,6 +154,43 @@ def test_additive_versus_linear_gap():
     assert not is_linear(affine)
     assert is_additive(triple)
     assert is_linear(triple)
+
+
+def _retag_d_to_prod(a: Atom) -> Atom:
+    """Relabel the outer D tag of an atom of DX as a product tag of X & X."""
+    i, inner = untag_d(a)
+    return tag_prod(i, inner)
+
+
+def d_combinator(f: pm.PolyMap) -> pm.PolyMap:
+    """The cartesian differential combinator d f : X & X -> Y, base point
+    left, direction right: the second component of Df transported along the
+    canonical relabelling web(DX) = web(X & X), so Df = <f . pi0, d f>."""
+    derivative = pm.compose(pm.proj(1, f.cod), pm.differential(f))
+    entries = {}
+    for (m, b), c in derivative.entries.items():
+        entries[(pm.mono(_retag_d_to_prod(a) for a in m), b)] = c
+    return pm.PolyMap(product(f.dom, f.dom), f.cod, entries)
+
+
+def is_additive(f: pm.PolyMap) -> bool:
+    """h . 0 = 0 and h pi0 + h pi1 = h sigma, with pi = pr on X & X."""
+    x = f.dom
+    if pm.compose(f, pm.zero(x, x)) != pm.zero(x, f.cod):
+        return False
+    pr0 = pm.prod_proj(0, x, x)
+    pr1 = pm.prod_proj(1, x, x)
+    both = pm.add(pm.compose(f, pr0), pm.compose(f, pr1))
+    diag = pm.add(pr0, pr1)
+    return both == pm.compose(f, diag)
+
+
+def is_linear(f: pm.PolyMap) -> bool:
+    """Additive and equal to its own derivative: d f = f . pr1."""
+    if not is_additive(f):
+        return False
+    pr1 = pm.prod_proj(1, f.dom, f.dom)
+    return d_combinator(f) == pm.compose(f, pr1)
 
 
 def directional_oracle(f: pm.PolyMap, x: dict, u: dict) -> dict:

@@ -4,10 +4,10 @@ from hypothesis import given, strategies as st
 from cohdiff.rewrite import (
     FuelExhausted,
     TermMultiset,
+    _match_root,
     normalize,
     step,
-    step_multiset,
-    step_root,
+    step_multiset_detail,
 )
 from cohdiff.syntax import (
     App,
@@ -37,6 +37,18 @@ def iota(i, t, d=0):
 
 def theta(n, t, d=0):
     return App(Theta(n), (0,) * d, (t,))
+
+
+def step_root(t):
+    """Contract the root redex when the term matches one of the six rules."""
+    m = _match_root(t)
+    return TermMultiset(m[1]) if m is not None else None
+
+
+def step_multiset(ms):
+    """The multiset after one step, absent when no member reduces."""
+    detailed = step_multiset_detail(ms)
+    return detailed[0] if detailed is not None else None
 
 
 def test_rule_pr_pair():
