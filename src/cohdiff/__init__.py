@@ -19,7 +19,6 @@ from .rewrite import (
     ReductionTrace,
     TermMultiset,
     normalize,
-    step,
 )
 from .semantics import (
     Model,
@@ -102,7 +101,6 @@ __all__ = [
     "normalize",
     "parse_program",
     "product",
-    "step",
     "term_str",
     "type_str",
     "typecheck",

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 
 from . import polymap as pm
 from .objects import (
-    Prod, Space, d_space, embed_slot, prodn, product, space_str, web,
+    Prod, Space, d_space, prodn, product, space_str,
 )
 from .polymap import PolyMap
 
@@ -186,13 +186,6 @@ class Instance:
             g if j == i else pm.identity(s) for j, s in enumerate(slots)
         ])
 
-    def var_proj(self, slots: Sequence[Space], i: int) -> PolyMap:
-        """Projection from the product of the slots onto slot i."""
-        n = len(slots)
-        return PolyMap(prodn(list(slots)), slots[i], {
-            ((embed_slot(i, n, a),), a): 1 for a in web(slots[i])
-        })
-
     def strength(self, slots: Sequence[Space], i: int) -> PolyMap:
         """phi_i = <(id ... pi0 at i ... id), (0 ... pi1 at i ... 0)>: the
         identity of D slots[i] at i, iota_0 = <id, 0> elsewhere."""
@@ -249,7 +242,6 @@ class LawResult:
 
 @dataclass
 class LawReport:
-    instance: str
     results: list[LawResult] = field(default_factory=list)
 
     @property
@@ -703,11 +695,10 @@ def _law_family_on_pairs(env: LawEnv) -> None:
             pm.pair_witness_matrix(x, v), pm.pair_witness_matrix(u, w)
         ),
     )
-    pair = inst.pair_witness(x, u)
     nil = pm.zero(x.dom, cod)
     _eq(
         "l . <x,u> = <<x,0>,<0,u>>",
-        pm.compose(inst.lift(cod), pair),
+        pm.compose(inst.lift(cod), inner0),
         pm.pair_witness_matrix(
             pm.pair_witness_matrix(x, nil), pm.pair_witness_matrix(nil, u)
         ),
@@ -838,7 +829,7 @@ def _law_proj_commute(env: LawEnv) -> None:
     i = rng.randrange(n)
     tail = [rng.randrange(n) for _ in range(d)]
     lhs_inner = inst.partial_derivative_word(f, list(slots), [i] + tail)
-    h = sum(1 for letter in tail if letter == i)
+    h = tail.count(i)
     for k in (0, 1):
         pk = pm.proj(k, f.cod)
         lhs = pm.compose(inst.d_morphism_n(pk, d), lhs_inner)
@@ -1006,7 +997,7 @@ def check_axioms(
     config = config or LawConfig()
     rng = random.Random(config.seed)
     pool = close_generators(inst, generators, rng, depth=config.closure_depth)
-    report = LawReport(inst.name)
+    report = LawReport()
     for name, law in laws or ALL_LAWS:
         env = LawEnv(
             inst=inst,

@@ -224,9 +224,7 @@ class TermGenerator:
                 n = len(ftype.args)
                 word = tuple(rng.randrange(n) for _ in range(h))
                 args = tuple(
-                    self.generate(
-                        d_type_n(a, sum(1 for w in word if w == i)), d
-                    )
+                    self.generate(d_type_n(a, word.count(i)), d)
                     for i, a in enumerate(ftype.args)
                 )
                 return App(UserFn(name), word, args)

@@ -38,6 +38,7 @@ from .syntax import (
     UserFn,
     Var,
     d_type,
+    fn_name,
 )
 
 
@@ -69,13 +70,10 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+# Frozen, so one instance of each serves every parsed application.
 _BUILTIN_FNS = {
-    "pi0": lambda: DProj(0),
-    "pi1": lambda: DProj(1),
-    "pr0": lambda: ProdProj(0),
-    "pr1": lambda: ProdProj(1),
-    "iota0": lambda: DInj(0),
-    "iota1": lambda: DInj(1),
+    fn_name(f): f
+    for f in (DProj(0), DProj(1), ProdProj(0), ProdProj(1), DInj(0), DInj(1))
 }
 
 _THETA_RE = re.compile(r"theta_([0-9]+)$")
@@ -83,7 +81,7 @@ _THETA_RE = re.compile(r"theta_([0-9]+)$")
 
 def _resolve_fn(name: str):
     if name in _BUILTIN_FNS:
-        return _BUILTIN_FNS[name]()
+        return _BUILTIN_FNS[name]
     m = _THETA_RE.match(name)
     if m:
         return Theta(int(m.group(1)))

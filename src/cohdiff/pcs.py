@@ -539,7 +539,8 @@ def build_symbol_matrix(
             mono_atoms.append(embed_slot(i, arity, slot_atom))
         key = (pm.mono(mono_atoms), out_atom)
         if key in matrix:
-            raise fault(pos, f"duplicate entry {key}")
+            written = f"({', '.join(slot_atoms)}) -> {out_text}"
+            raise fault(pos, f"duplicate entry {written}")
         matrix[key] = coeff
     result = PolyMap(dom, cod, matrix)
     if not inst.certify(result):

@@ -13,15 +13,16 @@ integral arithmetic runs on ints.
 
 Composition has a fast path for substitutions: when every entry of f is a
 one-atom monomial with coefficient 1 and no output atom repeats (projections,
-injections, var_proj, the strengths and their pairings), g . f renames the
+injections, the strengths and their pairings), g . f renames the
 atoms of g's monomials.  A monomial that reads a coordinate f does not
 produce is dropped; the others have their coefficients summed, with no
 series multiplication.  They are re-sorted only when the renaming does not
 keep atom_key order on g's domain (a swap of product sides, say); checked
 once per composition.  Every other map takes the series path.
 
-with_map and prod_pair are n-ary: they build f0 & ... & fn and <f0, ..., fn>
-in one pass with embed_slot; the binary forms are the case n = 2.
+with_map, prod_pair and prod_proj are n-ary: they build f0 & ... & fn,
+<f0, ..., fn> and pr_i out of prodn(slots) in one pass with embed_slot; the
+binary forms are the case n = 2.
 
 Composition raises DegreeCapError when a monomial of the composite would
 exceed DEGREE_CAP (16).  compose reads the module constant at call time, so
@@ -51,10 +52,8 @@ from .objects import (
     d_space,
     embed_slot,
     prodn,
-    product,
     space_str,
     tag_d,
-    tag_prod,
     web,
 )
 
@@ -314,10 +313,11 @@ def sigma(x: Space) -> PolyMap:
     return PolyMap(d_space(x), x, entries)
 
 
-def prod_proj(i: int, left: Space, right: Space) -> PolyMap:
-    src = product(left, right)
-    out = left if i == 0 else right
-    return PolyMap(src, out, {((tag_prod(i, a),), a): 1 for a in web(out)})
+def prod_proj(i: int, *slots: Space) -> PolyMap:
+    """pr_i : prodn(slots) -> slots[i], slot i's atoms placed by embed_slot."""
+    n = len(slots)
+    entries = {((embed_slot(i, n, a),), a): 1 for a in web(slots[i])}
+    return PolyMap(prodn(list(slots)), slots[i], entries)
 
 
 def prod_pair(*maps: PolyMap) -> PolyMap:

@@ -51,9 +51,6 @@ class TermMultiset:
             out.extend([t] * k)
         return out
 
-    def union(self, other: "TermMultiset") -> "TermMultiset":
-        return TermMultiset(self.terms() + other.terms())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TermMultiset):
             return NotImplemented
@@ -99,16 +96,12 @@ class FuelExhausted(Exception):
         self.trace = trace
 
 
-def _word_depth(t: App) -> int:
-    return len(t.word)
-
-
 def _match_root(t: Term) -> Optional[tuple[str, list[Term]]]:
     """Match one of the six rules at the root, returning the contractum."""
     if not isinstance(t, App):
         return None
     f = t.fn
-    d = _word_depth(t)
+    d = len(t.word)
     arg = t.args[0] if t.args else None
 
     if isinstance(f, ProdProj) and isinstance(arg, Pair):
@@ -148,7 +141,7 @@ def _match_root(t: Term) -> Optional[tuple[str, list[Term]]]:
         xi = arg.word[len(arg.word) - d :]
         j = arg.word[len(arg.word) - d - 1]
         rest = arg.word[: len(arg.word) - d - 1]
-        inner_depth = sum(1 for letter in xi if letter == j)
+        inner_depth = xi.count(j)
         new_args = list(arg.args)
         new_args[j] = App(DProj(f.i), (0,) * inner_depth, (new_args[j],))
         return "proj-app", [App(g, rest + xi, tuple(new_args))]
@@ -179,12 +172,6 @@ def _step_term(t: Term, under_pair: bool) -> Optional[StepInfo]:
                 rebuilt = Pair(u, t.t1) if j == 0 else Pair(t.t0, u)
                 return StepInfo(sub.rule, (j,) + sub.path, (rebuilt,))
     return None
-
-
-def step(t: Term) -> Optional[TermMultiset]:
-    """One contextual step; absent when no redex is soundly contractible."""
-    info = _step_term(t, False)
-    return TermMultiset(info.result) if info is not None else None
 
 
 def step_multiset_detail(

@@ -5,7 +5,9 @@ morphisms, and a decorated application f^w(...) to the iterated partial
 derivative D_w of the symbol's interpretation composed with the pairing of
 the argument interpretations.  The interpretation is compositional and
 types nothing: a user symbol's slots are read off the domain of its matrix,
-and a built-in's object off the codomain of its argument's morphism.  So
+and a built-in's object off the codomain of its argument's morphism, by
+stripping the word's D's and the built-in's own strips, as typecheck does.
+A variable and pr_i are both prod_proj out of a product of slots.  So
 interp_term takes a term that typechecks in its context, as every caller
 checks first; an ill-typed built-in raises ShapeError or TypeCheckError.
 The two executable theorems live here: the syntactic differential matches
@@ -44,7 +46,6 @@ from .syntax import (
     DProj,
     GroundType,
     Pair,
-    ProdProj,
     Signature,
     Term,
     Theta,
@@ -124,12 +125,11 @@ def interp_term(model: Model, ctx: Context, t: Term) -> PolyMap:
 
 
 def _interp(model: Model, ctx: Context, t: Term) -> PolyMap:
-    inst = model.inst
     if isinstance(t, Var):
         slots = _ctx_slots(model, ctx)
         for i, (name, _) in enumerate(ctx):
             if name == t.name:
-                return inst.var_proj(slots, i)
+                return pm.prod_proj(i, *slots)
         raise TypeCheckError(f"unbound variable {t.name!r}")
     if isinstance(t, Pair):
         return pm.prod_pair(
@@ -155,27 +155,21 @@ def _interp_app(model: Model, ctx: Context, t: App) -> PolyMap:
         lifted = inst.partial_derivative_word(base, slots, t.word)
         return pm.compose(lifted, pm.prod_pair(*arg_maps))
 
-    # Built-ins: the object parameter is the argument's codomain with the
-    # word's d D's stripped; then lift with D^d, which is D_w for an
-    # arity-1 symbol with |w| = d.
+    # Built-ins: f^(0...0) at depth d is D^d f, so the object is the
+    # argument's codomain with d D's and f's own stripped.
     x = arg_maps[0].cod
-    for _ in range(d):
+    for _ in range(d + f.strips):
         x = pm.strip_d_space(x)
     if isinstance(f, DProj):
-        base = pm.proj(f.i, pm.strip_d_space(x))
+        base = pm.proj(f.i, x)
     elif isinstance(f, DInj):
         base = inst.inj(f.i, x)
     elif isinstance(f, Theta):
-        a = x
-        for _ in range(f.n + 1):
-            a = pm.strip_d_space(a)
-        base = inst.theta_pow(a, f.n)
-    elif isinstance(f, ProdProj):
+        base = inst.theta_pow(x, f.n)
+    else:
         if not isinstance(x, Prod):
             raise TypeCheckError(f"pr applied to non-product {space_str(x)}")
         base = pm.prod_proj(f.i, x.left, x.right)
-    else:
-        raise TypeCheckError(f"not a function: {f!r}")
     return pm.compose(inst.d_morphism_n(base, d), arg_maps[0])
 
 

@@ -5,7 +5,9 @@ D(A & B) is stored as DA & DB and type equality is structural.  Terms are
 variables, pairs, and applications f^w(t0, ..., tn) of a function symbol
 decorated with a word w over the argument positions.  The built-ins pi,
 pr, iota and theta carry no type of their own: typecheck, the only code that
-types a term, reads their object off the argument's type.
+types a term, reads their object off the argument's type.  Each carries
+strips, the D's it strips from its argument beyond the word's (1 for pi,
+0 for iota and pr, n+1 for theta_n); the interpretation reads it too.
 """
 
 from __future__ import annotations
@@ -117,6 +119,7 @@ class DProj:
     """pi_i : DA -> A; A is read off the argument's type."""
 
     i: int
+    strips = 1
 
 
 @dataclass(frozen=True)
@@ -124,6 +127,7 @@ class ProdProj:
     """pr_i : A & B -> A (resp. B); arity 1, not 2."""
 
     i: int
+    strips = 0
 
 
 @dataclass(frozen=True)
@@ -131,6 +135,7 @@ class DInj:
     """iota_i : A -> DA."""
 
     i: int
+    strips = 0
 
 
 @dataclass(frozen=True)
@@ -142,6 +147,10 @@ class Theta:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("theta requires n >= 0")
+
+    @property
+    def strips(self) -> int:
+        return self.n + 1
 
 
 Function = Union[UserFn, DProj, ProdProj, DInj, Theta]
@@ -202,10 +211,6 @@ class App:
 Term = Union[Var, Pair, App]
 
 Context = tuple[tuple[str, Type], ...]
-
-
-def word_count(word: tuple[int, ...], letter: int) -> int:
-    return sum(1 for x in word if x == letter)
 
 
 def term_str(t: Term) -> str:
@@ -286,56 +291,42 @@ def _check_app(sig: Signature, ctx: Context, t: App) -> Type:
                     f"word letter {letter} out of range for arity {n}"
                 )
         for i, (ai, ti) in enumerate(zip(ftype.args, arg_types)):
-            expected = d_type_n(ai, word_count(t.word, i))
+            expected = d_type_n(ai, t.word.count(i))
             _expect(ti, expected, f"argument {i} of {f.name}")
         return d_type_n(ftype.result, len(t.word))
 
+    try:
+        strips = f.strips
+    except AttributeError:
+        raise TypeCheckError(f"not a function: {f!r}") from None
     # Built-ins all have arity 1; their word is over the single letter 0.
     if len(t.args) != 1:
         raise TypeCheckError(f"{fn_name(f)} expects 1 argument, got {len(t.args)}")
-    if any(letter != 0 for letter in t.word):
-        raise TypeCheckError(f"word letters of {fn_name(f)} must be 0")
     d = len(t.word)
+    if t.word.count(0) != d:
+        raise TypeCheckError(f"word letters of {fn_name(f)} must be 0")
+    # f^(0...0) at depth d is D^d f, so its object A is the argument's type
+    # with d D's and f's own stripped.
     ti = arg_types[0]
-
-    if isinstance(f, DProj):
-        stripped = try_strip_d_n(ti, d + 1)
-        if stripped is None:
-            raise TypeCheckError(
-                f"{fn_name(f)} with word depth {d} needs an argument of shape "
-                f"D^{d + 1} A, got {type_str(ti)}"
-            )
-        return d_type_n(stripped, d)
-    if isinstance(f, DInj):
-        if try_strip_d_n(ti, d) is None:
-            raise TypeCheckError(
-                f"{fn_name(f)} with word depth {d} needs an argument of shape "
-                f"D^{d} A, got {type_str(ti)}"
-            )
-        return d_type(ti)
-    if isinstance(f, Theta):
-        stripped = try_strip_d_n(ti, d + f.n + 1)
-        if stripped is None:
-            raise TypeCheckError(
-                f"{fn_name(f)} with word depth {d} needs an argument of shape "
-                f"D^{d + f.n + 1} A, got {type_str(ti)}"
-            )
-        return d_type_n(d_type(stripped), d)
-    if isinstance(f, ProdProj):
-        if not isinstance(ti, ProductType):
-            raise TypeCheckError(
-                f"{fn_name(f)} needs a product argument, got {type_str(ti)}"
-            )
-        if (
-            try_strip_d_n(ti.left, d) is None
-            or try_strip_d_n(ti.right, d) is None
-        ):
-            raise TypeCheckError(
-                f"{fn_name(f)} with word depth {d} needs an argument of shape "
-                f"D^{d} (A & B), got {type_str(ti)}"
-            )
-        return ti.left if f.i == 0 else ti.right
-    raise TypeCheckError(f"not a function: {f!r}")
+    a = try_strip_d_n(ti, d + strips)
+    if a is not None:
+        if isinstance(f, DInj):
+            return d_type(ti)
+        if isinstance(f, DProj):
+            return d_type_n(a, d)
+        if isinstance(f, Theta):
+            return d_type_n(a, d + 1)
+        if isinstance(ti, ProductType):
+            return ti.left if f.i == 0 else ti.right
+    is_pr = isinstance(f, ProdProj)
+    if is_pr and not isinstance(ti, ProductType):
+        raise TypeCheckError(
+            f"{fn_name(f)} needs a product argument, got {type_str(ti)}"
+        )
+    raise TypeCheckError(
+        f"{fn_name(f)} with word depth {d} needs an argument of shape "
+        f"D^{d + strips} {'(A & B)' if is_pr else 'A'}, got {type_str(ti)}"
+    )
 
 
 # ---------------------------------------------------------------------------

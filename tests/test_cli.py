@@ -177,6 +177,20 @@ def test_model_file_duplicate_block_is_model_error(tmp_path):
     ]
 
 
+def test_model_file_repeated_entry_is_named_as_written(tmp_path):
+    bad = tmp_path / "bad.pcsmodel"
+    text = (DEMO / "nat.pcsmodel").read_text()
+    entry = "  entry (0, L.0) -> 0 : 1;\n"
+    bad.write_text(text.replace(entry, entry + entry))
+    code, out = run(
+        "eval", str(DEMO / "nat.cohdiff"), "--model", str(bad), "--term", "branch"
+    )
+    assert code == 3
+    assert out.strip().splitlines() == [
+        "model error: 12:3: interp 'ifz': duplicate entry (0, L.0) -> 0"
+    ]
+
+
 def test_model_lacking_a_ground_type_is_model_error(tmp_path):
     program = tmp_path / "m.cohdiff"
     program.write_text("fn f : (M) -> M;\nterm t [x: M] = f(x);\n")

@@ -98,8 +98,8 @@ def test_interp_app_with_word_is_iterated_partial(pcs):
         pcs.symbols["bil"], [base, nn], (1, 0)
     )
     args = pm.prod_pair(
-        inst.var_proj([d_space(base), d_space(nn)], 0),
-        inst.var_proj([d_space(base), d_space(nn)], 1),
+        pm.prod_proj(0, d_space(base), d_space(nn)),
+        pm.prod_proj(1, d_space(base), d_space(nn)),
     )
     assert got == pm.compose(lifted, args)
 
@@ -291,12 +291,13 @@ def test_blocked_pair_split_redex_keeps_invariance(pcs):
     # untouched component would have to be summable with itself.  The
     # strategy therefore blocks that redex, and the naive contractum is
     # indeed not summable in the probabilistic model.
-    from cohdiff.rewrite import step
+    from cohdiff.rewrite import step_multiset_detail
 
     ctx = (("v", d_type_n(N, 2)), ("z", N))
     inner = App(DProj(1), (), (App(Theta(1), (), (Var("v"),)),))
     t = Pair(inner, Var("z"))
-    assert step(t) is None  # blocked, hence normal for the strategy
+    # blocked, hence normal for the strategy
+    assert step_multiset_detail(TermMultiset([t])) is None
     verdict = check_invariance(pcs, ctx, t, 50)
     assert verdict.holds and verdict.steps == 0
 

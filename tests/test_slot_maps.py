@@ -1,7 +1,7 @@
 """The n-ary slot maps against left folds of the binary constructors.
 
-with_map and prod_pair build an n-fold map in one pass with embed_slot, and
-var_proj, single_app, strength and c_n_inv are derived from them.  The
+with_map, prod_pair and prod_proj build an n-fold map in one pass with
+embed_slot, and single_app, strength and c_n_inv are derived from them.  The
 references below are the binary constructors and the folds over them that
 those functions replaced, written out here so that the check does not go
 through the code it checks.
@@ -15,7 +15,7 @@ import pytest
 from cohdiff import polymap as pm
 from cohdiff.ccdc import Instance
 from cohdiff.gen import default_pcs_model, law_generators
-from cohdiff.objects import d_space, prodn, product
+from cohdiff.objects import d_space, prodn, product, web
 
 MODEL = default_pcs_model()
 GENS, _, OBJECTS = law_generators(MODEL, seed=404)  # unit, N, N&N, DN, N&DN
@@ -45,6 +45,12 @@ def ref_prod_pair2(f0, f1):
     return pm.PolyMap(f0.dom, product(f0.cod, f1.cod), entries)
 
 
+def ref_prod_proj2(i, left, right):
+    out = (left, right)[i]
+    entries = {((("LR"[i], a),), a): 1 for a in web(out)}
+    return pm.PolyMap(product(left, right), out, entries)
+
+
 def fold(binary, maps):
     acc = maps[0]
     for m in maps[1:]:
@@ -61,15 +67,15 @@ def ref_single_app(slots, i, g, fill):
     return fold(ref_with_map2, maps)
 
 
-def ref_var_proj(slots, i):
+def ref_prod_proj(slots, i):
     n = len(slots) - 1
     if n == 0:
         return pm.identity(slots[0])
     prefix = prodn(list(slots[:-1]))
     if i == n:
-        return pm.prod_proj(1, prefix, slots[n])
+        return ref_prod_proj2(1, prefix, slots[n])
     return pm.compose(
-        ref_var_proj(slots[:-1], i), pm.prod_proj(0, prefix, slots[n])
+        ref_prod_proj(slots[:-1], i), ref_prod_proj2(0, prefix, slots[n])
     )
 
 
@@ -92,7 +98,7 @@ def test_derived_slot_maps_match_the_folds(n):
     for slots in (s for s in SLOT_TUPLES if len(s) == n):
         assert inst.c_n_inv(list(slots)) == ref_c_n_inv(slots), slots
         for i, s in enumerate(slots):
-            assert inst.var_proj(slots, i) == ref_var_proj(slots, i), (slots, i)
+            assert pm.prod_proj(i, *slots) == ref_prod_proj(slots, i), (slots, i)
             assert inst.strength(slots, i) == ref_strength(slots, i), (slots, i)
             lifted = pm.differential(pm.proj(1, s))
             for g in (pm.proj(0, s), pm.proj(1, s), lifted):
@@ -105,7 +111,7 @@ def test_derived_slot_maps_match_the_folds(n):
 def test_one_slot_maps_are_the_plain_maps():
     inst = Instance()
     for x in OBJECTS:
-        assert inst.var_proj([x], 0) == pm.identity(x)
+        assert pm.prod_proj(0, x) == pm.identity(x)
         assert inst.strength([x], 0) == pm.identity(d_space(x))
         assert inst.single_app([x], 0, pm.sigma(x)) == pm.sigma(x)
         f = pm.proj(1, x)

@@ -22,7 +22,6 @@ from cohdiff.syntax import (
     try_strip_d,
     type_str,
     typecheck,
-    word_count,
 )
 
 A = ground("a")
@@ -120,7 +119,7 @@ def test_word_bookkeeping(word):
     n = 2
     appended = tuple(word) + tuple(range(n, -1, -1))
     for i in range(n + 1):
-        assert word_count(appended, i) == word_count(tuple(word), i) + 1
+        assert appended.count(i) == word.count(i) + 1
 
 
 def test_type_str_parenthesizes_right_products():
