@@ -22,7 +22,7 @@ from .gen import (
     generate_typed_terms,
     law_generators,
 )
-from .objects import atom_key, atom_str, space_str, web
+from .objects import atom_str, space_str, web
 from .parser import ParseError, parse_program
 from .pcs import (
     ModelError,
@@ -201,7 +201,7 @@ def cmd_eval(args, out) -> int:
             print("warning: point is outside the domain space", file=out)
         value = matrix.eval(point)
         if value:
-            for atom in sorted(value, key=atom_key):
+            for atom in sorted(value):
                 print(f"value {atom_str(atom)} = {value[atom]}", file=out)
         else:
             print("value = 0", file=out)

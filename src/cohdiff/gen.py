@@ -40,7 +40,6 @@ from .syntax import (
     d_type_n,
     ground,
     strip_depth,
-    try_strip_d_n,
 )
 
 N = ground("N")
@@ -179,7 +178,7 @@ class TermGenerator:
         if sd >= 1:
             def make_iota(d, e=None):
                 e = rng.randint(0, min(sd - 1, 2)) if e is None else e
-                arg = self.generate(_strip(ty, 1), d)
+                arg = self.generate(d_type_n(ty, -1), d)
                 return App(DInj(rng.randint(0, 1)), (0,) * e, (arg,))
 
             opts += [make_iota, make_iota]
@@ -231,12 +230,6 @@ class TermGenerator:
 
             opts += [make_app, make_app]
         return opts
-
-
-def _strip(ty: Type, n: int) -> Type:
-    stripped = try_strip_d_n(ty, n)
-    assert stripped is not None
-    return stripped
 
 
 def generate_typed_terms(count: int, seed: int = 0, max_depth: int = 5):

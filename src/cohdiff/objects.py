@@ -6,7 +6,13 @@ reads, and composite spaces arise from the binary product and from the
 summable-pair construction D.  The terminal object is prodn([]), the empty
 web with one empty predual row, so that it is a valid PCS.  Atoms are token
 trees: a ground atom is a plain string, a product tags with "L"/"R", and D
-tags with "0"/"1".
+tags with "0"/"1", as a (tag, inner) tuple.
+
+Atoms of one space are ordered by Python's own comparison.  Two of them share
+a tag path until they differ at a tag ("0" < "1" < "L" < "R"), or they are
+two strings of one ground web, so a string is never compared with a tuple.
+web() lists atoms and a monomial lists its atoms in this order, and
+tag_d(0, -) keeps it, so D-tagging a sorted monomial leaves it sorted.
 
 D tags are pushed inside product tags, so that d_space(X & Y) and
 d_space(X) & d_space(Y) are the same space with the same atoms.  Both
@@ -127,15 +133,6 @@ def peel_product(space: Space, arity: int) -> list[Space]:
 
 
 @lru_cache(maxsize=None)
-def atom_key(a: Atom):
-    """Total order on atoms; ground strings sort before tagged atoms."""
-    if isinstance(a, str):
-        return (0, a)
-    tag, inner = a
-    return (1, tag, atom_key(inner))
-
-
-@lru_cache(maxsize=None)
 def tag_d(i: int, a: Atom) -> Atom:
     """Prefix a D tag, pushing it under any product tags."""
     if isinstance(a, tuple) and a[0] in _PROD_TAGS:
@@ -189,7 +186,7 @@ def web(space: Space) -> tuple[Atom, ...]:
         atoms += [("R", a) for a in web(space.right)]
     else:
         atoms = [tag_d(i, a) for i in (0, 1) for a in web(space.inner)]
-    return tuple(sorted(atoms, key=atom_key))
+    return tuple(sorted(atoms))
 
 
 def atom_str(a: Atom) -> str:

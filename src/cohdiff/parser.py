@@ -9,7 +9,7 @@ Grammar (UTF-8 text, '#' starts a line comment):
     term    ::= IDENT | "<" term "," term ">"
               | fname ["^[" NAT ("," NAT)* "]"] "(" [term ("," term)*] ")"
     fname   ::= IDENT | "pi0" | "pi1" | "pr0" | "pr1" | "iota0" | "iota1"
-              | "theta_" NAT
+              | "theta_" NAT        (NAT without leading zeros)
 
 D binds tighter than &, and & associates to the left.  An empty argument
 list in a fn declaration declares an arity-0 constant.
@@ -76,7 +76,7 @@ _BUILTIN_FNS = {
     for f in (DProj(0), DProj(1), ProdProj(0), ProdProj(1), DInj(0), DInj(1))
 }
 
-_THETA_RE = re.compile(r"theta_([0-9]+)$")
+_THETA_RE = re.compile(r"theta_(0|[1-9][0-9]*)$")
 
 
 def _resolve_fn(name: str):

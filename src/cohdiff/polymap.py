@@ -2,9 +2,9 @@
 
 A map f : X -> Y is stored as a dictionary from (monomial, output atom) to a
 nonzero exact rational, where a monomial is a finite multiset over the atoms
-of X (a sorted tuple).  Evaluation reads the entry (m, b) as the coefficient
-of x^m in the power series for coordinate b.  Composition is formal
-substitution of series.
+of X (a tuple sorted in the atom order of objects).  Evaluation reads the
+entry (m, b) as the coefficient of x^m in the power series for coordinate b.
+Composition is formal substitution of series.
 
 A coefficient is a plain int when it is integral and a Fraction only where a
 real denominator appears.  The two compare, hash and print alike, and the
@@ -17,7 +17,7 @@ injections, the strengths and their pairings), g . f renames the
 atoms of g's monomials.  A monomial that reads a coordinate f does not
 produce is dropped; the others have their coefficients summed, with no
 series multiplication.  They are re-sorted only when the renaming does not
-keep atom_key order on g's domain (a swap of product sides, say); checked
+keep the atom order on g's domain (a swap of product sides, say); checked
 once per composition.  Every other map takes the series path.
 
 with_map, prod_pair and prod_proj are n-ary: they build f0 & ... & fn,
@@ -27,11 +27,6 @@ binary forms are the case n = 2.
 Composition raises DegreeCapError when a monomial of the composite would
 exceed DEGREE_CAP (16).  compose reads the module constant at call time, so
 a test can lower it with monkeypatch.
-
-The engine relies on one invariant: a monomial is sorted by atom_key, and
-tag_d(0, -) preserves that order, so D-tagging a sorted monomial leaves it
-sorted.  atom_key and tag_d are cached, since the sorts call them for every
-atom of every monomial.
 
 The probabilistic backend restricts coefficients to be positive; the
 polynomial backend allows any nonzero rational.  Both use the same engine.
@@ -47,7 +42,6 @@ from .objects import (
     DPair,
     Prod,
     Space,
-    atom_key,
     atom_str,
     d_space,
     embed_slot,
@@ -72,7 +66,7 @@ class ShapeError(Exception):
 
 
 def mono(atoms: Iterable[Atom]) -> Mono:
-    return tuple(sorted(atoms, key=atom_key))
+    return tuple(sorted(atoms))
 
 
 class PolyMap:
@@ -124,10 +118,7 @@ class PolyMap:
 
     def render(self, limit: Optional[int] = None) -> str:
         lines = [f"map {space_str(self.dom)} -> {space_str(self.cod)}"]
-        keys = sorted(
-            self.entries,
-            key=lambda k: (atom_key(k[1]), tuple(atom_key(a) for a in k[0])),
-        )
+        keys = sorted(self.entries, key=lambda k: (k[1], k[0]))
         if limit is not None:
             keys = keys[:limit]
         for m, b in keys:
@@ -169,7 +160,7 @@ def _poly_mul(p: dict, q: dict, cap: int) -> dict:
         for m2, c2 in q.items():
             if len(m1) + len(m2) > cap:
                 raise _cap_error(len(m1) + len(m2), cap)
-            m = tuple(sorted(m1 + m2, key=atom_key)) if m1 and m2 else m1 or m2
+            m = tuple(sorted(m1 + m2)) if m1 and m2 else m1 or m2
             c = c1 * c2
             prev = out.get(m)
             out[m] = c if prev is None else prev + c
@@ -241,8 +232,8 @@ def _substitution(f: PolyMap) -> Optional[dict]:
 
 def _renamed_entries(g: PolyMap, renaming: dict, cap: int) -> Entries:
     """The entries of g . f for a substitution f, in the series path's order."""
-    keys = [atom_key(renaming[b]) for b in sorted(renaming, key=atom_key)]
-    in_order = all(k0 <= k1 for k0, k1 in zip(keys, keys[1:]))
+    images = [renaming[b] for b in sorted(renaming)]
+    in_order = all(a0 <= a1 for a0, a1 in zip(images, images[1:]))
     entries: Entries = {}
     for (p, c_out), coeff in g.entries.items():
         if len(p) > cap:
@@ -252,7 +243,7 @@ def _renamed_entries(g: PolyMap, renaming: dict, cap: int) -> Entries:
         except KeyError:
             continue  # p reads a coordinate f does not produce
         if not in_order and len(m) > 1:
-            m = tuple(sorted(m, key=atom_key))
+            m = tuple(sorted(m))
         key = (m, c_out)
         prev = entries.get(key)
         entries[key] = coeff if prev is None else prev + coeff

@@ -53,29 +53,13 @@ def d_type(a: Type) -> Type:
 
 
 def d_type_n(a: Type, n: int) -> Type:
-    for _ in range(n):
-        a = d_type(a)
-    return a
-
-
-def try_strip_d(a: Type) -> Optional[Type]:
-    """Inverse of d_type when every ground leaf has positive depth."""
+    """Add n to every ground depth: D^n, or for negative n the inverse of
+    D^-n, which needs strip_depth(a) >= -n."""
+    if n == 0:
+        return a
     if isinstance(a, GroundType):
-        return GroundType(a.depth - 1, a.symbol) if a.depth >= 1 else None
-    left = try_strip_d(a.left)
-    right = try_strip_d(a.right)
-    if left is None or right is None:
-        return None
-    return ProductType(left, right)
-
-
-def try_strip_d_n(a: Type, n: int) -> Optional[Type]:
-    for _ in range(n):
-        stripped = try_strip_d(a)
-        if stripped is None:
-            return None
-        a = stripped
-    return a
+        return GroundType(a.depth + n, a.symbol)
+    return ProductType(d_type_n(a.left, n), d_type_n(a.right, n))
 
 
 def strip_depth(a: Type) -> int:
@@ -306,16 +290,15 @@ def _check_app(sig: Signature, ctx: Context, t: App) -> Type:
     if t.word.count(0) != d:
         raise TypeCheckError(f"word letters of {fn_name(f)} must be 0")
     # f^(0...0) at depth d is D^d f, so its object A is the argument's type
-    # with d D's and f's own stripped.
+    # with d D's and f's own stripped; the result is D^d of f's codomain on A.
     ti = arg_types[0]
-    a = try_strip_d_n(ti, d + strips)
-    if a is not None:
+    if strip_depth(ti) >= d + strips:
         if isinstance(f, DInj):
             return d_type(ti)
         if isinstance(f, DProj):
-            return d_type_n(a, d)
+            return d_type_n(ti, -1)
         if isinstance(f, Theta):
-            return d_type_n(a, d + 1)
+            return d_type_n(ti, -f.n)
         if isinstance(ti, ProductType):
             return ti.left if f.i == 0 else ti.right
     is_pr = isinstance(f, ProdProj)

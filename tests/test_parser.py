@@ -116,6 +116,16 @@ def test_reserved_fn_names_rejected():
         parse_program("fn theta_3 : (a) -> a;")
 
 
+@pytest.mark.parametrize("name", ["theta_00", "theta_010"])
+def test_theta_with_leading_zero_is_an_ordinary_name(name):
+    prog = parse_program(f"fn {name} : (a) -> a;\nterm t [x: a] = {name}(x);")
+    _, t = prog.terms["t"]
+    assert t == App(UserFn(name), (), (Var("x"),))
+    assert term_str(t) == f"{name}(x)"
+    assert parse_term_text(term_str(t)) == t
+    assert parse_term_text("theta_10(x)") == App(Theta(10), (), (Var("x"),))
+
+
 def test_print_parse_roundtrip():
     text = "theta_1(f^[1,0](pi0(x), <iota0(y), pr1(z)>))"
     t = parse_term_text(text)

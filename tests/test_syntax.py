@@ -18,8 +18,8 @@ from cohdiff.syntax import (
     d_type_n,
     differentiate,
     ground,
+    strip_depth,
     term_str,
-    try_strip_d,
     type_str,
     typecheck,
 )
@@ -48,8 +48,8 @@ def test_d_type_mixed_depths():
 
 def test_d_type_strip_roundtrip():
     ty = ProductType(D(A, 2), D(B))
-    assert try_strip_d(d_type(ty)) == ty
-    assert try_strip_d(A) is None
+    assert d_type_n(d_type(ty), -1) == ty
+    assert strip_depth(A) == 0
 
 
 def test_typecheck_var():
@@ -150,7 +150,7 @@ types_strategy = st.recursive(
 def test_d_type_distributes_over_products(ty):
     if isinstance(ty, ProductType):
         assert d_type(ty) == ProductType(d_type(ty.left), d_type(ty.right))
-    assert try_strip_d(d_type(ty)) == ty
+    assert d_type_n(d_type(ty), -1) == ty
 
 
 @given(types_strategy, st.integers(min_value=0, max_value=3))
@@ -158,3 +158,5 @@ def test_d_type_iterates_depth(ty, k):
     lifted = d_type_n(ty, k)
     if isinstance(ty, GroundType):
         assert lifted == GroundType(ty.depth + k, ty.symbol)
+    assert strip_depth(lifted) == strip_depth(ty) + k
+    assert d_type_n(lifted, -k) == ty
