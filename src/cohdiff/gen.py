@@ -44,6 +44,7 @@ from .syntax import (
 
 N = ground("N")
 NN = ProductType(N, N)
+MAX_DEPTH = 5  # nesting depth of generated terms
 
 
 def truncated_nat(k: int = 2) -> Ground:
@@ -121,10 +122,9 @@ DEFAULT_CONTEXT: Context = (
 class TermGenerator:
     """Seeded generator of well-typed terms of bounded depth."""
 
-    def __init__(self, sig: Signature, seed: int = 0, max_depth: int = 5):
+    def __init__(self, sig: Signature, seed: int = 0):
         self.sig = sig
         self.rng = random.Random(seed)
-        self.max_depth = max_depth
 
     # -- fallbacks -----------------------------------------------------------
 
@@ -151,8 +151,7 @@ class TermGenerator:
 
     # -- generation ----------------------------------------------------------
 
-    def generate(self, ty: Type, depth: int | None = None) -> Term:
-        depth = self.max_depth if depth is None else depth
+    def generate(self, ty: Type, depth: int = MAX_DEPTH) -> Term:
         if depth <= 0:
             return self.filler(ty)
         options = self._options(ty)
@@ -176,8 +175,8 @@ class TermGenerator:
         sd = strip_depth(ty)
         # iota_i^(e): argument at strip(ty), any word depth e < strip depth.
         if sd >= 1:
-            def make_iota(d, e=None):
-                e = rng.randint(0, min(sd - 1, 2)) if e is None else e
+            def make_iota(d):
+                e = rng.randint(0, min(sd - 1, 2))
                 arg = self.generate(d_type_n(ty, -1), d)
                 return App(DInj(rng.randint(0, 1)), (0,) * e, (arg,))
 
@@ -217,8 +216,8 @@ class TermGenerator:
         if isinstance(ty, GroundType) and ty.symbol == "N" and ty.depth <= 3:
             h = ty.depth
 
-            def make_app(d, name=None):
-                name = name or rng.choice(list(self.sig.decls))
+            def make_app(d):
+                name = rng.choice(list(self.sig.decls))
                 ftype = self.sig.lookup(name)
                 n = len(ftype.args)
                 word = tuple(rng.randrange(n) for _ in range(h))
@@ -232,9 +231,9 @@ class TermGenerator:
         return opts
 
 
-def generate_typed_terms(count: int, seed: int = 0, max_depth: int = 5):
+def generate_typed_terms(count: int, seed: int = 0):
     """Yield (ctx, term, target type) triples, deterministically."""
-    gen = TermGenerator(default_signature(), seed=seed, max_depth=max_depth)
+    gen = TermGenerator(default_signature(), seed=seed)
     targets = [
         N,
         d_type(N),

@@ -14,19 +14,24 @@ integral arithmetic runs on ints.
 Composition has a fast path for substitutions: when every entry of f is a
 one-atom monomial with coefficient 1 and no output atom repeats (projections,
 injections, the strengths and their pairings), g . f renames the
-atoms of g's monomials.  A monomial that reads a coordinate f does not
-produce is dropped; the others have their coefficients summed, with no
-series multiplication.  They are re-sorted only when the renaming does not
-keep the atom order on g's domain (a swap of product sides, say); checked
-once per composition.  Every other map takes the series path.
+atoms of g's monomials and sums their coefficients, with no series
+multiplication.  Renamed monomials are re-sorted only when the renaming does
+not keep the atom order on g's domain (a swap of product sides, say); checked
+once per composition.  Every other map takes the series path.  On both paths
+a monomial of g that reads a coordinate f does not produce substitutes to 0
+and is skipped first.
 
 with_map, prod_pair and prod_proj are n-ary: they build f0 & ... & fn,
 <f0, ..., fn> and pr_i out of prodn(slots) in one pass with embed_slot; the
 binary forms are the case n = 2.
 
-Composition raises DegreeCapError when a monomial of the composite would
-exceed DEGREE_CAP (16).  compose reads the module constant at call time, so
-a test can lower it with monkeypatch.
+The degree cap is one rule on each monomial p of g.  With k_b copies of atom
+b in p, and deg_b the largest monomial degree in f's series for b,
+substituting p gives a polynomial of degree exactly d = sum k_b * deg_b: over
+the rationals the top terms of nonzero series never cancel.  compose raises
+DegreeCapError naming d when d > DEGREE_CAP (16), before it multiplies
+anything.  It reads the module constant at call time, so a test can lower it
+with monkeypatch.
 
 The probabilistic backend restricts coefficients to be positive; the
 polynomial backend allows any nonzero rational.  Both use the same engine.
@@ -109,13 +114,6 @@ class PolyMap:
                 _add_to(out, b, val)
         return {b: v for b, v in out.items() if v != 0}
 
-    def coordinate_polys(self) -> dict:
-        """Group entries by output atom: {b: {mono: coeff}}."""
-        polys: dict = {}
-        for (m, b), c in self.entries.items():
-            polys.setdefault(b, {})[m] = c
-        return polys
-
     def render(self, limit: Optional[int] = None) -> str:
         lines = [f"map {space_str(self.dom)} -> {space_str(self.cod)}"]
         keys = sorted(self.entries, key=lambda k: (k[1], k[0]))
@@ -154,17 +152,15 @@ def _add_to(acc: dict, key, c) -> None:
     acc[key] = c if prev is None else prev + c
 
 
-def _poly_mul(p: dict, q: dict, cap: int) -> dict:
+def _poly_mul(p: dict, q: dict) -> dict:
     out: dict = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
-            if len(m1) + len(m2) > cap:
-                raise _cap_error(len(m1) + len(m2), cap)
             m = tuple(sorted(m1 + m2)) if m1 and m2 else m1 or m2
             c = c1 * c2
             prev = out.get(m)
             out[m] = c if prev is None else prev + c
-    return {m: c for m, c in out.items() if c != 0}
+    return out
 
 
 def compose(g: PolyMap, f: PolyMap) -> PolyMap:
@@ -183,7 +179,10 @@ def compose(g: PolyMap, f: PolyMap) -> PolyMap:
 
 def _series_entries(g: PolyMap, f: PolyMap, cap: int) -> Entries:
     """The entries of g . f by multiplying out f's coordinate series."""
-    f_polys = f.coordinate_polys()
+    f_polys: dict = {}  # {b: {mono: coeff}}
+    for (m, b), c in f.entries.items():
+        f_polys.setdefault(b, {})[m] = c
+    degree = {b: max(map(len, poly)) for b, poly in f_polys.items()}
     entries: Entries = {}
     # Cache powers of each coordinate series of f as they are needed.
     pow_cache: dict = {}
@@ -193,18 +192,22 @@ def _series_entries(g: PolyMap, f: PolyMap, cap: int) -> Entries:
         if key in pow_cache:
             return pow_cache[key]
         if k == 1:
-            result = f_polys.get(b, {})
+            result = f_polys[b]
         else:
-            result = _poly_mul(coord_pow(b, k - 1), f_polys.get(b, {}), cap)
+            result = _poly_mul(coord_pow(b, k - 1), f_polys[b])
         pow_cache[key] = result
         return result
 
     for (p, c_out), coeff in g.entries.items():
+        counts = _counts(p)
+        if not counts.keys() <= degree.keys():
+            continue  # p reads a coordinate f does not produce
+        d = sum([k * degree[b] for b, k in counts.items()])
+        if d > cap:
+            raise _cap_error(d, cap)
         acc = {(): coeff}
-        for b, k in _counts(p).items():
-            acc = _poly_mul(acc, coord_pow(b, k), cap)
-            if not acc:
-                break
+        for b, k in counts.items():
+            acc = _poly_mul(acc, coord_pow(b, k))
         for m, c in acc.items():
             key = (m, c_out)
             prev = entries.get(key)
@@ -236,31 +239,18 @@ def _renamed_entries(g: PolyMap, renaming: dict, cap: int) -> Entries:
     in_order = all(a0 <= a1 for a0, a1 in zip(images, images[1:]))
     entries: Entries = {}
     for (p, c_out), coeff in g.entries.items():
-        if len(p) > cap:
-            _check_renamed_cap(p, renaming, cap)
         try:
             m = tuple([renaming[b] for b in p])
         except KeyError:
             continue  # p reads a coordinate f does not produce
+        if len(m) > cap:
+            raise _cap_error(len(m), cap)
         if not in_order and len(m) > 1:
             m = tuple(sorted(m))
         key = (m, c_out)
         prev = entries.get(key)
         entries[key] = coeff if prev is None else prev + coeff
     return entries
-
-
-def _check_renamed_cap(p: Mono, renaming: dict, cap: int) -> None:
-    """Raise the DegreeCapError the series path raises on p, if any."""
-    degree = 0
-    for b, k in _counts(p).items():
-        if b not in renaming:
-            return
-        if k > cap:
-            raise _cap_error(cap + 1, cap)
-        degree += k
-        if degree > cap:
-            raise _cap_error(degree, cap)
 
 
 def _cap_error(degree: int, cap: int) -> DegreeCapError:

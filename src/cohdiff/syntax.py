@@ -41,8 +41,8 @@ class ProductType:
 Type = Union[GroundType, ProductType]
 
 
-def ground(symbol: str, depth: int = 0) -> GroundType:
-    return GroundType(depth, symbol)
+def ground(symbol: str) -> GroundType:
+    return GroundType(0, symbol)
 
 
 def d_type(a: Type) -> Type:

@@ -48,6 +48,12 @@ def test_diff_prints_term_and_type():
     assert "type : D D D c" in text
 
 
+def test_diff_unknown_variable_is_type_error():
+    code, text = run("diff", str(DEMO / "basic.cohdiff"), "--term", "u", "--var", "z")
+    assert code == 1
+    assert text == "error: variable 'z' not in the context of 'u'\n"
+
+
 def test_reduce_trace_and_normal_form():
     code, text = run(
         "reduce", str(DEMO / "basic.cohdiff"), "--term", "v", "--trace"
@@ -63,6 +69,18 @@ def test_reduce_fuel_exhausted_exit_code():
     )
     assert code == 2
     assert "fuel exhausted" in text
+
+
+def test_reduce_trace_stops_when_fuel_runs_out():
+    code, text = run(
+        "reduce", str(DEMO / "basic.cohdiff"), "--term", "v", "--trace",
+        "--fuel", "1",
+    )
+    assert code == 2
+    assert text.splitlines() == [
+        "#1 pi0-theta @ 0 : [pi0(pi0(iota0(iota0(x))))]",
+        "fuel exhausted after 1 steps",
+    ]
 
 
 def test_reduce_env_fuel_override(monkeypatch):
@@ -299,6 +317,24 @@ def test_linear_interp_escaping_at_a_vertex_is_model_error(tmp_path):
     ]
 
 
+@pytest.mark.xfail(strict=True, reason="probes miss the vertex pair (e_a, e_b)")
+def test_bilinear_interp_escaping_at_a_vertex_pair_is_model_error(tmp_path):
+    # 2 x_a y_b reaches 2 at the vertex pair (e_a, e_b) of N & N, but no
+    # probe of the product comes near it, so the matrix is certified.
+    program = tmp_path / "pair.cohdiff"
+    program.write_text("fn f : (N, N) -> N;\nterm t [x: N, y: N] = f(x, y);\n")
+    model = tmp_path / "pair.pcsmodel"
+    model.write_text(
+        "object N { web=[a,b,c,d,e]; predual=[[1,1,1,1,1]]; }\n"
+        "interp f { entry (a, b) -> a : 2; }\n"
+    )
+    code, _ = run(
+        "eval", str(program), "--model", str(model), "--term", "t",
+        "--at", "L.a=1,R.b=1",
+    )
+    assert code == 3
+
+
 @pytest.mark.parametrize(
     "role, kind, code, prefix",
     [
@@ -338,6 +374,12 @@ def test_laws_negative_control_exit_code():
     )
     assert code == 4
     assert "LAW D-zero FAIL" in text
+
+
+def test_laws_zero_cases_is_usage_error():
+    code, text = run("laws", "--cases", "0")
+    assert code == 5
+    assert text == "error: case count must be >= 1\n"
 
 
 def test_theorems_subcommand():

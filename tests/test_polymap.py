@@ -267,22 +267,44 @@ def test_substitution_degree_cap_matches_series(monkeypatch):
     a, b = "0", "1"
     only_a = pm.PolyMap(N, N, {((a,), a): F(1)})
     both = pm.identity(N)
+    # f_a = a + a^2 has degree 2 and f_b = b degree 1, so a^2 b substitutes
+    # to degree 2 * 2 + 1; curved takes the series path only.
+    curved = pm.PolyMap(N, N, {((a,), a): F(1), ((a, a), a): F(1), ((b,), b): F(1)})
+
+    def g(m):
+        return pm.PolyMap(N, ONE, {(m, "*"): F(1)})
+
+    def cap(d):
+        return ("cap", f"monomial degree {d} exceeds cap 3")
+
     cases = [
-        (both, (a,) * 4),  # over the cap
-        (both, (a,) * 5),  # the series path stops at the first power over it
-        (both, (a, a, b, b)),  # over the cap across two atoms
-        (only_a, (a, a, a, a, b)),  # mapped prefix already over the cap
-        (only_a, (a, a, b, b, b)),  # missing atom met before the cap
-        (only_a, (a, a, a)),  # at the cap
+        (both, (a,) * 4, cap(4)),  # over the cap
+        (both, (a,) * 5, cap(5)),  # the error names the full degree
+        (both, (a, a, b, b), cap(4)),  # over the cap across two atoms
+        (only_a, (a, a, a, a, b), pm.zero(N, ONE)),  # unproduced: 0, not capped
+        (only_a, (a, a, b, b, b), pm.zero(N, ONE)),
+        (only_a, (a, a, a), g((a, a, a))),  # at the cap
+        (curved, (a, a, b), cap(5)),
     ]
     with monkeypatch.context() as patch:
         patch.setattr(pm, "DEGREE_CAP", 3)
-        for f, m in cases:
-            g = pm.PolyMap(N, ONE, {(m, "*"): F(1)})
-            fast = _outcome(lambda: pm.compose(g, f))
-            assert fast == _outcome(lambda: _series(g, f, cap=3))
+        for f, m, expected in cases:
+            assert _outcome(lambda: pm.compose(g(m), f)) == expected
+            assert _outcome(lambda: _series(g(m), f, cap=3)) == expected
     with pytest.raises(pm.DegreeCapError):
-        pm.compose(pm.PolyMap(N, ONE, {((a,) * 17, "*"): F(1)}), both)
+        pm.compose(g((a,) * 17), both)
+
+
+def test_series_cancellation_leaves_no_zero_entry():
+    # u = x + y and v = x - y, so u v = x^2 - y^2: the x y terms cancel.
+    x, y = "0", "1"
+    f = pm.PolyMap(
+        N, N,
+        {((x,), "0"): 1, ((y,), "0"): 1, ((x,), "1"): 1, ((y,), "1"): -1},
+    )
+    uv = pm.PolyMap(N, ONE, {(("0", "1"), "*"): 1})
+    assert pm._substitution(f) is None
+    assert pm.compose(uv, f).entries == {((x, x), "*"): 1, ((y, y), "*"): -1}
 
 
 def test_order_reversing_substitutions_sort_like_series():

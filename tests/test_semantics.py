@@ -1,17 +1,22 @@
+import io
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from cohdiff import polymap as pm
+from cohdiff import rewrite
+from cohdiff.cli import main
 from cohdiff.gen import (
     DEFAULT_CONTEXT,
+    _build_model,
     default_pcs_model,
     default_poly_model,
     generate_typed_terms,
+    truncated_nat,
 )
 from cohdiff.objects import d_space, prodn, product
-from cohdiff.pcs import ModelError
+from cohdiff.pcs import ModelError, PcsInstance, corrupted_sigma_instance
 from cohdiff.rewrite import TermMultiset
 from cohdiff.semantics import (
     Model,
@@ -241,6 +246,71 @@ def test_invariance_verdict_render_format(pcs):
         "THEOREM semantic-invariance VIOLATED term=t (fuel exhausted)\n"
         "  step 2: x"
     )
+
+
+# ---------------------------------------------------------------------------
+# Negative controls: each theorem check reaches VIOLATED on a broken model or
+# a broken rewrite rule.
+
+CTX_XP = (("x", N), ("p", ProductType(N, N)))
+
+
+def test_diff_theorem_violated_under_corrupted_sigma():
+    # d bil(x, p) / dx carries theta_1, which is built through sigma.
+    model = _build_model(corrupted_sigma_instance(), truncated_nat())
+    t = App(UserFn("bil"), (), (Var("x"), Var("p")))
+    verdict = check_diff_theorem(model, CTX_XP, t, "x")
+    assert not verdict.holds
+    assert verdict.render().startswith(
+        "THEOREM differential VIOLATED term=bil(x, p)\n  lhs map "
+    )
+
+
+def test_invariance_violated_by_a_wrong_rewrite_rule(pcs, monkeypatch):
+    match_root = rewrite._match_root
+
+    def wrong(t):  # pi1(iota0(t)) -> [t] instead of []
+        hit = match_root(t)
+        if hit is not None and hit[0] == "pi-iota-other":
+            return hit[0], [t.args[0].args[0]]
+        return hit
+
+    monkeypatch.setattr(rewrite, "_match_root", wrong)
+    t = App(DProj(1), (), (App(DInj(0), (), (Var("x"),)),))
+    verdict = check_invariance(pcs, (("x", N),), t, 10)
+    assert not verdict.holds and verdict.steps == 1
+    assert verdict.detail == "step 1: interpretation changed at [x]"
+    out = io.StringIO()
+    assert main(["theorems", "--cases", "3"], out=out) == 4
+    lines = out.getvalue().splitlines()
+    assert any(
+        line.startswith("[pcs] THEOREM semantic-invariance VIOLATED ")
+        for line in lines
+    )
+    assert lines[-1] == "checked 3 terms: violations found"
+
+
+class _NothingSums(PcsInstance):
+    def family_sum(self, maps, dom, cod, expected=None):
+        return None
+
+
+def test_invariance_violated_when_a_step_is_not_summable():
+    model = _build_model(_NothingSums(), truncated_nat())
+    x, p = Var("x"), Var("p")
+
+    def iota0(t):
+        return App(DInj(0), (), (t,))
+
+    def pr(i):
+        return iota0(App(ProdProj(i), (), (p,)))
+
+    inner = App(UserFn("bil"), (1, 0), (iota0(x), Pair(pr(0), pr(1))))
+    t = App(DProj(1), (), (App(Theta(1), (), (inner,)),))
+    verdict = check_invariance(model, CTX_XP, t, 50)
+    assert not verdict.holds and verdict.steps == 1
+    assert verdict.detail.startswith("step 1: multiset [pi0(pi1(bil^[1,0](")
+    assert verdict.detail.endswith("] is not summable")
 
 
 def test_model_validation_rejects_non_multilinear(pcs):

@@ -104,6 +104,15 @@ def test_differentiate_app_clause():
     assert dt == App(Theta(1), (), (inner,))
 
 
+def test_differentiate_constant_is_a_foreign_term():
+    sig = Signature({"k": FunctionType((), A)})
+    ctx = (("x", B),)
+    k = App(UserFn("k"))
+    dk = differentiate(k, "x")
+    assert dk == App(DInj(0), (), (k,))
+    assert typecheck(sig, (("x", D(B)),), dk) == d_type(typecheck(sig, ctx, k))
+
+
 def test_differentiate_preserves_typing():
     sig = Signature({"f": FunctionType((A, B), C)})
     ctx = (("y", B), ("x", A))
