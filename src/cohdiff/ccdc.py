@@ -13,6 +13,9 @@ method so that a negative control can corrupt it.  Everything else
 (injections, the monad sum theta, the lift l, the swap c, strengths, partial
 derivatives, n-ary sums) is derived here, and check_axioms verifies the
 axioms and the derived theorems on any instance by exact morphism equality.
+The partial derivative D_i f = Df . phi_i is computed in one pass by
+polymap.partial_differential, without building Df or the strength phi_i;
+strength stays for the strength-comm law and as the tests' reference.
 A law draws its case through LawEnv and fails by raising LawFailure;
 check_axioms records the first failing case's message and stops the law.
 """
@@ -188,7 +191,9 @@ class Instance:
 
     def strength(self, slots: Sequence[Space], i: int) -> PolyMap:
         """phi_i = <(id ... pi0 at i ... id), (0 ... pi1 at i ... 0)>: the
-        identity of D slots[i] at i, iota_0 = <id, 0> elsewhere."""
+        identity of D slots[i] at i, iota_0 = <id, 0> elsewhere.
+        partial_derivative does not build it; the strength-comm law and
+        the tests' reference for D_i f do."""
         return pm.with_map(*[
             pm.identity(d_space(s)) if j == i
             else pm.pair_witness_matrix(pm.identity(s), pm.zero(s, s))
@@ -198,14 +203,15 @@ class Instance:
     def partial_derivative(
         self, f: PolyMap, slots: Sequence[Space], i: int
     ) -> PolyMap:
-        """D_i f = D f . phi_i for f out of the product of the slots."""
+        """D_i f = D f . phi_i for f out of the product of the slots,
+        computed in one pass over f's entries by partial_differential."""
         if not 0 <= i < len(slots):
             raise IndexError(f"slot {i} out of range for {len(slots)} slots")
         if prodn(list(slots)) != f.dom:
             raise pm.ShapeError(
                 f"slots do not assemble to the domain {space_str(f.dom)}"
             )
-        return pm.compose(pm.differential(f), self.strength(slots, i))
+        return pm.partial_differential(f, slots, i)
 
     def partial_derivative_word(
         self, f: PolyMap, slots: Sequence[Space], word: Sequence[int]

@@ -171,10 +171,11 @@ def _parse_point(text: str, known: set) -> dict:
         piece = piece.strip()
         if not piece:
             continue
-        if "=" not in piece:
+        path, eq, value = piece.partition("=")
+        path = path.strip()
+        if not eq or not path:
             raise ModelError(f"bad point entry {piece!r}, want atom=p/q")
-        path, _, value = piece.partition("=")
-        atom = _parse_atom(path.strip())
+        atom = _parse_atom(path)
         coeff = _parse_rational(value)
         if atom not in known:
             raise ModelError(f"point atom outside the context web: {atom_str(atom)}")

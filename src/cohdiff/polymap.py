@@ -25,6 +25,11 @@ with_map, prod_pair and prod_proj are n-ary: they build f0 & ... & fn,
 <f0, ..., fn> and pr_i out of prodn(slots) in one pass with embed_slot; the
 binary forms are the case n = 2.
 
+There is one differentiation loop, partial_differential(f, slots, i).  It
+builds the partial derivative D_i f = Df . phi_i in one pass over f's
+entries: atoms of slot i are 0-tagged, the others kept, and only slot i's
+atoms give derivative monomials.  differential(f) is its one-slot case.
+
 The degree cap is one rule on each monomial p of g.  With k_b copies of atom
 b in p, and deg_b the largest monomial degree in f's series for b,
 substituting p gives a polynomial of degree exactly d = sum k_b * deg_b: over
@@ -40,7 +45,7 @@ polynomial backend allows any nonzero rational.  Both use the same engine.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .objects import (
     Atom,
@@ -259,25 +264,45 @@ def _cap_error(degree: int, cap: int) -> DegreeCapError:
 
 def differential(f: PolyMap) -> PolyMap:
     """D on maps: Df = (f(x), sum_a m(a) x^(m-[a]) u_a) over the D-tagged webs."""
-    dd = d_space(f.dom)
-    dc = d_space(f.cod)
+    return partial_differential(f, [f.dom], 0)
+
+
+def partial_differential(f: PolyMap, slots: Sequence[Space], i: int) -> PolyMap:
+    """D_i f : prodn(slots with D at i) -> D(cod), for f out of prodn(slots).
+
+    D f . phi_i in one pass: slot i's atoms are 0-tagged and the others kept,
+    and only slot i's atoms a give the 1-tagged terms m(a) x^(m-[a]) u_a."""
+    n = len(slots)
+    dslots = list(slots)
+    dslots[i] = d_space(slots[i])
+    # None when the whole domain is slot i, so no atom needs the test.
+    in_slot = (
+        None if n == 1 else {embed_slot(i, n, a) for a in web(slots[i])}
+    )
     # No key repeats: tag_d is injective, and a derivative monomial's one
     # 1-tagged atom names the atom a it came from.
     entries: Entries = {}
     for (m, b), c in f.entries.items():
-        base = tuple([tag_d(0, a) for a in m])  # stays sorted
+        # Stays sorted: tag_d(0, -) keeps the order within slot i, and
+        # atoms of different slots differ at a product tag.
+        if in_slot is None:
+            base = tuple([tag_d(0, a) for a in m])
+        else:
+            base = tuple([tag_d(0, a) if a in in_slot else a for a in m])
         entries[(base, tag_d(0, b))] = c
         d_out = tag_d(1, b)
         for idx, a in enumerate(m):
             if idx and m[idx - 1] == a:
                 continue  # equal atoms are adjacent; count each once
+            if in_slot is not None and a not in in_slot:
+                continue
             if len(m) == 1:
                 mm = (tag_d(1, a),)
             else:
                 mm = mono(base[:idx] + base[idx + 1 :] + (tag_d(1, a),))
             mult = m.count(a)
             entries[(mm, d_out)] = c * mult if mult > 1 else c
-    return PolyMap(dd, dc, entries)
+    return PolyMap(prodn(dslots), d_space(f.cod), entries)
 
 
 def proj(i: int, x: Space) -> PolyMap:

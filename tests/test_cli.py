@@ -144,6 +144,7 @@ def test_eval_model_error_exit_code(tmp_path):
         ("L.9=1", "point atom outside the context web: L.9"),
         ("L.0=-1", "negative coordinate at L.0"),
         ("L.0=1,L.0=2", "point gives L.0 twice"),
+        ("=1", "bad point entry '=1', want atom=p/q"),
     ],
 )
 def test_eval_bad_point_is_model_error(at, message):
@@ -386,6 +387,17 @@ def test_theorems_subcommand():
     code, text = run("theorems", "--cases", "4", "--seed", "5")
     assert code == 0
     assert "all theorems hold" in text
+
+
+def test_theorems_verbose_matches_golden():
+    # Every THEOREM line of the README's theorems command, byte for byte.
+    code, text = run(
+        "theorems", "--backend", "both", "--cases", "50", "--seed", "0",
+        "--verbose",
+    )
+    assert code == 0
+    golden = ROOT / "tests" / "golden" / "theorems_both_seed0.txt"
+    assert text == golden.read_text()
 
 
 def test_unknown_term_is_usage_error():

@@ -5,17 +5,22 @@ embed_slot, and single_app, strength and c_n_inv are derived from them.  The
 references below are the binary constructors and the folds over them that
 those functions replaced, written out here so that the check does not go
 through the code it checks.
+
+partial_differential builds D_i f = Df . phi_i in one pass, and differential is
+its one-slot case, so its reference is the composite itself over a copy of
+the whole-domain differential loop it replaced.
 """
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from cohdiff import polymap as pm
 from cohdiff.ccdc import Instance
 from cohdiff.gen import default_pcs_model, law_generators
-from cohdiff.objects import d_space, prodn, product, web
+from cohdiff.objects import d_space, embed_slot, prodn, product, tag_d, web
 
 MODEL = default_pcs_model()
 GENS, _, OBJECTS = law_generators(MODEL, seed=404)  # unit, N, N&N, DN, N&DN
@@ -138,3 +143,94 @@ def test_prod_pair_needs_a_common_domain():
         pm.prod_pair(pm.identity(x), pm.identity(y))
     with pytest.raises(pm.ShapeError):
         pm.prod_pair(pm.identity(x), pm.identity(x), pm.identity(y))
+
+
+def ref_differential(f):
+    """Df over the whole domain: the loop differential ran before it became
+    the one-slot case of partial_differential."""
+    entries = {}
+    for (m, b), c in f.entries.items():
+        base = tuple([tag_d(0, a) for a in m])
+        entries[(base, tag_d(0, b))] = c
+        d_out = tag_d(1, b)
+        for idx, a in enumerate(m):
+            if idx and m[idx - 1] == a:
+                continue
+            if len(m) == 1:
+                mm = (tag_d(1, a),)
+            else:
+                mm = pm.mono(base[:idx] + base[idx + 1 :] + (tag_d(1, a),))
+            mult = m.count(a)
+            entries[(mm, d_out)] = c * mult if mult > 1 else c
+    return pm.PolyMap(d_space(f.dom), d_space(f.cod), entries)
+
+
+def ref_partial(f, slots, i):
+    return pm.compose(ref_differential(f), Instance().strength(slots, i))
+
+
+BASE = MODEL.grounds["N"]
+PARTIAL_OBJECTS = [
+    BASE, d_space(BASE), product(BASE, BASE), d_space(product(BASE, BASE))
+]
+PARTIAL_SLOTS = [
+    slots
+    for n in (1, 2, 3)
+    for slots in itertools.product(PARTIAL_OBJECTS, repeat=n)
+]
+
+
+def seeded_map(rng, slots):
+    """A sparse map out of prodn(slots) into N with int or Fraction
+    coefficients; its first monomial repeats one atom of every slot."""
+    dom = prodn(list(slots))
+    n = len(slots)
+    atoms = web(dom)
+    cod = web(BASE)
+    repeated = [
+        embed_slot(j, n, rng.choice(web(s)))
+        for j, s in enumerate(slots)
+        for _ in range(2)
+    ]
+    entries = {(pm.mono(repeated), rng.choice(cod)): rng.randint(1, 4)}
+    for _ in range(rng.randint(2, 6)):
+        m = pm.mono(rng.choice(atoms) for _ in range(rng.randint(0, 3)))
+        c = rng.choice([rng.randint(1, 5), Fraction(rng.randint(1, 5), 7)])
+        entries[(m, rng.choice(cod))] = c
+    return pm.PolyMap(dom, BASE, entries)
+
+
+def test_differential_is_the_whole_domain_loop():
+    rng = random.Random(5)
+    for x in PARTIAL_OBJECTS:
+        for _ in range(10):
+            f = seeded_map(rng, [x])
+            assert pm.differential(f) == ref_differential(f)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_partial_differential_is_df_after_the_strength(n):
+    rng = random.Random(40 + n)
+    for slots in (s for s in PARTIAL_SLOTS if len(s) == n):
+        for i in range(n):
+            for _ in range(2):
+                f = seeded_map(rng, slots)
+                want = ref_partial(f, slots, i)
+                assert pm.partial_differential(f, list(slots), i) == want, (
+                    slots, i, f.entries
+                )
+
+
+def test_partial_derivative_words_are_left_folds():
+    rng = random.Random(9)
+    inst = Instance()
+    words = [(2, 2, 1), (0, 1, 0), (1, 2), (2, 0, 2)]
+    for slots in (s for s in PARTIAL_SLOTS if len(s) == 3):
+        f = seeded_map(rng, slots)
+        for word in words:
+            want, wslots = f, list(slots)
+            for letter in word:
+                want = ref_partial(want, wslots, letter)
+                wslots[letter] = d_space(wslots[letter])
+            got = inst.partial_derivative_word(f, slots, word)
+            assert got == want, (slots, word)
