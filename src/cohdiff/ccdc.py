@@ -52,11 +52,6 @@ class Instance:
     def sigma(self, x: Space) -> PolyMap:
         return pm.sigma(x)
 
-    def d_morphism_n(self, f: PolyMap, n: int) -> PolyMap:
-        for _ in range(n):
-            f = pm.differential(f)
-        return f
-
     # -- summability -------------------------------------------------------
 
     def certify(self, candidate: PolyMap,
@@ -474,7 +469,7 @@ def _law_d_lin(env: LawEnv) -> None:
 def _law_d_schwarz(env: LawEnv) -> None:
     inst = env.inst
     f = env.pick_map()
-    ddf = inst.d_morphism_n(f, 2)
+    ddf = pm.differential(pm.differential(f))
     _eq(
         "D^2 f . c = c . D^2 f",
         pm.compose(ddf, inst.swap(f.dom)),
@@ -838,14 +833,16 @@ def _law_proj_commute(env: LawEnv) -> None:
     h = tail.count(i)
     for k in (0, 1):
         pk = pm.proj(k, f.cod)
-        lhs = pm.compose(inst.d_morphism_n(pk, d), lhs_inner)
+        dpk = inst.partial_derivative_word(pk, [pk.dom], (0,) * d)
+        lhs = pm.compose(dpk, lhs_inner)
         rhs_inner = inst.partial_derivative_word(f, list(slots), tail)
         # Slot i of the left side's domain carries h + 1 D's; the right side
         # composes with D^h pi_k at that slot.
         rhs_slots = list(slots)
         for letter in tail:
             rhs_slots[letter] = d_space(rhs_slots[letter])
-        pk_h = inst.d_morphism_n(pm.proj(k, slots[i]), h)
+        pk_i = pm.proj(k, slots[i])
+        pk_h = inst.partial_derivative_word(pk_i, [pk_i.dom], (0,) * h)
         rhs = pm.compose(rhs_inner, inst.single_app(rhs_slots, i, pk_h))
         if lhs != rhs:
             raise LawFailure(

@@ -165,7 +165,8 @@ def _build_model_from_files(program, model_path: str) -> Model:
 
 
 def _parse_point(text: str, known: set) -> dict:
-    """The point atom=p/q,...; each atom once, and only atoms of known."""
+    """The point atom=p/q,...; each atom once, only atoms of known, and
+    no negative coordinate."""
     point = {}
     for piece in text.split(","):
         piece = piece.strip()
@@ -182,6 +183,9 @@ def _parse_point(text: str, known: set) -> dict:
         if atom in point:
             raise ModelError(f"point gives {atom_str(atom)} twice")
         point[atom] = coeff
+    for atom, coeff in point.items():
+        if coeff < 0:
+            raise ModelError(f"negative coordinate at {atom_str(atom)}")
     return point
 
 

@@ -15,11 +15,10 @@ Composition has a fast path for substitutions: when every entry of f is a
 one-atom monomial with coefficient 1 and no output atom repeats (projections,
 injections, the strengths and their pairings), g . f renames the
 atoms of g's monomials and sums their coefficients, with no series
-multiplication.  Renamed monomials are re-sorted only when the renaming does
-not keep the atom order on g's domain (a swap of product sides, say); checked
-once per composition.  Every other map takes the series path.  On both paths
-a monomial of g that reads a coordinate f does not produce substitutes to 0
-and is skipped first.
+multiplication.  Every renamed monomial of two or more atoms is sorted again,
+since a renaming need not keep the atom order (a swap of product sides, say).
+Every other map takes the series path.  On both paths a monomial of g that
+reads a coordinate f does not produce substitutes to 0 and is skipped first.
 
 with_map, prod_pair and prod_proj are n-ary: they build f0 & ... & fn,
 <f0, ..., fn> and pr_i out of prodn(slots) in one pass with embed_slot; the
@@ -240,8 +239,6 @@ def _substitution(f: PolyMap) -> Optional[dict]:
 
 def _renamed_entries(g: PolyMap, renaming: dict, cap: int) -> Entries:
     """The entries of g . f for a substitution f, in the series path's order."""
-    images = [renaming[b] for b in sorted(renaming)]
-    in_order = all(a0 <= a1 for a0, a1 in zip(images, images[1:]))
     entries: Entries = {}
     for (p, c_out), coeff in g.entries.items():
         try:
@@ -250,7 +247,7 @@ def _renamed_entries(g: PolyMap, renaming: dict, cap: int) -> Entries:
             continue  # p reads a coordinate f does not produce
         if len(m) > cap:
             raise _cap_error(len(m), cap)
-        if not in_order and len(m) > 1:
+        if len(m) > 1:
             m = tuple(sorted(m))
         key = (m, c_out)
         prev = entries.get(key)

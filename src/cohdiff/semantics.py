@@ -1,12 +1,15 @@
 """Interpretation of the term language into a concrete instance.
 
-Ground symbols go to objects, user function symbols to multilinear
-morphisms, and a decorated application f^w(...) to the iterated partial
-derivative D_w of the symbol's interpretation composed with the pairing of
-the argument interpretations.  The interpretation is compositional and
-types nothing: a user symbol's slots are read off the domain of its matrix,
-and a built-in's object off the codomain of its argument's morphism, by
-stripping the word's D's and the built-in's own strips, as typecheck does.
+Ground symbols go to objects and user function symbols to multilinear
+morphisms.  Every application f^w(t1, ..., tn) follows one rule: the
+iterated partial derivative D_w of its head's map, composed with the pairing
+<t1, ..., tn> of the argument interpretations.  Only the slots differ.  A
+user symbol has one slot per argument, read off the domain of its matrix.
+A built-in is a one-slot head, so f^(0...0) is D^d f; its object is read off
+the codomain of its argument's morphism by stripping the word's D's and the
+built-in's own strips, as typecheck does.  A constant is a zero-slot head,
+and the pairing of no arguments is the zero map into the terminal object.
+The interpretation is compositional and types nothing.
 A variable and pr_i are both prod_proj out of a product of slots.  So
 interp_term takes a term that typechecks in its context, as every caller
 checks first; an ill-typed built-in raises ShapeError or TypeCheckError.
@@ -53,7 +56,6 @@ from .syntax import (
     TypeCheckError,
     UserFn,
     Var,
-    check_context,
     d_type,
     differentiate,
     term_str,
@@ -114,7 +116,6 @@ def _ctx_slots(model: Model, ctx: Context) -> list[Space]:
 
 def interp_term(model: Model, ctx: Context, t: Term) -> PolyMap:
     """The morphism interp(ctx) -> interp(type of t), for t well typed."""
-    check_context(ctx)
     key = (ctx, t)
     result = model._cache.get(key)
     if result is not None:
@@ -142,35 +143,34 @@ def _interp_app(model: Model, ctx: Context, t: App) -> PolyMap:
     inst = model.inst
     f = t.fn
     arg_maps = [interp_term(model, ctx, a) for a in t.args]
-    d = len(t.word)
-
     if isinstance(f, UserFn):
         base = model.symbols.get(f.name)
         if base is None:
             raise ModelError(f"symbol {f.name!r} unassigned")
-        if not t.args:
-            bang = pm.zero(interp_ctx(model, ctx), prodn([]))
-            return pm.compose(base, bang)
-        slots = peel_product(base.dom, len(t.args))
-        lifted = inst.partial_derivative_word(base, slots, t.word)
-        return pm.compose(lifted, pm.prod_pair(*arg_maps))
-
-    # Built-ins: f^(0...0) at depth d is D^d f, so the object is the
-    # argument's codomain with d D's and f's own stripped.
-    x = arg_maps[0].cod
-    for _ in range(d + f.strips):
-        x = pm.strip_d_space(x)
-    if isinstance(f, DProj):
-        base = pm.proj(f.i, x)
-    elif isinstance(f, DInj):
-        base = inst.inj(f.i, x)
-    elif isinstance(f, Theta):
-        base = inst.theta_pow(x, f.n)
+        slots = peel_product(base.dom, len(t.args)) if t.args else []
     else:
-        if not isinstance(x, Prod):
+        # A built-in has one slot, its object the argument's codomain with
+        # the word's D's and the built-in's own strips stripped.
+        x = arg_maps[0].cod
+        for _ in range(len(t.word) + f.strips):
+            x = pm.strip_d_space(x)
+        if isinstance(f, DProj):
+            base = pm.proj(f.i, x)
+        elif isinstance(f, DInj):
+            base = inst.inj(f.i, x)
+        elif isinstance(f, Theta):
+            base = inst.theta_pow(x, f.n)
+        elif isinstance(x, Prod):
+            base = pm.prod_proj(f.i, x.left, x.right)
+        else:
             raise TypeCheckError(f"pr applied to non-product {space_str(x)}")
-        base = pm.prod_proj(f.i, x.left, x.right)
-    return pm.compose(inst.d_morphism_n(base, d), arg_maps[0])
+        slots = [base.dom]
+    lifted = inst.partial_derivative_word(base, slots, t.word)
+    if arg_maps:
+        pairing = pm.prod_pair(*arg_maps)
+    else:
+        pairing = pm.zero(interp_ctx(model, ctx), prodn([]))
+    return pm.compose(lifted, pairing)
 
 
 def interp_multiset(

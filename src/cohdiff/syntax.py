@@ -237,12 +237,6 @@ def context_lookup(ctx: Context, name: str) -> Type:
     raise TypeCheckError(f"unbound variable {name!r}")
 
 
-def check_context(ctx: Context) -> None:
-    names = [v for v, _ in ctx]
-    if len(set(names)) != len(names):
-        raise TypeCheckError(f"duplicate variable in context: {names}")
-
-
 def typecheck(sig: Signature, ctx: Context, t: Term) -> Type:
     """The unique type of t in ctx, or a TypeCheckError describing why not."""
     if isinstance(t, Var):

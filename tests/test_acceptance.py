@@ -216,8 +216,12 @@ def test_criterion_6_multilinearity_theorems(pcs_model):
                 rhs_slots[letter] = d_space(rhs_slots[letter])
             for k in (0, 1):
                 pk = pm.proj(k, tri.cod)
-                lhs = pm.compose(inst.d_morphism_n(pk, d), lhs_inner)
-                pk_h = inst.d_morphism_n(pm.proj(k, slots3[i]), h)
+                dpk = inst.partial_derivative_word(pk, [pk.dom], (0,) * d)
+                lhs = pm.compose(dpk, lhs_inner)
+                pk_i = pm.proj(k, slots3[i])
+                pk_h = inst.partial_derivative_word(
+                    pk_i, [pk_i.dom], (0,) * h
+                )
                 rhs = pm.compose(
                     rhs_inner, inst.single_app(rhs_slots, i, pk_h)
                 )

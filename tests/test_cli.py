@@ -145,6 +145,9 @@ def test_eval_model_error_exit_code(tmp_path):
         ("L.0=-1", "negative coordinate at L.0"),
         ("L.0=1,L.0=2", "point gives L.0 twice"),
         ("=1", "bad point entry '=1', want atom=p/q"),
+        # A negative coordinate is reported only once the whole point parses.
+        ("L.0=-1,L.0=2", "point gives L.0 twice"),
+        ("L.0=-1,Q.0=1", "unknown atom tag 'Q'"),
     ],
 )
 def test_eval_bad_point_is_model_error(at, message):

@@ -140,6 +140,12 @@ def test_duplicate_declarations_rejected():
         parse_program("term t [x: a] = x;\nterm t [x: a] = x;")
     with pytest.raises(ParseError):
         parse_program("term t [x: a, x: b] = x;")
+    # The only check for a repeated context variable: interpretation and
+    # typing both read a variable's first binding.
+    with pytest.raises(ParseError) as err:
+        parse_program("term t [x: N, x: N] = x;")
+    assert "duplicate variable in the context of 't'" in str(err.value)
+    assert (err.value.line, err.value.col) == (1, 21)
 
 
 # Print-parse round-tripping on randomly built (unannotated) terms.

@@ -118,6 +118,59 @@ def test_interp_builtins_with_depth(pcs):
     assert got == expected  # composed with the identity projection
 
 
+def _builtin_by_iterated_differential(model, ctx, t):
+    """A built-in application as D^d of its base map composed with the
+    argument's map: the rule the one-slot lift must agree with."""
+    f, d = t.fn, len(t.word)
+    arg = interp_term(model, ctx, t.args[0])
+    x = arg.cod
+    for _ in range(d + f.strips):
+        x = pm.strip_d_space(x)
+    if isinstance(f, DProj):
+        base = pm.proj(f.i, x)
+    elif isinstance(f, DInj):
+        base = model.inst.inj(f.i, x)
+    elif isinstance(f, Theta):
+        base = model.inst.theta_pow(x, f.n)
+    else:
+        base = pm.prod_proj(f.i, x.left, x.right)
+    for _ in range(d):
+        base = pm.differential(base)
+    return pm.compose(base, arg)
+
+
+@pytest.mark.parametrize("which", ["pcs", "poly"])
+def test_builtins_lifted_by_their_word_match_iterated_differential(
+    which, request
+):
+    model = request.getfixturevalue(which)
+    # Each context variable under up to four iota's, alternating sides,
+    # reaches depth 5, which theta_2 with a word of length 2 needs.
+    args = []
+    for name, _ in DEFAULT_CONTEXT:
+        arg = Var(name)
+        for k in range(5):
+            args.append(arg)
+            arg = App(DInj(k % 2), (), (arg,))
+    heads = [DProj(0), DProj(1), DInj(0), DInj(1), Theta(0), Theta(1),
+             Theta(2), ProdProj(0), ProdProj(1)]
+    checked = set()
+    for f in heads:
+        for d in range(3):
+            for arg in args:
+                t = App(f, (0,) * d, (arg,))
+                try:
+                    typecheck(model.sig, DEFAULT_CONTEXT, t)
+                except TypeCheckError:
+                    continue
+                expected = _builtin_by_iterated_differential(
+                    model, DEFAULT_CONTEXT, t
+                )
+                assert interp_term(model, DEFAULT_CONTEXT, t) == expected, t
+                checked.add((f, d))
+    assert checked == {(f, d) for f in heads for d in range(3)}
+
+
 def test_empty_word_application_keeps_codomain(pcs):
     ctx = (("x", N), ("p", ProductType(N, N)))
     t = App(UserFn("bil"), (), (Var("x"), Var("p")))
