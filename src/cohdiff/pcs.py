@@ -8,26 +8,26 @@ both D tags, i.e. pi0(z) + pi1(z) in the inner space.  Analytic morphisms
 are the shared sparse matrices with positive coefficients, evaluated as
 power series.
 
-PcsInstance is ccdc.Instance with one difference, certify: a pair is
-summable only when its witness <f0, f1> : X -> DY certifies as a morphism,
-which, since functionals(DY) puts each row of Y on both D tags, is the test
-of f0 + f1 for non-negative maps; a family only when its pointwise total
-certifies.
+PcsInstance is ccdc.Instance with one difference, certify(candidate): a
+pair is summable only when its witness <f0, f1> : X -> DY certifies as a
+morphism, which, since functionals(DY) puts each row of Y on both D tags,
+is the test of f0 + f1 for non-negative maps; a family only when its
+pointwise total certifies.  A total equal to a compositionally known
+morphism is decided before certify, in Instance.family_sum, on every
+backend.
 
-Certification is exact in two cases: the candidate equals a
-compositionally known morphism, or every monomial has degree <= 1.  An
-affine f(x) = k + Lx is a morphism exactly when <k, r> + sup_x <x, L^T r>
-<= 1 for every row r of the codomain's structural predual; the sup
-(space_sup) is a sum over a product, a coordinatewise max over the two D
-tags, and a max over the enumerated vertices of a ground space.
+certify is exact when every monomial has degree <= 1.  An affine
+f(x) = k + Lx is a morphism exactly when <k, r> + sup_x <x, L^T r> <= 1 for
+every row r of the codomain's structural predual; the sup (space_sup) is a
+sum over a product, a coordinatewise max over the two D tags, and a max
+over the enumerated vertices of a ground space.
 
 Everything else is a documented semi-decision: a candidate of degree >= 2
-that is not the expected morphism (model-file symbols of arity >= 2
-included), and an affine one whose domain has a ground space too large to
-enumerate (_VERTEX_BASES).  It is evaluated at a deterministic probe set
-(zero, the per-coordinate suprema, seeded boundary and interior rationals)
-and each result is tested for membership.  A probe failure refutes
-exactly; survival certifies.
+(model-file symbols of arity >= 2 included), and an affine one whose
+domain has a ground space too large to enumerate (_VERTEX_BASES).  It is
+evaluated at a deterministic probe set (zero, the per-coordinate suprema,
+seeded boundary and interior rationals) and each result is tested for
+membership.  A probe failure refutes exactly; survival certifies.
 
 Model files are read with the program tokenizer (parse_model_file), so their
 errors carry line:col, and turned into certified matrices by
@@ -293,17 +293,13 @@ class PcsInstance(Instance):
 
     name = "pcs"
 
-    def certify(self, candidate: PolyMap,
-                expected: Optional[PolyMap] = None) -> bool:
+    def certify(self, candidate: PolyMap) -> bool:
         """Whether candidate maps its domain into its codomain.
 
-        Exact when it equals expected, or when every monomial has degree
-        <= 1 and its domain's ground spaces are enumerable
-        (affine_morphism).  Otherwise, a candidate of degree >= 2 or over
-        too large a ground space, it is tested at the probe points of its
-        domain: a semi-decision."""
-        if expected is not None and candidate == expected:
-            return True
+        Exact when every monomial has degree <= 1 and its domain's ground
+        spaces are enumerable (affine_morphism).  Otherwise, a candidate of
+        degree >= 2 or over too large a ground space, it is tested at the
+        probe points of its domain: a semi-decision."""
         if any(c < 0 for c in candidate.entries.values()):
             return False
         if candidate.max_degree() <= 1 and _enumerable(candidate.dom):

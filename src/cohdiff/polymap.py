@@ -29,9 +29,11 @@ builds the partial derivative D_i f = Df . phi_i in one pass over f's
 entries: atoms of slot i are 0-tagged, the others kept, and only slot i's
 atoms give derivative monomials.  differential(f) is its one-slot case.
 
-The degree cap is one rule on each monomial p of g.  With k_b copies of atom
-b in p, and deg_b the largest monomial degree in f's series for b,
-substituting p gives a polynomial of degree exactly d = sum k_b * deg_b: over
+On the series path each monomial p of g is multiplied out on its own: its
+coefficient times f's series for each atom of p in turn, a repeated atom
+once per copy.  The degree cap is one rule on p.  With deg_b the largest
+monomial degree in f's series for b, substituting p gives a polynomial of
+degree exactly d = sum of deg_b over the atoms of p, copies included: over
 the rationals the top terms of nonzero series never cancel.  compose raises
 DegreeCapError naming d when d > DEGREE_CAP (16), before it multiplies
 anything.  It reads the module constant at call time, so a test can lower it
@@ -188,43 +190,20 @@ def _series_entries(g: PolyMap, f: PolyMap, cap: int) -> Entries:
         f_polys.setdefault(b, {})[m] = c
     degree = {b: max(map(len, poly)) for b, poly in f_polys.items()}
     entries: Entries = {}
-    # Cache powers of each coordinate series of f as they are needed.
-    pow_cache: dict = {}
-
-    def coord_pow(b: Atom, k: int) -> dict:
-        key = (b, k)
-        if key in pow_cache:
-            return pow_cache[key]
-        if k == 1:
-            result = f_polys[b]
-        else:
-            result = _poly_mul(coord_pow(b, k - 1), f_polys[b])
-        pow_cache[key] = result
-        return result
-
     for (p, c_out), coeff in g.entries.items():
-        counts = _counts(p)
-        if not counts.keys() <= degree.keys():
+        if not all(b in degree for b in p):
             continue  # p reads a coordinate f does not produce
-        d = sum([k * degree[b] for b, k in counts.items()])
+        d = sum([degree[b] for b in p])
         if d > cap:
             raise _cap_error(d, cap)
         acc = {(): coeff}
-        for b, k in counts.items():
-            acc = _poly_mul(acc, coord_pow(b, k))
+        for b in p:
+            acc = _poly_mul(acc, f_polys[b])
         for m, c in acc.items():
             key = (m, c_out)
             prev = entries.get(key)
             entries[key] = c if prev is None else prev + c
     return entries
-
-
-def _counts(p: Mono) -> dict:
-    """{atom: multiplicity} in order of first occurrence."""
-    counts: dict = {}
-    for b in p:
-        counts[b] = counts.get(b, 0) + 1
-    return counts
 
 
 def _substitution(f: PolyMap) -> Optional[dict]:

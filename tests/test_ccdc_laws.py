@@ -130,8 +130,20 @@ class _RefusingInstance(PcsInstance):
 
     name = "pcs-refusing"
 
-    def certify(self, candidate, expected=None):
+    def certify(self, candidate):
         return False
+
+
+def test_family_sum_keeps_a_total_equal_to_expected_without_certify():
+    inst = _RefusingInstance()
+    f = pm.PolyMap(ONE, ONE, {(("*",), "*"): F(1, 2)})
+    g = pm.PolyMap(ONE, ONE, {((), "*"): F(1, 3)})
+    total = pm.add(f, g)
+    assert inst.family_sum([f, g], ONE, ONE, expected=total) == total
+    assert inst.family_sum([f, g], ONE, ONE, expected=f) is None
+    assert inst.family_sum([f, g], ONE, ONE) is None
+    zero = pm.zero(ONE, ONE)
+    assert inst.family_sum([], ONE, ONE, expected=zero) == zero
 
 
 def test_refused_summability_report_matches_golden():

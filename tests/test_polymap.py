@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -67,6 +68,33 @@ def test_compose_matches_evaluation_oracle():
             if rng.random() < 0.8
         }
         assert gf.eval(x) == g.eval(f.eval(x))
+    # Seeded pairs: every monomial of g repeats an atom, and each coordinate
+    # of f is a series of two or three terms; int and Fraction coefficients.
+    monos = [m for k in range(3) for m in combinations_with_replacement(web(N), k)]
+    for trial in range(40):
+        whole = trial % 2  # int coefficients on odd trials
+
+        def coeff():
+            c = rng.choice([-3, -1, 1, 2, 5])
+            return c if whole else F(c, rng.randint(1, 4))
+
+        f = pm.PolyMap(N, N, {
+            (m, b): coeff()
+            for b in web(N)
+            for m in rng.sample(monos, rng.randint(2, 3))
+        })
+        repeated = rng.sample(web(N), rng.randint(1, 3))
+        g = pm.PolyMap(N, N, {
+            (pm.mono([a] * rng.randint(2, 3) + rng.sample(web(N), rng.randint(0, 1))),
+             rng.choice(web(N))): coeff()
+            for a in repeated
+        })
+        gf = pm.compose(g, f)
+        if whole:
+            assert all(type(c) is int for c in gf.entries.values())
+        for _ in range(3):
+            p = _random_point(rng, N)
+            assert gf.eval(p) == g.eval(f.eval(p))
 
 
 def test_differential_functorial():

@@ -444,3 +444,78 @@ def test_poly_constant_is_a_map_out_of_the_empty_product(poly):
     assert got == pm.PolyMap(interp_ctx(model, ctx), base, {((), "1"): F(1, 2)})
     succ = interp_term(model, ctx, App(UserFn("lin"), (), (App(UserFn("k")),)))
     assert succ == pm.PolyMap(interp_ctx(model, ctx), base, {((), "0"): F(1, 2)})
+
+
+# ---------------------------------------------------------------------------
+# Reduction oracle: every soundly pluggable redex choice, not only the
+# leftmost-outermost one, ends in normal forms that sum to interp(t).
+
+ORACLE_STATES = 2_000
+
+
+def _contractions(t, under_pair):
+    """Each one-step contraction of t, as the tuple of its members, under
+    _step_term's plugging rule: any contractum under application arguments,
+    only a singleton under a pair component."""
+    out = []
+    m = rewrite._match_root(t)
+    if m is not None and (len(m[1]) == 1 or not under_pair):
+        out.append(tuple(m[1]))
+    if isinstance(t, App):
+        for j, a in enumerate(t.args):
+            for members in _contractions(a, under_pair):
+                out.append(tuple(
+                    App(t.fn, t.word, t.args[:j] + (u,) + t.args[j + 1:])
+                    for u in members
+                ))
+    if isinstance(t, Pair):
+        for members in _contractions(t.t0, True):
+            (u,) = members
+            out.append((Pair(u, t.t1),))
+        for members in _contractions(t.t1, True):
+            (u,) = members
+            out.append((Pair(t.t0, u),))
+    return out
+
+
+def _successors(ms):
+    out = []
+    for t, _ in ms.items:
+        rest = list(ms.terms())
+        rest.remove(t)
+        out.extend(TermMultiset(rest + list(c)) for c in _contractions(t, False))
+    return out
+
+
+def _normal_forms(t, bound):
+    """The normal forms reachable from [t], over at most bound multisets,
+    and whether some multiset had a choice of two or more steps."""
+    start = TermMultiset([t])
+    seen, todo, normal, branched = {start}, [start], [], False
+    while todo and len(seen) < bound:
+        ms = todo.pop()
+        nexts = _successors(ms)
+        if not nexts:
+            normal.append(ms)
+        branched = branched or len(nexts) > 1
+        for n in nexts:
+            if n not in seen:
+                seen.add(n)
+                todo.append(n)
+    return normal, branched
+
+
+def test_every_reduction_route_preserves_the_interpretation(pcs, poly):
+    branched_terms = 0
+    for ctx, t, _ in generate_typed_terms(200, seed=202):
+        normal, branched = _normal_forms(t, ORACLE_STATES)
+        assert normal, t
+        branched_terms += branched
+        for model in (pcs, poly):
+            base = interp_term(model, ctx, t)
+            for ms in normal:
+                total = pm.zero(base.dom, base.cod)
+                for member in ms.terms():
+                    total = pm.add(total, interp_term(model, ctx, member))
+                assert total == base, (model.inst.name, t, ms.render())
+    assert branched_terms  # the oracle saw more than the one route
