@@ -226,7 +226,7 @@ class _Parser:
     def parse_fn_decl(self, program: Program) -> None:
         self.expect("fn")
         name = self.expect_kind("ident").text
-        if name in _BUILTIN_FNS or _THETA_RE.match(name):
+        if not isinstance(_resolve_fn(name), UserFn):
             raise self.error(f"{name!r} is a reserved function name")
         if name in program.signature:
             raise self.error(f"function {name!r} declared twice")

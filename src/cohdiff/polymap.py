@@ -304,6 +304,8 @@ def prod_proj(i: int, *slots: Space) -> PolyMap:
 
 def prod_pair(*maps: PolyMap) -> PolyMap:
     """<f0, ..., fn> : X -> prodn(cods), slot j's outputs placed by embed_slot."""
+    if len(maps) == 1:
+        return maps[0]  # <f> is f: prodn([X]) is X and embed_slot(0, 1, b) is b
     dom = maps[0].dom
     if any(f.dom != dom for f in maps):
         raise ShapeError("pairing needs a common domain")

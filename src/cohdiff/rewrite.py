@@ -2,19 +2,21 @@
 
 The six root rules contract projections against pairs, applications,
 injections and monad sums.  A step inside a term plugs the contractum back
-into the surrounding context.  Plugging is restricted to positions where it
-preserves the interpretation: under application arguments any contractum is
-sound (heads denote multilinear or linear morphisms, which are additive in
-each argument), while under a pair component only singleton contractums are
+into the surrounding context.  The plugging rule is stated once, in
+`redexes`: under application arguments any contractum is sound (heads
+denote multilinear or linear morphisms, which are additive in each
+argument), while under a pair component only singleton contractums are
 sound; splitting a pair into a multiset would require the untouched
 component to be summable with itself, which fails in the probabilistic
 model.  A redex whose contractum cannot be plugged soundly is left in place.
+`steps` lifts `redexes` to every step of a multiset, and `normalize` takes
+the first step each time, which is the leftmost-outermost strategy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .syntax import (
     App,
@@ -32,24 +34,16 @@ DEFAULT_FUEL = 10_000
 
 
 class TermMultiset:
-    """Finite multiset of terms in a canonical sorted representation."""
+    """Finite multiset of terms: a sorted tuple, so copies sit side by side."""
 
     __slots__ = ("items",)
 
     def __init__(self, terms: Iterable[Term] = ()):
-        counts: dict = {}
-        for t in terms:
-            counts[t] = counts.get(t, 0) + 1
-        self.items: tuple[tuple[Term, int], ...] = tuple(
-            sorted(counts.items(), key=lambda kv: term_key(kv[0]))
-        )
+        self.items: tuple[Term, ...] = tuple(sorted(terms, key=term_key))
 
     def terms(self) -> list[Term]:
-        """Expanded member list, multiplicities unfolded, canonical order."""
-        out = []
-        for t, k in self.items:
-            out.extend([t] * k)
-        return out
+        """Member list in canonical order, copies included."""
+        return list(self.items)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TermMultiset):
@@ -63,14 +57,7 @@ class TermMultiset:
         return f"TermMultiset({self.render()})"
 
     def render(self) -> str:
-        return "[" + ", ".join(term_str(t) for t in self.terms()) + "]"
-
-
-@dataclass(frozen=True)
-class StepInfo:
-    rule: str
-    path: tuple[int, ...]
-    result: tuple[Term, ...]
+        return "[" + ", ".join(term_str(t) for t in self.items) + "]"
 
 
 @dataclass
@@ -78,11 +65,11 @@ class ReductionTrace:
     """Multiset snapshots with, per step, the rule name and redex position."""
 
     initial: TermMultiset
-    steps: list[tuple[str, tuple[int, ...], TermMultiset]]
+    steps: list[tuple[TermMultiset, str, tuple[int, ...]]]
 
     def render_lines(self) -> list[str]:
         lines = []
-        for k, (rule, path, snapshot) in enumerate(self.steps, start=1):
+        for k, (snapshot, rule, path) in enumerate(self.steps, start=1):
             at = ".".join(str(i) for i in path)
             lines.append(f"#{k} {rule} @ {at} : {snapshot.render()}")
         return lines
@@ -148,62 +135,52 @@ def _match_root(t: Term) -> Optional[tuple[str, list[Term]]]:
     return None
 
 
-def _step_term(t: Term, under_pair: bool) -> Optional[StepInfo]:
-    """Leftmost-outermost soundly pluggable redex, if any."""
+def redexes(
+    t: Term, under_pair: bool = False
+) -> Iterator[tuple[str, tuple[int, ...], tuple[Term, ...]]]:
+    """Each soundly pluggable one-step contraction of t, leftmost-outermost
+    first, as (rule, path, members): the root, then the application
+    arguments left to right, then the pair components.  Any contractum plugs
+    under an application argument, only a singleton under a pair component."""
     m = _match_root(t)
-    if m is not None:
-        rule, members = m
-        if len(members) == 1 or not under_pair:
-            return StepInfo(rule, (), tuple(members))
+    if m is not None and (len(m[1]) == 1 or not under_pair):
+        yield m[0], (), tuple(m[1])
     if isinstance(t, App):
         for j, a in enumerate(t.args):
-            sub = _step_term(a, under_pair)
-            if sub is not None:
-                rebuilt = tuple(
+            for rule, path, members in redexes(a, under_pair):
+                plugged = tuple(
                     App(t.fn, t.word, t.args[:j] + (u,) + t.args[j + 1 :])
-                    for u in sub.result
+                    for u in members
                 )
-                return StepInfo(sub.rule, (j,) + sub.path, rebuilt)
+                yield rule, (j,) + path, plugged
     if isinstance(t, Pair):
-        for j, a in enumerate((t.t0, t.t1)):
-            sub = _step_term(a, True)
-            if sub is not None:
-                (u,) = sub.result
-                rebuilt = Pair(u, t.t1) if j == 0 else Pair(t.t0, u)
-                return StepInfo(sub.rule, (j,) + sub.path, (rebuilt,))
-    return None
+        for rule, path, (u,) in redexes(t.t0, True):
+            yield rule, (0,) + path, (Pair(u, t.t1),)
+        for rule, path, (u,) in redexes(t.t1, True):
+            yield rule, (1,) + path, (Pair(t.t0, u),)
 
 
-def step_multiset_detail(
-    ms: TermMultiset,
-) -> Optional[tuple[TermMultiset, str, tuple[int, ...]]]:
-    """Reduce the first reducible member, keeping the others unchanged."""
-    offset = 0
-    for t, mult in ms.items:
-        info = _step_term(t, False)
-        if info is not None:
-            rest = []
-            for u, k in ms.items:
-                k = k - 1 if u == t else k
-                rest.extend([u] * k)
-            new = TermMultiset(rest + list(info.result))
-            return new, info.rule, (offset,) + info.path
-        offset += mult
-    return None
+def steps(ms: TermMultiset) -> Iterator[tuple[TermMultiset, str, tuple[int, ...]]]:
+    """Each one-step successor of ms as (new multiset, rule, path): the
+    redexes of each distinct member in canonical order, the path led by the
+    index of the member's first copy."""
+    items = ms.items
+    for k, t in enumerate(items):
+        if k and items[k - 1] == t:
+            continue  # a copy has the redexes of the member before it
+        for rule, path, members in redexes(t):
+            yield TermMultiset(items[:k] + items[k + 1 :] + members), rule, (k,) + path
 
 
 def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> tuple[TermMultiset, ReductionTrace]:
-    """Iterate multiset steps from [t] until stuck or out of fuel."""
+    """Take the first multiset step from [t] until stuck or out of fuel."""
     if fuel < 1:
         raise ValueError("fuel must be >= 1")
     current = TermMultiset([t])
     trace = ReductionTrace(current, [])
-    for _ in range(fuel):
-        detailed = step_multiset_detail(current)
-        if detailed is None:
-            return current, trace
-        current, rule, path = detailed
-        trace.steps.append((rule, path, current))
-    if step_multiset_detail(current) is not None:
-        raise FuelExhausted(trace)
+    while (step := next(steps(current), None)) is not None:
+        if len(trace.steps) == fuel:
+            raise FuelExhausted(trace)
+        current = step[0]
+        trace.steps.append(step)
     return current, trace

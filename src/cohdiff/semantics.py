@@ -252,10 +252,10 @@ def check_invariance(
     fuel_exhausted = False
     try:
         _, trace = normalize(t, max_steps)
-        snapshots = [ms for _, _, ms in trace.steps]
+        snapshots = [ms for ms, _, _ in trace.steps]
     except FuelExhausted as exc:
         fuel_exhausted = True
-        snapshots = [ms for _, _, ms in exc.trace.steps]
+        snapshots = [ms for ms, _, _ in exc.trace.steps]
     for k, ms in enumerate(snapshots, start=1):
         total = interp_multiset(model, ctx, ms, ty, expected=base)
         if total is None:

@@ -5,9 +5,9 @@ from cohdiff.rewrite import (
     FuelExhausted,
     TermMultiset,
     _match_root,
-    _step_term,
     normalize,
-    step_multiset_detail,
+    redexes,
+    steps,
 )
 from cohdiff.syntax import (
     App,
@@ -47,8 +47,8 @@ def step_root(t):
 
 def step(t):
     """One contextual step; absent when no redex is soundly contractible."""
-    info = _step_term(t, False)
-    return TermMultiset(info.result) if info is not None else None
+    first = next(redexes(t), None)
+    return TermMultiset(first[2]) if first is not None else None
 
 
 def union(a, b):
@@ -57,8 +57,8 @@ def union(a, b):
 
 def step_multiset(ms):
     """The multiset after one step, absent when no member reduces."""
-    detailed = step_multiset_detail(ms)
-    return detailed[0] if detailed is not None else None
+    first = next(steps(ms), None)
+    return first[0] if first is not None else None
 
 
 def test_rule_pr_pair():
@@ -154,6 +154,51 @@ def test_step_multiset():
     assert step_multiset(ms) == TermMultiset([x, z])
     assert step_multiset(TermMultiset([])) is None
     assert step_multiset(TermMultiset([x, x])) is None
+
+
+# ROADMAP item 6's term: proj-app at the root's argument, pr-pair below it,
+# and pr-pair again inside a pair component.
+ITEM6 = pr(
+    1,
+    pi(0, pr(1, Pair(pr(1, Pair(Pair(y, y), Pair(y, y)), d=1),
+                     iota(0, Pair(x, Pair(y, x)))), d=1)),
+)
+
+
+def test_steps_list_every_route_leftmost_outermost_first():
+    got = [(rule, path) for _, rule, path in steps(TermMultiset([ITEM6]))]
+    assert got == [
+        ("proj-app", (0, 0)),
+        ("pr-pair", (0, 0, 0)),
+        ("pr-pair", (0, 0, 0, 0, 0)),
+    ]
+    _, trace = normalize(ITEM6)
+    assert trace.steps[0] == next(steps(TermMultiset([ITEM6])))
+
+
+def test_redexes_skip_non_singletons_under_a_pair():
+    # pi1-theta splits in two and pi-iota-other leaves nothing: neither plugs
+    # into a pair component, while the pr-pair singleton beside them does.
+    t = Pair(pi(1, theta(1, z)), Pair(pi(1, iota(0, x)), pr(0, Pair(x, y))))
+    assert [(rule, path) for rule, path, _ in redexes(t)] == [("pr-pair", (1, 1))]
+    # Under an application argument both fire.
+    u = App(UserFn("f"), (), (pi(1, theta(1, z)), pi(1, iota(0, x))))
+    assert [rule for rule, _, _ in redexes(u)] == ["pi1-theta", "pi-iota-other"]
+
+
+def test_steps_offset_and_copies():
+    # Each path starts at the index of the member's first copy.
+    u = pr(0, Pair(x, y))
+    ms = TermMultiset([u, x, x])
+    assert ms.items == (x, x, u)
+    assert list(steps(ms)) == [(TermMultiset([x, x, x]), "pr-pair", (2,))]
+    # A repeated member yields its redexes once, and one copy stays.
+    twice = list(steps(TermMultiset([ITEM6, ITEM6])))
+    once = list(redexes(ITEM6))
+    assert len(twice) == len(once) == 3
+    for (new, rule, path), (r, p, members) in zip(twice, once):
+        assert (rule, path) == (r, (0,) + p)
+        assert new == TermMultiset([ITEM6, *members])
 
 
 def test_normalize_simple():

@@ -414,13 +414,11 @@ def test_blocked_pair_split_redex_keeps_invariance(pcs):
     # untouched component would have to be summable with itself.  The
     # strategy therefore blocks that redex, and the naive contractum is
     # indeed not summable in the probabilistic model.
-    from cohdiff.rewrite import step_multiset_detail
-
     ctx = (("v", d_type_n(N, 2)), ("z", N))
     inner = App(DProj(1), (), (App(Theta(1), (), (Var("v"),)),))
     t = Pair(inner, Var("z"))
     # blocked, hence normal for the strategy
-    assert step_multiset_detail(TermMultiset([t])) is None
+    assert list(rewrite.steps(TermMultiset([t]))) == []
     verdict = check_invariance(pcs, ctx, t, 50)
     assert verdict.holds and verdict.steps == 0
 
@@ -447,44 +445,10 @@ def test_poly_constant_is_a_map_out_of_the_empty_product(poly):
 
 
 # ---------------------------------------------------------------------------
-# Reduction oracle: every soundly pluggable redex choice, not only the
-# leftmost-outermost one, ends in normal forms that sum to interp(t).
+# Reduction oracle: every step rewrite.steps lists, not only the first one
+# normalize takes, ends in normal forms that sum to interp(t).
 
 ORACLE_STATES = 2_000
-
-
-def _contractions(t, under_pair):
-    """Each one-step contraction of t, as the tuple of its members, under
-    _step_term's plugging rule: any contractum under application arguments,
-    only a singleton under a pair component."""
-    out = []
-    m = rewrite._match_root(t)
-    if m is not None and (len(m[1]) == 1 or not under_pair):
-        out.append(tuple(m[1]))
-    if isinstance(t, App):
-        for j, a in enumerate(t.args):
-            for members in _contractions(a, under_pair):
-                out.append(tuple(
-                    App(t.fn, t.word, t.args[:j] + (u,) + t.args[j + 1:])
-                    for u in members
-                ))
-    if isinstance(t, Pair):
-        for members in _contractions(t.t0, True):
-            (u,) = members
-            out.append((Pair(u, t.t1),))
-        for members in _contractions(t.t1, True):
-            (u,) = members
-            out.append((Pair(t.t0, u),))
-    return out
-
-
-def _successors(ms):
-    out = []
-    for t, _ in ms.items:
-        rest = list(ms.terms())
-        rest.remove(t)
-        out.extend(TermMultiset(rest + list(c)) for c in _contractions(t, False))
-    return out
 
 
 def _normal_forms(t, bound):
@@ -494,7 +458,7 @@ def _normal_forms(t, bound):
     seen, todo, normal, branched = {start}, [start], [], False
     while todo and len(seen) < bound:
         ms = todo.pop()
-        nexts = _successors(ms)
+        nexts = [new for new, _, _ in rewrite.steps(ms)]
         if not nexts:
             normal.append(ms)
         branched = branched or len(nexts) > 1

@@ -121,7 +121,7 @@ def test_one_slot_maps_are_the_plain_maps():
         assert inst.single_app([x], 0, pm.sigma(x)) == pm.sigma(x)
         f = pm.proj(1, x)
         assert pm.with_map(f) == f
-        assert pm.prod_pair(f) == f
+        assert pm.prod_pair(f) is f
 
 
 def test_nary_builders_match_the_folds():
