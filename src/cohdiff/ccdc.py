@@ -15,7 +15,8 @@ method so that a negative control can corrupt it.  Everything else
 (injections, the monad sum theta, the lift l, the swap c, strengths, partial
 derivatives, n-ary sums) is derived here, and check_axioms verifies the
 axioms and the derived theorems on any instance by exact morphism equality.
-The partial derivative D_i f = Df . phi_i is computed in one pass by
+A partial derivative takes the arity of its map's domain and a word of
+slots, and each D_i f = Df . phi_i is computed in one pass by
 polymap.partial_differential, without building Df or the strength phi_i;
 strength stays for the strength-comm law and as the tests' reference.
 A law draws its case through LawEnv and fails by raising LawFailure;
@@ -31,7 +32,7 @@ from typing import Callable, Optional, Sequence
 
 from . import polymap as pm
 from .objects import (
-    Prod, Space, d_space, peel_product, prodn, product, space_str,
+    Prod, Space, d_space, peel_product, product, space_str,
 )
 from .polymap import PolyMap
 
@@ -199,26 +200,16 @@ class Instance:
         ])
 
     def partial_derivative(
-        self, f: PolyMap, slots: Sequence[Space], i: int
+        self, f: PolyMap, arity: int, word: Sequence[int]
     ) -> PolyMap:
-        """D_i f = D f . phi_i for f out of the product of the slots,
-        computed in one pass over f's entries by partial_differential."""
-        if not 0 <= i < len(slots):
-            raise IndexError(f"slot {i} out of range for {len(slots)} slots")
-        if prodn(list(slots)) != f.dom:
-            raise pm.ShapeError(
-                f"slots do not assemble to the domain {space_str(f.dom)}"
-            )
-        return pm.partial_differential(f, slots, i)
-
-    def partial_derivative_word(
-        self, f: PolyMap, slots: Sequence[Space], word: Sequence[int]
-    ) -> PolyMap:
-        """Iterated partials D_w f, applying the first letter first; the
-        next letter's slots are peeled from the domain the last one built."""
-        for letter in word:
-            f = self.partial_derivative(f, slots, letter)
-            slots = peel_product(f.dom, len(slots))
+        """Iterated partials D_w f for f out of an arity-fold product,
+        applying the first letter first.  Each D_i f = D f . phi_i is
+        computed in one pass over f's entries by partial_differential,
+        which peels the slots off the domain the last letter built."""
+        for i in word:
+            if not 0 <= i < arity:
+                raise IndexError(f"slot {i} out of range for {arity} slots")
+            f = pm.partial_differential(f, arity, i)
         return f
 
     def c_n_inv(self, slots: Sequence[Space]) -> PolyMap:
@@ -559,8 +550,8 @@ def _law_leibniz(env: LawEnv) -> None:
     f, (x, y) = env.pick_product_map()
     inv = inst.c_n_inv([x, y])
     lhs = pm.compose(pm.differential(f), inv)
-    d0d1 = inst.partial_derivative_word(f, [x, y], (1, 0))
-    d1d0 = inst.partial_derivative_word(f, [x, y], (0, 1))
+    d0d1 = inst.partial_derivative(f, 2, (1, 0))
+    d1d0 = inst.partial_derivative(f, 2, (0, 1))
     theta = inst.theta(f.cod)
     _eq("Df . c^-1 = theta . D0 D1 f", lhs, pm.compose(theta, d0d1))
     _eq("Df . c^-1 = theta . D1 D0 f", lhs, pm.compose(theta, d1d0))
@@ -568,9 +559,9 @@ def _law_leibniz(env: LawEnv) -> None:
 
 def _law_schwarz_partial(env: LawEnv) -> None:
     inst = env.inst
-    f, (x, y) = env.pick_product_map()
-    d0d1 = inst.partial_derivative_word(f, [x, y], (1, 0))
-    d1d0 = inst.partial_derivative_word(f, [x, y], (0, 1))
+    f, _ = env.pick_product_map()
+    d0d1 = inst.partial_derivative(f, 2, (1, 0))
+    d1d0 = inst.partial_derivative(f, 2, (0, 1))
     _eq(
         "D0 D1 f = c . D1 D0 f",
         d0d1,
@@ -583,7 +574,7 @@ def _law_partial_proj0(env: LawEnv) -> None:
     f, (x, y) = env.pick_product_map()
     slots = [x, y]
     for i in (0, 1):
-        di = inst.partial_derivative(f, slots, i)
+        di = inst.partial_derivative(f, 2, (i,))
         lhs = pm.compose(pm.proj(0, f.cod), di)
         rhs = pm.compose(f, inst.single_app(slots, i, pm.proj(0, slots[i])))
         _eq(f"pi0 . D{i} f = f . (pi0 at {i})", lhs, rhs)
@@ -795,11 +786,12 @@ def _law_linear_closure(env: LawEnv) -> None:
 
 
 def _multilinear_equation(
-    inst: Instance, f: PolyMap, slots: Sequence[Space], what: str
+    inst: Instance, f: PolyMap, arity: int, what: str
 ) -> None:
     """pi1 . D_i f = f . (pi1 at i) at every slot i, else LawFailure."""
-    for i in range(len(slots)):
-        di = inst.partial_derivative(f, slots, i)
+    slots = peel_product(f.dom, arity)
+    for i in range(arity):
+        di = inst.partial_derivative(f, arity, (i,))
         lhs = pm.compose(pm.proj(1, f.cod), di)
         rhs = pm.compose(f, inst.single_app(slots, i, pm.proj(1, slots[i])))
         if lhs != rhs:
@@ -810,10 +802,8 @@ def _law_multilinear_partial(env: LawEnv) -> None:
     inst = env.inst
     f, slots = env.rng.choice(env.multilinear)
     i = env.rng.randrange(len(slots))
-    di = inst.partial_derivative(f, list(slots), i)
-    new_slots = list(slots)
-    new_slots[i] = d_space(slots[i])
-    _multilinear_equation(inst, di, new_slots, f"D_{i} f")
+    di = inst.partial_derivative(f, len(slots), (i,))
+    _multilinear_equation(inst, di, len(slots), f"D_{i} f")
 
 
 def _law_multilinear_compose(env: LawEnv) -> None:
@@ -821,7 +811,7 @@ def _law_multilinear_compose(env: LawEnv) -> None:
     f, slots = env.rng.choice(env.multilinear)
     h = inst.inj(env.rng.randrange(2), f.cod)
     composed = pm.compose(h, f)
-    _multilinear_equation(inst, composed, slots, "h . f")
+    _multilinear_equation(inst, composed, len(slots), "h . f")
 
 
 def _law_proj_commute(env: LawEnv) -> None:
@@ -832,20 +822,18 @@ def _law_proj_commute(env: LawEnv) -> None:
     d = rng.randrange(3)
     i = rng.randrange(n)
     tail = [rng.randrange(n) for _ in range(d)]
-    lhs_inner = inst.partial_derivative_word(f, list(slots), [i] + tail)
+    lhs_inner = inst.partial_derivative(f, n, [i] + tail)
     h = tail.count(i)
     for k in (0, 1):
         pk = pm.proj(k, f.cod)
-        dpk = inst.partial_derivative_word(pk, [pk.dom], (0,) * d)
+        dpk = inst.partial_derivative(pk, 1, (0,) * d)
         lhs = pm.compose(dpk, lhs_inner)
-        rhs_inner = inst.partial_derivative_word(f, list(slots), tail)
+        rhs_inner = inst.partial_derivative(f, n, tail)
         # Slot i of the left side's domain carries h + 1 D's; the right side
         # composes with D^h pi_k at that slot.
-        rhs_slots = list(slots)
-        for letter in tail:
-            rhs_slots[letter] = d_space(rhs_slots[letter])
+        rhs_slots = peel_product(rhs_inner.dom, n)
         pk_i = pm.proj(k, slots[i])
-        pk_h = inst.partial_derivative_word(pk_i, [pk_i.dom], (0,) * h)
+        pk_h = inst.partial_derivative(pk_i, 1, (0,) * h)
         rhs = pm.compose(rhs_inner, inst.single_app(rhs_slots, i, pk_h))
         if lhs != rhs:
             raise LawFailure(
@@ -864,7 +852,7 @@ def _law_leibniz_n(env: LawEnv) -> None:
     lhs = pm.compose(pm.differential(f), inst.c_n_inv(slots))
     rhs = pm.compose(
         inst.theta_pow(f.cod, n),
-        inst.partial_derivative_word(f, list(slots), alpha),
+        inst.partial_derivative(f, len(slots), alpha),
     )
     _eq(f"Df . c^-1 = theta^{n} . D_alpha f (alpha={alpha})", lhs, rhs)
 

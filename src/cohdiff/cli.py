@@ -243,6 +243,7 @@ def cmd_theorems(args, out) -> int:
     models = {name: _make_backend(name) for name in backends}
     names = [v for v, _ in DEFAULT_CONTEXT]
     ok = True
+    exhausted = 0
     for i, (ctx, t, _) in enumerate(
         generate_typed_terms(args.cases, seed=args.seed)
     ):
@@ -254,15 +255,18 @@ def cmd_theorems(args, out) -> int:
             ok = ok and verdict.holds
         if "pcs" in models:
             verdict = check_invariance(models["pcs"], ctx, t, args.fuel)
-            if not verdict.holds or args.verbose:
+            if not verdict.holds or verdict.fuel_exhausted or args.verbose:
                 print(f"[pcs] {verdict.render()}", file=out)
             ok = ok and verdict.holds
-    print(
-        f"checked {args.cases} terms: "
-        + ("all theorems hold" if ok else "violations found"),
-        file=out,
-    )
-    return EXIT_OK if ok else EXIT_VIOLATION
+            exhausted += verdict.fuel_exhausted
+    if not ok:
+        summary, code = "violations found", EXIT_VIOLATION
+    elif exhausted:
+        summary, code = f"reduction fuel exhausted on {exhausted}", EXIT_BOUND
+    else:
+        summary, code = "all theorems hold", EXIT_OK
+    print(f"checked {args.cases} terms: {summary}", file=out)
+    return code
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

@@ -24,10 +24,11 @@ with_map, prod_pair and prod_proj are n-ary: they build f0 & ... & fn,
 <f0, ..., fn> and pr_i out of prodn(slots) in one pass with embed_slot; the
 binary forms are the case n = 2.
 
-There is one differentiation loop, partial_differential(f, slots, i).  It
-builds the partial derivative D_i f = Df . phi_i in one pass over f's
-entries: atoms of slot i are 0-tagged, the others kept, and only slot i's
-atoms give derivative monomials.  differential(f) is its one-slot case.
+There is one differentiation loop, partial_differential(f, arity, i).  It
+peels f's domain into its arity slots and builds the partial derivative
+D_i f = Df . phi_i in one pass over f's entries: atoms of slot i are
+0-tagged, the others kept, and only slot i's atoms give derivative
+monomials.  differential(f) is its one-slot case.
 
 On the series path each monomial p of g is multiplied out on its own: its
 coefficient times f's series for each atom of p in turn, a repeated atom
@@ -46,7 +47,7 @@ polynomial backend allows any nonzero rational.  Both use the same engine.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .objects import (
     Atom,
@@ -56,6 +57,7 @@ from .objects import (
     atom_str,
     d_space,
     embed_slot,
+    peel_product,
     prodn,
     space_str,
     tag_d,
@@ -107,14 +109,13 @@ class PolyMap:
 
     def eval(self, x: dict) -> dict:
         """Evaluate the power series at a point (sparse atom -> rational)."""
-        nonzero = {a: v for a, v in x.items() if v != 0}
         out: dict = {}
         for (m, b), c in self.entries.items():
             val = c
             for a in m:
-                xa = nonzero.get(a)
-                if xa is None:
-                    break
+                xa = x.get(a)
+                if not xa:
+                    break  # an absent or zero coordinate zeroes the monomial
                 val *= xa
             else:
                 _add_to(out, b, val)
@@ -240,21 +241,22 @@ def _cap_error(degree: int, cap: int) -> DegreeCapError:
 
 def differential(f: PolyMap) -> PolyMap:
     """D on maps: Df = (f(x), sum_a m(a) x^(m-[a]) u_a) over the D-tagged webs."""
-    return partial_differential(f, [f.dom], 0)
+    return partial_differential(f, 1, 0)
 
 
-def partial_differential(f: PolyMap, slots: Sequence[Space], i: int) -> PolyMap:
-    """D_i f : prodn(slots with D at i) -> D(cod), for f out of prodn(slots).
+def partial_differential(f: PolyMap, arity: int, i: int) -> PolyMap:
+    """D_i f : D at slot i of f's domain -> D(cod), for f out of an
+    arity-fold product, its slots peeled off f.dom.
 
     D f . phi_i in one pass: slot i's atoms are 0-tagged and the others kept,
     and only slot i's atoms a give the 1-tagged terms m(a) x^(m-[a]) u_a."""
-    n = len(slots)
-    dslots = list(slots)
-    dslots[i] = d_space(slots[i])
+    slots = peel_product(f.dom, arity)
     # None when the whole domain is slot i, so no atom needs the test.
     in_slot = (
-        None if n == 1 else {embed_slot(i, n, a) for a in web(slots[i])}
+        None if arity == 1
+        else {embed_slot(i, arity, a) for a in web(slots[i])}
     )
+    slots[i] = d_space(slots[i])
     # No key repeats: tag_d is injective, and a derivative monomial's one
     # 1-tagged atom names the atom a it came from.
     entries: Entries = {}
@@ -278,7 +280,7 @@ def partial_differential(f: PolyMap, slots: Sequence[Space], i: int) -> PolyMap:
                 mm = mono(base[:idx] + base[idx + 1 :] + (tag_d(1, a),))
             mult = m.count(a)
             entries[(mm, d_out)] = c * mult if mult > 1 else c
-    return PolyMap(prodn(dslots), d_space(f.cod), entries)
+    return PolyMap(prodn(slots), d_space(f.cod), entries)
 
 
 def proj(i: int, x: Space) -> PolyMap:

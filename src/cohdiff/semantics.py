@@ -2,12 +2,12 @@
 
 Ground symbols go to objects and user function symbols to multilinear
 morphisms.  Every application f^w(t1, ..., tn) follows one rule: the
-iterated partial derivative D_w of its head's map, composed with the pairing
-<t1, ..., tn> of the argument interpretations.  Only the slots differ.  A
-user symbol has one slot per argument, read off the domain of its matrix.
-A built-in is a one-slot head, so f^(0...0) is D^d f; its object is read off
-the codomain of its argument's morphism by stripping the word's D's and the
-built-in's own strips, as typecheck does.  A constant is a zero-slot head,
+iterated partial derivative D_w of its head's map at arity n, composed with
+the pairing <t1, ..., tn> of the argument interpretations.  Every head,
+built-ins included, has one slot per argument, read off the domain of its
+map.  A built-in takes one argument, so f^(0...0) is D^d f; its object is
+read off the codomain of its argument's morphism by stripping the word's D's
+and the built-in's own strips, as typecheck does.  A constant has no slot,
 and the pairing of no arguments is the zero map into the terminal object.
 The interpretation is compositional and types nothing.
 A variable and pr_i are both prod_proj out of a product of slots.  So
@@ -29,7 +29,6 @@ from .objects import (
     Prod,
     Space,
     d_space,
-    peel_product,
     prodn,
     product,
     space_str,
@@ -147,10 +146,9 @@ def _interp_app(model: Model, ctx: Context, t: App) -> PolyMap:
         base = model.symbols.get(f.name)
         if base is None:
             raise ModelError(f"symbol {f.name!r} unassigned")
-        slots = peel_product(base.dom, len(t.args)) if t.args else []
     else:
-        # A built-in has one slot, its object the argument's codomain with
-        # the word's D's and the built-in's own strips stripped.
+        # A built-in's object is its one argument's codomain with the
+        # word's D's and the built-in's own strips stripped.
         x = arg_maps[0].cod
         for _ in range(len(t.word) + f.strips):
             x = pm.strip_d_space(x)
@@ -164,8 +162,7 @@ def _interp_app(model: Model, ctx: Context, t: App) -> PolyMap:
             base = pm.prod_proj(f.i, x.left, x.right)
         else:
             raise TypeCheckError(f"pr applied to non-product {space_str(x)}")
-        slots = [base.dom]
-    lifted = inst.partial_derivative_word(base, slots, t.word)
+    lifted = inst.partial_derivative(base, len(t.args), t.word)
     if arg_maps:
         pairing = pm.prod_pair(*arg_maps)
     else:
@@ -229,8 +226,7 @@ def check_diff_theorem(model: Model, ctx: Context, t: Term, x: str) -> TheoremVe
     )
     lhs = interp_term(model, dctx, differentiate(t, x))
     base = interp_term(model, ctx, t)
-    slots = _ctx_slots(model, ctx)
-    rhs = model.inst.partial_derivative(base, slots, slot)
+    rhs = model.inst.partial_derivative(base, len(ctx), (slot,))
     if lhs == rhs:
         return TheoremVerdict(name, True, printed)
     return TheoremVerdict(

@@ -186,7 +186,7 @@ def test_criterion_6_multilinearity_theorems(pcs_model):
         slots = (base, base)
         # D_i preserves bilinearity (support shape on the lifted slots).
         for i in (0, 1):
-            di = inst.partial_derivative(phi, list(slots), i)
+            di = inst.partial_derivative(phi, 2, (i,))
             assert is_multilinear(di, 2)
         # Bilinear expansion: second coordinate of D phi . c^-1.
         lhs = pm.compose(
@@ -208,20 +208,18 @@ def test_criterion_6_multilinearity_theorems(pcs_model):
         for _ in range(6):
             i = rng.randrange(3)
             tail = [rng.randrange(3) for _ in range(d)]
-            lhs_inner = inst.partial_derivative_word(tri, slots3, [i] + tail)
+            lhs_inner = inst.partial_derivative(tri, 3, [i] + tail)
             h = sum(1 for letter in tail if letter == i)
-            rhs_inner = inst.partial_derivative_word(tri, slots3, tail)
+            rhs_inner = inst.partial_derivative(tri, 3, tail)
             rhs_slots = list(slots3)
             for letter in tail:
                 rhs_slots[letter] = d_space(rhs_slots[letter])
             for k in (0, 1):
                 pk = pm.proj(k, tri.cod)
-                dpk = inst.partial_derivative_word(pk, [pk.dom], (0,) * d)
+                dpk = inst.partial_derivative(pk, 1, (0,) * d)
                 lhs = pm.compose(dpk, lhs_inner)
                 pk_i = pm.proj(k, slots3[i])
-                pk_h = inst.partial_derivative_word(
-                    pk_i, [pk_i.dom], (0,) * h
-                )
+                pk_h = inst.partial_derivative(pk_i, 1, (0,) * h)
                 rhs = pm.compose(
                     rhs_inner, inst.single_app(rhs_slots, i, pk_h)
                 )

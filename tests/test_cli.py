@@ -392,6 +392,17 @@ def test_theorems_subcommand():
     assert "all theorems hold" in text
 
 
+def test_theorems_out_of_fuel_is_a_bound_exit():
+    # Each invariance check stops early; without --verbose those verdicts
+    # still print, and the summary does not claim the theorems hold.
+    code, text = run("theorems", "--cases", "3", "--fuel", "1")
+    assert code == 2
+    lines = text.splitlines()
+    assert len(lines) == 4
+    assert all(line.endswith("(fuel exhausted)") for line in lines[:3])
+    assert lines[-1] == "checked 3 terms: reduction fuel exhausted on 3"
+
+
 def test_theorems_verbose_matches_golden():
     # Every THEOREM line of the README's theorems command, byte for byte.
     code, text = run(

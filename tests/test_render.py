@@ -37,18 +37,12 @@ def golden_text() -> str:
 
 def partials_text() -> str:
     model = default_pcs_model()
-    base = model.grounds["N"]
-    symbol_slots = {
-        "lin": [base],
-        "bil": [base, product(base, base)],
-        "tri": [base, base, base],
-    }
     blocks = []
-    for name, slots in symbol_slots.items():
+    for name, arity in (("lin", 1), ("bil", 2), ("tri", 3)):
         f = model.symbols[name]
         for length in (0, 1, 2):
-            for word in itertools.product(range(len(slots)), repeat=length):
-                d = model.inst.partial_derivative_word(f, slots, word)
+            for word in itertools.product(range(arity), repeat=length):
+                d = model.inst.partial_derivative(f, arity, word)
                 blocks.append(f"# D{list(word)} {name}\n{d.render()}")
     return "\n".join(blocks) + "\n"
 

@@ -99,9 +99,7 @@ def test_interp_app_with_word_is_iterated_partial(pcs):
     ctx = (("x", d_type(N)), ("q", d_type(ProductType(N, N))))
     t = App(UserFn("bil"), (1, 0), (Var("x"), Var("q")))
     got = interp_term(pcs, ctx, t)
-    lifted = inst.partial_derivative_word(
-        pcs.symbols["bil"], [base, nn], (1, 0)
-    )
+    lifted = inst.partial_derivative(pcs.symbols["bil"], 2, (1, 0))
     args = pm.prod_pair(
         pm.prod_proj(0, d_space(base), d_space(nn)),
         pm.prod_proj(1, d_space(base), d_space(nn)),

@@ -216,12 +216,12 @@ def test_partial_differential_is_df_after_the_strength(n):
             for _ in range(2):
                 f = seeded_map(rng, slots)
                 want = ref_partial(f, slots, i)
-                assert pm.partial_differential(f, list(slots), i) == want, (
+                assert pm.partial_differential(f, n, i) == want, (
                     slots, i, f.entries
                 )
 
 
-def test_partial_derivative_words_are_left_folds():
+def test_partial_derivative_of_a_word_is_a_left_fold():
     rng = random.Random(9)
     inst = Instance()
     words = [(2, 2, 1), (0, 1, 0), (1, 2), (2, 0, 2)]
@@ -232,5 +232,20 @@ def test_partial_derivative_words_are_left_folds():
             for letter in word:
                 want = ref_partial(want, wslots, letter)
                 wslots[letter] = d_space(wslots[letter])
-            got = inst.partial_derivative_word(f, slots, word)
+            got = inst.partial_derivative(f, 3, word)
             assert got == want, (slots, word)
+
+
+def test_partial_derivative_reads_its_slots_off_the_domain():
+    inst = Instance()
+    bil, tri = MODEL.symbols["bil"], MODEL.symbols["tri"]
+    # A letter outside [0, arity) is refused, so -1 cannot alias the last slot.
+    for letter in (2, -1):
+        with pytest.raises(IndexError):
+            inst.partial_derivative(bil, 2, (letter,))
+    # bil's domain N & (N & N) is no 3-fold product.
+    with pytest.raises(ValueError):
+        inst.partial_derivative(bil, 3, (0,))
+    # tri's domain (N & N) & N is also a 2-fold product, a valid coarser view.
+    nn = product(BASE, BASE)
+    assert inst.partial_derivative(tri, 2, (0,)) == ref_partial(tri, [nn, BASE], 0)
