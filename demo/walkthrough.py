@@ -49,7 +49,7 @@ def main() -> None:
     # 3. Interpret into the probabilistic model and evaluate exactly.
     sem_ctx = (("u", ctx[0][1]), ("p", ctx[1][1]))
     matrix = interp_term(model, sem_ctx, branch)
-    point = {("L", "0"): Fraction(1), ("R", ("L", "1")): Fraction(1, 2)}
+    point = {"L.0": Fraction(1), "R.L.1": Fraction(1, 2)}
     print(f"branch at a point: {matrix.eval(point)}")
 
     # 4. The two theorems, checked exactly on this term.

@@ -133,9 +133,9 @@ class Instance:
         """theta^n : D^(n+1) X -> DX, the n-fold monad sum."""
 
         def build() -> PolyMap:
-            acc = pm.identity(d_space(x))
-            level = x
-            for _ in range(n):
+            acc = self.theta(x) if n else pm.identity(d_space(x))
+            level = d_space(x)
+            for _ in range(n - 1):
                 acc = pm.compose(acc, self.theta(level))
                 level = d_space(level)
             return acc

@@ -22,7 +22,7 @@ from .gen import (
     generate_typed_terms,
     law_generators,
 )
-from .objects import atom_str, space_str, web
+from .objects import space_str, web
 from .parser import ParseError, parse_program
 from .pcs import (
     ModelError,
@@ -179,13 +179,13 @@ def _parse_point(text: str, known: set) -> dict:
         atom = _parse_atom(path)
         coeff = _parse_rational(value)
         if atom not in known:
-            raise ModelError(f"point atom outside the context web: {atom_str(atom)}")
+            raise ModelError(f"point atom outside the context web: {atom}")
         if atom in point:
-            raise ModelError(f"point gives {atom_str(atom)} twice")
+            raise ModelError(f"point gives {atom} twice")
         point[atom] = coeff
     for atom, coeff in point.items():
         if coeff < 0:
-            raise ModelError(f"negative coordinate at {atom_str(atom)}")
+            raise ModelError(f"negative coordinate at {atom}")
     return point
 
 
@@ -207,7 +207,7 @@ def cmd_eval(args, out) -> int:
         value = matrix.eval(point)
         if value:
             for atom in sorted(value):
-                print(f"value {atom_str(atom)} = {value[atom]}", file=out)
+                print(f"value {atom} = {value[atom]}", file=out)
         else:
             print("value = 0", file=out)
     return EXIT_OK

@@ -4,15 +4,16 @@ A space is a finite labelled coordinate system: a ground space carries its
 atoms directly, with a finite predual that only the probabilistic backend
 reads, and composite spaces arise from the binary product and from the
 summable-pair construction D.  The terminal object is prodn([]), the empty
-web with one empty predual row, so that it is a valid PCS.  Atoms are token
-trees: a ground atom is a plain string, a product tags with "L"/"R", and D
-tags with "0"/"1", as a (tag, inner) tuple.
+web with one empty predual row, so that it is a valid PCS.
 
-Atoms of one space are ordered by Python's own comparison.  Two of them share
-a tag path until they differ at a tag ("0" < "1" < "L" < "R"), or they are
-two strings of one ground web, so a string is never compared with a tuple.
-web() lists atoms and a monomial lists its atoms in this order, and
-tag_d(0, -) keeps it, so D-tagging a sorted monomial leaves it sorted.
+An atom is a str, its dotted tag path: product tags "L."/"R.", then D tags
+"0."/"1.", then a ground's web name, which is nonempty and holds no ".", e.g.
+"L.0.e2".  A str caches its hash, so a lookup never walks the path.  Atoms
+of one space share a tag path until they differ at a tag ("0" < "1" < "L" <
+"R"), or end in two web names of one ground, so str order (where a "." meets
+only a ".") is the tag-path order.  web() lists atoms and a monomial lists
+its atoms in this order, and tag_d(0, -) keeps it, so D-tagging a sorted
+monomial leaves it sorted.
 
 D tags are pushed inside product tags, so that d_space(X & Y) and
 d_space(X) & d_space(Y) are the same space with the same atoms.  Both
@@ -37,10 +38,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-Atom = Union[str, tuple]  # str | (tag, Atom) with tag in {"L", "R", "0", "1"}
+Atom = str  # dotted path: product tags, D tags, then a web name
 
-_D_TAGS = ("0", "1")
-_PROD_TAGS = ("L", "R")
+_D_TAGS = ("0.", "1.")
+_PROD_TAGS = ("L.", "R.")
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,8 @@ class Ground:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not all(self.web) or any("." in a for a in self.web):
+            raise ValueError(f"web of {self.name!r} has an empty or dotted name")
         predual = tuple(tuple(map(Fraction, row)) for row in self.predual)
         object.__setattr__(self, "predual", predual)
         object.__setattr__(self, "_hash", hash((self.name, self.web, predual)))
@@ -132,48 +135,45 @@ def peel_product(space: Space, arity: int) -> list[Space]:
     return slots
 
 
+def _prod_prefix(a: Atom) -> int:
+    """The length of a's leading product tags."""
+    k = 0
+    while a[k : k + 2] in _PROD_TAGS:
+        k += 2
+    return k
+
+
 @lru_cache(maxsize=None)
 def tag_d(i: int, a: Atom) -> Atom:
     """Prefix a D tag, pushing it under any product tags."""
-    if isinstance(a, tuple) and a[0] in _PROD_TAGS:
-        return (a[0], tag_d(i, a[1]))
-    return (_D_TAGS[i], a)
+    k = _prod_prefix(a)
+    return a[:k] + _D_TAGS[i] + a[k:]
 
 
 def untag_d(a: Atom) -> tuple[int, Atom]:
     """Strip the outermost D tag (under product tags); inverse of tag_d."""
-    if isinstance(a, tuple) and a[0] in _PROD_TAGS:
-        i, inner = untag_d(a[1])
-        return i, (a[0], inner)
-    if isinstance(a, tuple) and a[0] in _D_TAGS:
-        return _D_TAGS.index(a[0]), a[1]
-    raise ValueError(f"atom {a!r} carries no D tag")
+    k = _prod_prefix(a)
+    if a[k : k + 2] not in _D_TAGS:
+        raise ValueError(f"atom {a!r} carries no D tag")
+    return _D_TAGS.index(a[k : k + 2]), a[:k] + a[k + 2 :]
 
 
 def tag_prod(side: int, a: Atom) -> Atom:
-    return (_PROD_TAGS[side], a)
+    return _PROD_TAGS[side] + a
 
 
 @lru_cache(maxsize=None)
 def embed_slot(i: int, arity: int, atom: Atom) -> Atom:
     """Slot i's atom in prodn: an R tag unless i == 0, then L^(arity-1-i)."""
-    if i > 0:
-        atom = tag_prod(1, atom)
-    for _ in range(arity - 1 - i):
-        atom = tag_prod(0, atom)
-    return atom
+    return "L." * (arity - 1 - i) + ("R." if i else "") + atom
 
 
 def slot_of(atom: Atom, arity: int) -> int:
     """Inverse of embed_slot; a first R at depth >= arity-1 is inside slot 0."""
     depth = 0
-    a = atom
-    while isinstance(a, tuple) and a[0] in _PROD_TAGS:
-        if a[0] == "R":
-            return max(0, arity - 1 - depth)
+    while atom.startswith("L.", 2 * depth):
         depth += 1
-        a = a[1]
-    return 0
+    return max(0, arity - 1 - depth) if atom.startswith("R.", 2 * depth) else 0
 
 
 @lru_cache(maxsize=None)
@@ -182,27 +182,20 @@ def web(space: Space) -> tuple[Atom, ...]:
     if isinstance(space, Ground):
         atoms: list[Atom] = list(space.web)
     elif isinstance(space, Prod):
-        atoms = [("L", a) for a in web(space.left)]
-        atoms += [("R", a) for a in web(space.right)]
+        atoms = [tag_prod(0, a) for a in web(space.left)]
+        atoms += [tag_prod(1, a) for a in web(space.right)]
     else:
         atoms = [tag_d(i, a) for i in (0, 1) for a in web(space.inner)]
     return tuple(sorted(atoms))
 
 
-def atom_str(a: Atom) -> str:
-    """Dotted rendering, e.g. L.0.e2 for a product-then-D tagged atom."""
-    if isinstance(a, str):
-        return a
-    return f"{a[0]}.{atom_str(a[1])}"
-
-
 def atom_from_str(text: str) -> Atom:
-    head, dot, rest = text.partition(".")
-    if not dot:
-        return head
-    if head not in _PROD_TAGS and head not in _D_TAGS:
-        raise ValueError(f"unknown atom tag {head!r} in {text!r}")
-    return (head, atom_from_str(rest))
+    """Check the tags of a dotted atom, which is the atom itself."""
+    parts = text.split(".")
+    for k, tag in enumerate(parts[:-1]):
+        if tag + "." not in _PROD_TAGS + _D_TAGS:
+            raise ValueError(f"unknown atom tag {tag!r} in {'.'.join(parts[k:])!r}")
+    return text
 
 
 def space_str(space: Space) -> str:

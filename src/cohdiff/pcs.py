@@ -106,7 +106,7 @@ def _split_prod(vec: dict) -> tuple[dict, dict]:
     left: dict = {}
     right: dict = {}
     for a, c in vec.items():
-        side, inner = a
+        side, _, inner = a.partition(".")
         (left if side == "L" else right)[inner] = c
     return left, right
 

@@ -54,7 +54,6 @@ from .objects import (
     DPair,
     Prod,
     Space,
-    atom_str,
     d_space,
     embed_slot,
     peel_product,
@@ -127,13 +126,19 @@ class PolyMap:
         if limit is not None:
             keys = keys[:limit]
         for m, b in keys:
-            args = ", ".join(atom_str(a) for a in m)
-            lines.append(f"  entry ({args}) -> {atom_str(b)} : {self.entries[(m, b)]}")
+            lines.append(f"  entry ({', '.join(m)}) -> {b} : {self.entries[(m, b)]}")
         return "\n".join(lines)
 
 
+def _trusted(dom: Space, cod: Space, entries: Entries) -> PolyMap:
+    """A map over entries that hold no zero, kept without the filter's copy."""
+    f = PolyMap.__new__(PolyMap)
+    f.dom, f.cod, f.entries = dom, cod, entries
+    return f
+
+
 def identity(x: Space) -> PolyMap:
-    return PolyMap(x, x, {((a,), a): 1 for a in web(x)})
+    return _trusted(x, x, {((a,), a): 1 for a in web(x)})
 
 
 def zero(dom: Space, cod: Space) -> PolyMap:
@@ -280,12 +285,12 @@ def partial_differential(f: PolyMap, arity: int, i: int) -> PolyMap:
                 mm = mono(base[:idx] + base[idx + 1 :] + (tag_d(1, a),))
             mult = m.count(a)
             entries[(mm, d_out)] = c * mult if mult > 1 else c
-    return PolyMap(prodn(slots), d_space(f.cod), entries)
+    return _trusted(prodn(slots), d_space(f.cod), entries)
 
 
 def proj(i: int, x: Space) -> PolyMap:
     """pi_i : DX -> X."""
-    return PolyMap(d_space(x), x, {((tag_d(i, a),), a): 1 for a in web(x)})
+    return _trusted(d_space(x), x, {((tag_d(i, a),), a): 1 for a in web(x)})
 
 
 def sigma(x: Space) -> PolyMap:
@@ -294,14 +299,14 @@ def sigma(x: Space) -> PolyMap:
     for a in web(x):
         entries[((tag_d(0, a),), a)] = 1
         entries[((tag_d(1, a),), a)] = 1
-    return PolyMap(d_space(x), x, entries)
+    return _trusted(d_space(x), x, entries)
 
 
 def prod_proj(i: int, *slots: Space) -> PolyMap:
     """pr_i : prodn(slots) -> slots[i], slot i's atoms placed by embed_slot."""
     n = len(slots)
     entries = {((embed_slot(i, n, a),), a): 1 for a in web(slots[i])}
-    return PolyMap(prodn(list(slots)), slots[i], entries)
+    return _trusted(prodn(list(slots)), slots[i], entries)
 
 
 def prod_pair(*maps: PolyMap) -> PolyMap:
@@ -316,7 +321,7 @@ def prod_pair(*maps: PolyMap) -> PolyMap:
     for j, f in enumerate(maps):
         for (m, b), c in f.entries.items():
             entries[(m, embed_slot(j, n, b))] = c
-    return PolyMap(dom, prodn([f.cod for f in maps]), entries)
+    return _trusted(dom, prodn([f.cod for f in maps]), entries)
 
 
 def with_map(*maps: PolyMap) -> PolyMap:
@@ -328,7 +333,7 @@ def with_map(*maps: PolyMap) -> PolyMap:
         for (m, b), c in f.entries.items():
             key = (tuple([embed_slot(j, n, a) for a in m]), embed_slot(j, n, b))
             entries[key] = c
-    return PolyMap(
+    return _trusted(
         prodn([f.dom for f in maps]), prodn([f.cod for f in maps]), entries
     )
 
@@ -342,7 +347,7 @@ def pair_witness_matrix(f0: PolyMap, f1: PolyMap) -> PolyMap:
         entries[(m, tag_d(0, b))] = c
     for (m, b), c in f1.entries.items():
         entries[(m, tag_d(1, b))] = c
-    return PolyMap(f0.dom, d_space(f0.cod), entries)
+    return _trusted(f0.dom, d_space(f0.cod), entries)
 
 
 def strip_d_space(space: Space) -> Space:

@@ -57,16 +57,16 @@ def test_membership_terminal():
 
 def test_membership_d_space_sums_projections():
     d1 = d_space(ONE)
-    assert web(d1) == (("0", "*"), ("1", "*"))
+    assert web(d1) == ("0.*", "1.*")
     # Same predual as duplicating (1,) onto both tags: z0 + z1 <= 1.
-    assert membership(d1, {("0", "*"): F(1, 2), ("1", "*"): F(1, 2)})
-    assert not membership(d1, {("0", "*"): F(3, 4), ("1", "*"): F(1, 2)})
+    assert membership(d1, {"0.*": F(1, 2), "1.*": F(1, 2)})
+    assert not membership(d1, {"0.*": F(3, 4), "1.*": F(1, 2)})
 
 
 def test_membership_product_is_componentwise():
     both = product(ONE, ONE)
-    assert membership(both, {("L", "*"): F(1), ("R", "*"): F(1)})
-    assert not membership(both, {("L", "*"): F(5, 4)})
+    assert membership(both, {"L.*": F(1), "R.*": F(1)})
+    assert not membership(both, {"L.*": F(5, 4)})
 
 
 def test_validate_space_rejects_bad_preduals():
@@ -91,16 +91,16 @@ TWO_ROW = Ground("tr", ("p", "q", "r"), ((F(1), F(1), F(0)), (F(0), F(1, 2), F(2
 def test_functionals_structural_rows():
     assert functionals(SQUARE) == ({"a": F(1)}, {"b": F(1)})
     assert functionals(product(ONE, SQUARE)) == (
-        {("L", "*"): F(1)}, {("R", "a"): F(1)}, {("R", "b"): F(1)}
+        {"L.*": F(1)}, {"R.a": F(1)}, {"R.b": F(1)}
     )
-    assert functionals(d_space(ONE)) == ({("0", "*"): F(1), ("1", "*"): F(1)},)
+    assert functionals(d_space(ONE)) == ({"0.*": F(1), "1.*": F(1)},)
 
 
 def test_space_sup_per_construction():
     assert space_sup(SQUARE, {"a": F(2), "b": F(3)}) == F(5)
     # x + u lies in the square: every unit of it takes the larger weight.
-    assert space_sup(d_space(SQUARE), {("0", "a"): F(2), ("1", "a"): F(3)}) == F(3)
-    assert space_sup(product(ONE, TWO_ROW), {("L", "*"): F(1), ("R", "q"): F(1)}) == F(2)
+    assert space_sup(d_space(SQUARE), {"0.a": F(2), "1.a": F(3)}) == F(3)
+    assert space_sup(product(ONE, TWO_ROW), {"L.*": F(1), "R.q": F(1)}) == F(2)
 
 
 def test_unit_square_sum_escapes(inst):
@@ -310,10 +310,10 @@ def test_eval_ifzero_at_dirac_zero():
     h = model.symbols["bil"]
     # u = dirac at 0, x and y arbitrary: h(u, (x, y)) = x.
     x = {"0": F(1, 4), "1": F(1, 8)}
-    point = {("L", "0"): F(1)}
+    point = {"L.0": F(1)}
     for a, c in x.items():
-        point[("R", ("L", a))] = c
-    point[("R", ("R", "2"))] = F(1, 3)  # y is dropped since u has no mass > 0
+        point["R.L." + a] = c
+    point["R.R.2"] = F(1, 3)  # y is dropped since u has no mass > 0
     assert h.eval(point) == x
 
 
@@ -385,7 +385,7 @@ def test_is_multilinear_rejects_wrong_shapes():
     base = model.grounds["N"]
     nn = product(base, base)
     diag = pm.PolyMap(
-        nn, base, {(pm.mono([("L", "0"), ("L", "1")]), "0"): F(1, 2)}
+        nn, base, {(pm.mono(["L.0", "L.1"]), "0"): F(1, 2)}
     )
     assert not is_multilinear(diag, 2)
     with pytest.raises(Exception):
@@ -408,12 +408,12 @@ def test_structural_theta_acts_on_witness_vectors():
     theta = inst.theta(ONE)
     x, u, v, w = F(1, 8), F(1, 8), F(1, 4), F(1, 8)
     z = {
-        ("0", ("0", "*")): x,
-        ("0", ("1", "*")): u,
-        ("1", ("0", "*")): v,
-        ("1", ("1", "*")): w,
+        "0.0.*": x,
+        "0.1.*": u,
+        "1.0.*": v,
+        "1.1.*": w,
     }
-    assert theta.eval(z) == {("0", "*"): x, ("1", "*"): u + v}
+    assert theta.eval(z) == {"0.*": x, "1.*": u + v}
 
 
 def test_structural_swap_is_involutive():
@@ -425,8 +425,8 @@ def test_structural_swap_is_involutive():
 def test_structural_sigma_on_d_one():
     inst = PcsInstance()
     assert inst.sigma(ONE).entries == {
-        ((("0", "*"),), "*"): F(1),
-        ((("1", "*"),), "*"): F(1),
+        (("0.*",), "*"): F(1),
+        (("1.*",), "*"): F(1),
     }
 
 
@@ -503,6 +503,9 @@ def test_parse_model_file_errors():
         ),
         ("object N { web = [a b, c]; predual = [[1, 1]]; }", "1:21: "),
         ("object N { web = [L.0, c]; predual = [[1, 1]]; }", "1:20: "),
+        # A dotted web name would make an atom such as "L.a.b" ambiguous.
+        ("object S { web = [a.b]; predual = [[1]]; }",
+         "1:20: expected ']', found '.'"),
         ("object N { web = [a]; predual = [[1]]; stray }", "1:40: "),
         (
             "object N { web = [a];\n web = [b]; predual = [[1]]; }",

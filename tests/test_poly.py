@@ -28,7 +28,7 @@ def test_d_combinator_of_square():
     sq = lit({("x0", "x0"): 1})
     d = d_combinator(sq)
     # d f (x, u) = 2 x u: base point in the left factor.
-    key = (pm.mono([("L", "x0"), ("R", "x0")]), "x0")
+    key = (pm.mono(["L.x0", "R.x0"]), "x0")
     assert d.entries == {key: F(2)}
 
 
@@ -222,8 +222,8 @@ def test_directional_oracle_matches_d_combinator():
         d = d_combinator(f)
         x = {a: F(rng.randint(-3, 3), rng.randint(1, 4)) for a in web(X2)}
         u = {a: F(rng.randint(-3, 3), rng.randint(1, 4)) for a in web(X2)}
-        point = {("L", a): c for a, c in x.items()}
-        point.update({("R", a): c for a, c in u.items()})
+        point = {"L." + a: c for a, c in x.items()}
+        point.update({"R." + a: c for a, c in u.items()})
         assert d.eval(point) == directional_oracle(f, x, u)
 
 
@@ -236,7 +236,7 @@ def test_d_combinator_bridges_to_differential():
     assert first == pm.compose(f, pm.proj(0, X2))
     d = d_combinator(f)
     retagged = {
-        (pm.mono([("L" if a[0] == "0" else "R", a[1]) for a in m]), b): c
+        (pm.mono([tag_prod(*untag_d(a)) for a in m]), b): c
         for (m, b), c in second.entries.items()
     }
     assert retagged == d.entries

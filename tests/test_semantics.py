@@ -370,7 +370,7 @@ def test_model_validation_rejects_non_multilinear(pcs):
     sig = Signature({"f": FunctionType((N, N), N)})
     nn = product(base, base)
     diag = pm.PolyMap(
-        nn, base, {(pm.mono([("L", "0"), ("L", "0")]), "0"): F(1, 2)}
+        nn, base, {(pm.mono(["L.0", "L.0"]), "0"): F(1, 2)}
     )
     with pytest.raises(ModelError):
         Model(inst, {"N": base}, sig, {"f": diag})

@@ -34,9 +34,9 @@ SLOT_TUPLES = [
 def ref_with_map2(f0, f1):
     entries = {}
     for (m, b), c in f0.entries.items():
-        entries[(pm.mono(("L", a) for a in m), ("L", b))] = c
+        entries[(pm.mono("L." + a for a in m), "L." + b)] = c
     for (m, b), c in f1.entries.items():
-        entries[(pm.mono(("R", a) for a in m), ("R", b))] = c
+        entries[(pm.mono("R." + a for a in m), "R." + b)] = c
     return pm.PolyMap(product(f0.dom, f1.dom), product(f0.cod, f1.cod), entries)
 
 
@@ -44,15 +44,15 @@ def ref_prod_pair2(f0, f1):
     assert f0.dom == f1.dom
     entries = {}
     for (m, b), c in f0.entries.items():
-        entries[(m, ("L", b))] = c
+        entries[(m, "L." + b)] = c
     for (m, b), c in f1.entries.items():
-        entries[(m, ("R", b))] = c
+        entries[(m, "R." + b)] = c
     return pm.PolyMap(f0.dom, product(f0.cod, f1.cod), entries)
 
 
 def ref_prod_proj2(i, left, right):
     out = (left, right)[i]
-    entries = {((("LR"[i], a),), a): 1 for a in web(out)}
+    entries = {(("LR"[i] + "." + a,), a): 1 for a in web(out)}
     return pm.PolyMap(product(left, right), out, entries)
 
 
