@@ -11,9 +11,9 @@ through a shared semantics module.
 from .ccdc import Instance, LawConfig, LawReport, check_axioms
 from .objects import Ground, Prod, DPair, d_space, product, web
 from .parser import ParseError, parse_program
-from .pcs import PcsInstance, is_multilinear, membership
+from .pcs import PcsInstance, membership
 from .poly import PolyInstance
-from .polymap import PolyMap
+from .polymap import PolyMap, is_multilinear
 from .rewrite import (
     FuelExhausted,
     ReductionTrace,

@@ -25,7 +25,6 @@ from .gen import (
 from .objects import space_str, web
 from .parser import ParseError, parse_program
 from .pcs import (
-    ModelError,
     PcsInstance,
     _parse_atom,
     _parse_rational,
@@ -38,6 +37,7 @@ from .polymap import DegreeCapError
 from .rewrite import DEFAULT_FUEL, FuelExhausted, normalize
 from .semantics import (
     Model,
+    ModelError,
     check_diff_theorem,
     check_invariance,
     interp_term,

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import polymap as pm
 from .ccdc import Instance
-from .objects import Ground, Space, d_space, embed_slot, prodn, product, tag_prod, web
+from .objects import Ground, Space, d_space, embed_slot, prodn, product, web
 from .pcs import PcsInstance, validate_space
 from .poly import PolyInstance
 from .polymap import PolyMap
@@ -77,7 +77,7 @@ def _symbol_matrices(base: Ground) -> dict[str, dict]:
     bil = {}
     for c in atoms:
         for m in atoms:
-            pair_atom = tag_prod(0 if m == atoms[0] else 1, c)
+            pair_atom = embed_slot(0 if m == atoms[0] else 1, 2, c)
             key = pm.mono([embed_slot(0, 2, m), embed_slot(1, 2, pair_atom)])
             bil[(key, c)] = 1
 

@@ -20,9 +20,10 @@ d_space(X) & d_space(Y) are the same space with the same atoms.  Both
 backends rely on this: the swap mediating D(X & Y) and DX & DY is literally
 the identity matrix.
 
-An n-fold product is a left-nested binary product.  prodn, embed_slot,
-slot_of and peel_product are the only code that knows this layout; the n-ary
-map builders of polymap place slot i's atoms with the cached embed_slot.
+An n-fold product is a left-nested binary product, whose sides are
+embed_slot(side, 2, -).  prodn, embed_slot and peel_product are the only code
+that knows this layout; other modules place slot i's atoms with the cached
+embed_slot(i, n, -) and read them back by its prefix embed_slot(i, n, "").
 
 Spaces key the web() cache and every derived-morphism cache, and a ground
 space's hash walks its predual, so each space computes its hash once, at
@@ -158,22 +159,10 @@ def untag_d(a: Atom) -> tuple[int, Atom]:
     return _D_TAGS.index(a[k : k + 2]), a[:k] + a[k + 2 :]
 
 
-def tag_prod(side: int, a: Atom) -> Atom:
-    return _PROD_TAGS[side] + a
-
-
 @lru_cache(maxsize=None)
 def embed_slot(i: int, arity: int, atom: Atom) -> Atom:
     """Slot i's atom in prodn: an R tag unless i == 0, then L^(arity-1-i)."""
     return "L." * (arity - 1 - i) + ("R." if i else "") + atom
-
-
-def slot_of(atom: Atom, arity: int) -> int:
-    """Inverse of embed_slot; a first R at depth >= arity-1 is inside slot 0."""
-    depth = 0
-    while atom.startswith("L.", 2 * depth):
-        depth += 1
-    return max(0, arity - 1 - depth) if atom.startswith("R.", 2 * depth) else 0
 
 
 @lru_cache(maxsize=None)
@@ -182,8 +171,8 @@ def web(space: Space) -> tuple[Atom, ...]:
     if isinstance(space, Ground):
         atoms: list[Atom] = list(space.web)
     elif isinstance(space, Prod):
-        atoms = [tag_prod(0, a) for a in web(space.left)]
-        atoms += [tag_prod(1, a) for a in web(space.right)]
+        atoms = [embed_slot(0, 2, a) for a in web(space.left)]
+        atoms += [embed_slot(1, 2, a) for a in web(space.right)]
     else:
         atoms = [tag_d(i, a) for i in (0, 1) for a in web(space.inner)]
     return tuple(sorted(atoms))

@@ -32,6 +32,9 @@ membership.  A probe failure refutes exactly; survival certifies.
 Model files are read with the program tokenizer (parse_model_file), so their
 errors carry line:col, and turned into certified matrices by
 build_symbol_matrix, whose faults carry the line:col of their entry.
+
+Only what is particular to PCSs lives here: the model checks and ModelError
+(semantics) and multilinearity (polymap) serve every backend.
 """
 
 from __future__ import annotations
@@ -54,61 +57,36 @@ from .objects import (
     atom_from_str,
     embed_slot,
     fingerprint,
-    peel_product,
     prodn,
-    slot_of,
     tag_d,
-    tag_prod,
     untag_d,
     web,
 )
 from .parser import ParseError, _Parser, tokenize
 from .polymap import PolyMap
+from .semantics import ModelError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-class ModelError(Exception):
-    """A model failed validation: a PCS object, an interpretation, or the
-    assignment of objects and matrices to a signature."""
-
-
-def validate_space(space: Space) -> None:
-    """Enforce the finite-PCS invariants on every ground leaf."""
-    if isinstance(space, Ground):
-        if not space.predual:
-            raise ModelError(f"ground space {space.name!r} has an empty predual")
-        for row in space.predual:
-            if len(row) != len(space.web):
-                raise ModelError(
-                    f"predual row of {space.name!r} has wrong length"
-                )
-            if any(c < 0 for c in row):
-                raise ModelError(f"negative predual entry in {space.name!r}")
-        for idx, a in enumerate(space.web):
-            if max((row[idx] for row in space.predual), default=_ZERO) <= 0:
-                raise ModelError(
-                    f"coordinate {a!r} of {space.name!r} is unbounded "
-                    "(no predual vector is positive there)"
-                )
-        if len(set(space.web)) != len(space.web):
-            raise ModelError(f"duplicate atoms in web of {space.name!r}")
-        return
-    if isinstance(space, Prod):
-        validate_space(space.left)
-        validate_space(space.right)
-        return
-    validate_space(space.inner)
-
-
-def _split_prod(vec: dict) -> tuple[dict, dict]:
-    left: dict = {}
-    right: dict = {}
-    for a, c in vec.items():
-        side, _, inner = a.partition(".")
-        (left if side == "L" else right)[inner] = c
-    return left, right
+def validate_space(space: Ground) -> None:
+    """Enforce the finite-PCS invariants on a ground space."""
+    if not space.predual:
+        raise ModelError(f"ground space {space.name!r} has an empty predual")
+    for row in space.predual:
+        if len(row) != len(space.web):
+            raise ModelError(f"predual row of {space.name!r} has wrong length")
+        if any(c < 0 for c in row):
+            raise ModelError(f"negative predual entry in {space.name!r}")
+    for idx, a in enumerate(space.web):
+        if max((row[idx] for row in space.predual), default=_ZERO) <= 0:
+            raise ModelError(
+                f"coordinate {a!r} of {space.name!r} is unbounded "
+                "(no predual vector is positive there)"
+            )
+    if len(set(space.web)) != len(space.web):
+        raise ModelError(f"duplicate atoms in web of {space.name!r}")
 
 
 @lru_cache(maxsize=None)
@@ -124,7 +102,7 @@ def functionals(space: Space) -> tuple[dict, ...]:
         )
     if isinstance(space, Prod):
         return tuple(
-            {tag_prod(side, a): c for a, c in row.items()}
+            {embed_slot(side, 2, a): c for a, c in row.items()}
             for side, part in enumerate((space.left, space.right))
             for row in functionals(part)
         )
@@ -223,8 +201,12 @@ def space_sup(space: Space, v: dict) -> Fraction:
             for x in _vertices(space)
         )
     if isinstance(space, Prod):
-        left, right = _split_prod(v)
-        return space_sup(space.left, left) + space_sup(space.right, right)
+        total = _ZERO
+        for side, part in enumerate((space.left, space.right)):
+            p = embed_slot(side, 2, "")
+            sub = {a.removeprefix(p): c for a, c in v.items() if a.startswith(p)}
+            total += space_sup(part, sub)
+        return total
     folded: dict = {}
     for a, c in v.items():
         _, inner = untag_d(a)
@@ -308,18 +290,6 @@ class PcsInstance(Instance):
             if not membership(candidate.cod, candidate.eval(x)):
                 return False
         return True
-
-
-def is_multilinear(f: PolyMap, arity: int) -> bool:
-    """One atom from each argument slot in every monomial."""
-    peel_product(f.dom, arity)  # raises if the domain is not such a product
-    for m, _ in f.entries:
-        if len(m) != arity:
-            return False
-        slots = sorted(slot_of(a, arity) for a in m)
-        if slots != list(range(arity)):
-            return False
-    return True
 
 
 def corrupted_sigma_instance() -> PcsInstance:

@@ -28,7 +28,8 @@ There is one differentiation loop, partial_differential(f, arity, i).  It
 peels f's domain into its arity slots and builds the partial derivative
 D_i f = Df . phi_i in one pass over f's entries: atoms of slot i are
 0-tagged, the others kept, and only slot i's atoms give derivative
-monomials.  differential(f) is its one-slot case.
+monomials.  differential(f) is its one-slot case.  is_multilinear(f, arity),
+which Model asks of each symbol's map, reads slots the same way, by prefix.
 
 On the series path each monomial p of g is multiplied out on its own: its
 coefficient times f's series for each atom of p in turn, a repeated atom
@@ -286,6 +287,17 @@ def partial_differential(f: PolyMap, arity: int, i: int) -> PolyMap:
             mult = m.count(a)
             entries[(mm, d_out)] = c * mult if mult > 1 else c
     return _trusted(prodn(slots), d_space(f.cod), entries)
+
+
+def is_multilinear(f: PolyMap, arity: int) -> bool:
+    """One atom from each argument slot in every monomial: sorted, its i-th
+    atom starts with slot i's prefix embed_slot(i, arity, "")."""
+    peel_product(f.dom, arity)  # raises if the domain is not such a product
+    prefixes = [embed_slot(i, arity, "") for i in range(arity)]
+    return all(
+        len(m) == arity and all(map(str.startswith, m, prefixes))
+        for m, _ in f.entries
+    )
 
 
 def proj(i: int, x: Space) -> PolyMap:

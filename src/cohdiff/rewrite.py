@@ -11,6 +11,15 @@ component to be summable with itself, which fails in the probabilistic
 model.  A redex whose contractum cannot be plugged soundly is left in place.
 `steps` lifts `redexes` to every step of a multiset, and `normalize` takes
 the first step each time, which is the leftmost-outermost strategy.
+
+Reduction terminates: every rule instance decreases in the multiset path
+ordering with the well-founded precedence (word length, head kind), where
+theta > pi > other heads > pair > variables.  pr-pair and pi-iota give
+sub-terms or nothing; pi0/pi1-theta need theta^(d) > pi^(d) at one word
+length; proj-app at depth d and inner word length e > d rebuilds
+g^(e-1) < g^(e) over a pushed pi^(k), k <= d < e.  The ordering is closed
+under contexts, and a multiset step replaces a member by smaller ones, so
+only fuel, a resource bound, can stop reduction early.
 """
 
 from __future__ import annotations

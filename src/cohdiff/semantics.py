@@ -1,14 +1,15 @@
 """Interpretation of the term language into a concrete instance.
 
 Ground symbols go to objects and user function symbols to multilinear
-morphisms.  Every application f^w(t1, ..., tn) follows one rule: the
-iterated partial derivative D_w of its head's map at arity n, composed with
-the pairing <t1, ..., tn> of the argument interpretations.  Every head,
-built-ins included, has one slot per argument, read off the domain of its
-map.  A built-in takes one argument, so f^(0...0) is D^d f; its object is
-read off the codomain of its argument's morphism by stripping the word's D's
-and the built-in's own strips, as typecheck does.  A constant has no slot,
-and the pairing of no arguments is the zero map into the terminal object.
+morphisms; Model checks these for every backend, raising ModelError.  Every
+application f^w(t1, ..., tn) follows one rule: the iterated partial
+derivative D_w of its head's map at arity n, composed with the pairing
+<t1, ..., tn> of the argument interpretations.  Every head, built-ins
+included, has one slot per argument, read off the domain of its map.  A
+built-in takes one argument, so f^(0...0) is D^d f; its object is read off
+the codomain of its argument's morphism by stripping the word's D's and the
+built-in's own strips, as typecheck does.  A constant has no slot, and the
+pairing of no arguments is the zero map into the terminal object.
 The interpretation is compositional and types nothing.
 A variable and pr_i are both prod_proj out of a product of slots.  So
 interp_term takes a term that typechecks in its context, as every caller
@@ -33,8 +34,7 @@ from .objects import (
     product,
     space_str,
 )
-from .pcs import ModelError, is_multilinear
-from .polymap import PolyMap
+from .polymap import PolyMap, is_multilinear
 from .rewrite import (
     DEFAULT_FUEL,
     FuelExhausted,
@@ -61,6 +61,11 @@ from .syntax import (
     type_str,
     typecheck,
 )
+
+
+class ModelError(Exception):
+    """A model failed validation: a PCS object, an interpretation, or the
+    assignment of objects and matrices to a signature."""
 
 
 @dataclass

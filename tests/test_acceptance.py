@@ -25,7 +25,8 @@ from cohdiff.gen import (
     truncated_nat,
 )
 from cohdiff.objects import d_space, web
-from cohdiff.pcs import corrupted_sigma_instance, is_multilinear, sup_norm
+from cohdiff.pcs import corrupted_sigma_instance, sup_norm
+from cohdiff.polymap import is_multilinear
 from cohdiff.rewrite import TermMultiset, normalize
 from cohdiff.semantics import check_diff_theorem, check_invariance
 from cohdiff.syntax import (

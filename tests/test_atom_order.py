@@ -6,8 +6,9 @@ ground atom is its web name, and a tagged atom is a (tag, inner) tuple.
 reference_atom_key spells out the intended order on that form: ground names
 by their text, tagged atoms by tag and then by inner atom.  On spaces built
 from grounds by products and D, web() must be the nested web in its sorted
-order, mono() and tag_d(0, -) must keep the reference order, and the
-tag helpers must invert each other.
+order, mono() and tag_d(0, -) must keep the reference order, the tag
+helpers must invert each other, and an atom placed in slot i of prodn must
+start with slot i's prefix embed_slot(i, n, "") and with no other slot's.
 """
 
 import pytest
@@ -21,7 +22,6 @@ from cohdiff.objects import (
     d_space,
     embed_slot,
     prodn,
-    slot_of,
     tag_d,
     untag_d,
     web,
@@ -116,13 +116,15 @@ def test_tag_helpers_invert_each_other(space):
 
 
 @given(st.lists(spaces(2), min_size=1, max_size=4))
-def test_slot_of_inverts_embed_slot(slots):
+def test_embedded_atom_starts_with_only_its_slot_prefix(slots):
     n = len(slots)
     whole = set(web(prodn(slots)))
+    prefixes = [embed_slot(j, n, "") for j in range(n)]
     for i, s in enumerate(slots):
         for a in web(s):
-            assert embed_slot(i, n, a) in whole
-            assert slot_of(embed_slot(i, n, a), n) == i
+            e = embed_slot(i, n, a)
+            assert e in whole
+            assert [j for j, p in enumerate(prefixes) if e.startswith(p)] == [i]
 
 
 @pytest.mark.parametrize("name", ["", "a.b", "L.0"])

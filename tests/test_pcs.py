@@ -15,7 +15,6 @@ from cohdiff.objects import (
     embed_slot,
     prodn,
     product,
-    slot_of,
     web,
 )
 from cohdiff.pcs import (
@@ -23,7 +22,6 @@ from cohdiff.pcs import (
     PcsInstance,
     build_symbol_matrix,
     functionals,
-    is_multilinear,
     membership,
     parse_model_file,
     probe_points,
@@ -31,6 +29,7 @@ from cohdiff.pcs import (
     sup_norm,
     validate_space,
 )
+from cohdiff.polymap import is_multilinear
 
 F = Fraction
 
@@ -541,8 +540,9 @@ def test_parse_model_file_demo_literal():
 
 @pytest.mark.parametrize("arity", [1, 2, 3, 4])
 def test_embed_slot_round_trip(arity):
-    # Slot atoms carry L/R/0/1 tags of their own, so in slot 0 the first R
-    # can sit at depth >= arity-1, inside the slot atom.
+    # Slot atoms carry L/R/0/1 tags of their own, so in slot 0 an R can
+    # follow the slot's own L tags; the prefix still names one slot.
+    prefixes = [embed_slot(j, arity, "") for j in range(arity)]
     a = Ground("a", ("x", "y"), ((F(1), F(1)),))
     kinds = [product(product(a, a), a), d_space(a), product(d_space(a), a), a]
     slots = [kinds[i % len(kinds)] for i in range(arity)]
@@ -550,6 +550,6 @@ def test_embed_slot_round_trip(arity):
     for i, s in enumerate(slots):
         for atom in web(s):
             e = embed_slot(i, arity, atom)
-            assert slot_of(e, arity) == i
+            assert [j for j, p in enumerate(prefixes) if e.startswith(p)] == [i]
             embedded.append(e)
     assert sorted(embedded) == list(web(prodn(slots)))

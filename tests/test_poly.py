@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cohdiff import polymap as pm
-from cohdiff.objects import Atom, Ground, product, tag_prod, untag_d, web
+from cohdiff.objects import Atom, Ground, embed_slot, product, untag_d, web
 from cohdiff.poly import PolyInstance
 
 F = Fraction
@@ -159,7 +159,7 @@ def test_additive_versus_linear_gap():
 def _retag_d_to_prod(a: Atom) -> Atom:
     """Relabel the outer D tag of an atom of DX as a product tag of X & X."""
     i, inner = untag_d(a)
-    return tag_prod(i, inner)
+    return embed_slot(i, 2, inner)
 
 
 def d_combinator(f: pm.PolyMap) -> pm.PolyMap:
@@ -236,7 +236,7 @@ def test_d_combinator_bridges_to_differential():
     assert first == pm.compose(f, pm.proj(0, X2))
     d = d_combinator(f)
     retagged = {
-        (pm.mono([tag_prod(*untag_d(a)) for a in m]), b): c
+        (pm.mono([_retag_d_to_prod(a) for a in m]), b): c
         for (m, b), c in second.entries.items()
     }
     assert retagged == d.entries

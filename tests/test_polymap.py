@@ -3,11 +3,12 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cohdiff import polymap as pm
 from cohdiff.ccdc import Instance
 from cohdiff.gen import default_poly_model
-from cohdiff.objects import Ground, d_space, product, web
+from cohdiff.objects import Ground, d_space, embed_slot, prodn, product, web
 
 F = Fraction
 
@@ -442,3 +443,35 @@ def test_d_tag_zero_keeps_monomials_sorted():
         f = _random_map(rng, space, space)
         for m, _ in pm.differential(f).entries:
             assert m == pm.mono(m)
+
+
+# Slot spaces for is_multilinear: products put L/R tags inside a slot's
+# atoms, so in slot 0 an R follows the slot's own L tags.
+SLOT_KINDS = [N, d_space(N), product(N, N), d_space(product(N, N))]
+
+
+@given(st.data())
+def test_is_multilinear_matches_a_brute_force_slot_search(data):
+    slots = data.draw(st.lists(st.sampled_from(SLOT_KINDS), min_size=1, max_size=4))
+    n = len(slots)
+    slot_webs = [{embed_slot(i, n, a) for a in web(s)} for i, s in enumerate(slots)]
+    dom_web = web(prodn(slots))
+    monos = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        atoms = [data.draw(st.sampled_from(sorted(w))) for w in slot_webs]
+        shape = data.draw(st.sampled_from(["one per slot", "drop", "extra", "any"]))
+        if shape == "drop":
+            atoms.pop(data.draw(st.integers(0, n - 1)))
+        elif shape == "extra":
+            atoms.append(data.draw(st.sampled_from(dom_web)))
+        elif shape == "any":
+            atoms = data.draw(st.lists(st.sampled_from(dom_web), max_size=n + 1))
+        monos.append(pm.mono(atoms))
+    f = pm.PolyMap(prodn(slots), N, {(m, "0"): 1 for m in monos})
+
+    def slot(a):
+        (i,) = [i for i, w in enumerate(slot_webs) if a in w]
+        return i
+
+    expected = all(sorted(map(slot, m)) == list(range(n)) for m in monos)
+    assert pm.is_multilinear(f, n) == expected

@@ -1,5 +1,9 @@
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, strategies as st
+
+from cohdiff.gen import generate_typed_terms
 
 from cohdiff.rewrite import (
     FuelExhausted,
@@ -18,6 +22,7 @@ from cohdiff.syntax import (
     Theta,
     UserFn,
     Var,
+    term_str,
 )
 
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -278,3 +283,74 @@ def test_step_absent_on_app_contexts_means_no_root_redex_below():
     normal = iota(0, theta(2, pi(0, x)))
     assert step(normal) is None
     assert all(step_root(u) is None for u in subterms(normal))
+
+
+# ---------------------------------------------------------------------------
+# Termination: every redex instance decreases in a multiset path ordering.
+# The precedence is (word length, head kind): theta above pi, pi above every
+# other head, and a pair lowest; variables sit below every head.
+
+ROUTE_STATES = 300
+
+
+def _precedence(t):
+    if isinstance(t, Var):
+        return (0,)
+    if isinstance(t, Pair):
+        return (1,)
+    kind = 2 if isinstance(t.fn, Theta) else 1 if isinstance(t.fn, DProj) else 0
+    return (2, len(t.word), kind)
+
+
+def _subterms(t):
+    if isinstance(t, Pair):
+        return (t.t0, t.t1)
+    return t.args if isinstance(t, App) else ()
+
+
+def _multiset_above(ss, ts):
+    """The multiset extension: drop common members, then each remaining t
+    lies below some remaining s."""
+    ss, ts = list(ss), list(ts)
+    for t in list(ts):
+        if t in ss:
+            ss.remove(t)
+            ts.remove(t)
+    return bool(ss) and all(any(mpo_above(s, t) for s in ss) for t in ts)
+
+
+@lru_cache(maxsize=None)
+def mpo_above(s, t):
+    """s > t in the multiset path ordering."""
+    if any(u == t or mpo_above(u, t) for u in _subterms(s)):
+        return True
+    ps, pt = _precedence(s), _precedence(t)
+    if ps > pt:
+        return all(mpo_above(s, u) for u in _subterms(t))
+    return ps == pt and _multiset_above(_subterms(s), _subterms(t))
+
+
+def test_path_ordering_basics():
+    assert mpo_above(pi(0, x), x)
+    assert mpo_above(theta(0, x), pi(0, x))
+    assert mpo_above(pi(0, x, d=1), theta(0, x))
+    assert not mpo_above(x, y) and not mpo_above(pi(0, x), pi(0, x))
+
+
+def test_every_redex_instance_decreases_on_every_route():
+    rules = set()
+    for _, t, _ in generate_typed_terms(200, seed=202):
+        start = TermMultiset([t])
+        seen, todo = {start}, [start]
+        while todo and len(seen) < ROUTE_STATES:
+            ms = todo.pop()
+            for u in set(ms.items):
+                for rule, path, members in redexes(u):
+                    rules.add(rule)
+                    for member in members:
+                        assert mpo_above(u, member), (rule, path, term_str(u))
+            for new, _, _ in steps(ms):
+                if new not in seen:
+                    seen.add(new)
+                    todo.append(new)
+    assert len(rules) == 6  # every rule was checked

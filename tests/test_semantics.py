@@ -1,9 +1,12 @@
+import ast
 import io
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import cohdiff
 from cohdiff import polymap as pm
 from cohdiff import rewrite
 from cohdiff.cli import main
@@ -16,10 +19,11 @@ from cohdiff.gen import (
     truncated_nat,
 )
 from cohdiff.objects import d_space, prodn, product
-from cohdiff.pcs import ModelError, PcsInstance, corrupted_sigma_instance
+from cohdiff.pcs import PcsInstance, corrupted_sigma_instance
 from cohdiff.rewrite import TermMultiset
 from cohdiff.semantics import (
     Model,
+    ModelError,
     check_diff_theorem,
     check_invariance,
     interp_ctx,
@@ -481,3 +485,33 @@ def test_every_reduction_route_preserves_the_interpretation(pcs, poly):
                     total = pm.add(total, interp_term(model, ctx, member))
                 assert total == base, (model.inst.name, t, ms.render())
     assert branched_terms  # the oracle saw more than the one route
+
+
+# ---------------------------------------------------------------------------
+# Layering: the shared modules know no backend, generator or front-end.
+
+SHARED = ["objects", "polymap", "ccdc", "syntax", "parser", "rewrite", "semantics"]
+
+
+def _package_imports(module):
+    """The cohdiff modules a source file imports, anywhere in it."""
+    tree = ast.parse((Path(cohdiff.__file__).parent / f"{module}.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["cohdiff" * bool(node.level), node.module]))
+            dotted = [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in dotted:
+            parts = name.split(".")
+            if parts[0] == "cohdiff" and len(parts) > 1:
+                names.add(parts[1])
+    return names
+
+
+@pytest.mark.parametrize("module", SHARED)
+def test_shared_modules_import_no_backend(module):
+    assert not _package_imports(module) & {"pcs", "poly", "gen", "cli"}
