@@ -19,6 +19,9 @@ A partial derivative takes the arity of its map's domain and a word of
 slots, and each D_i f = Df . phi_i is computed in one pass by
 polymap.partial_differential, without building Df or the strength phi_i;
 strength stays for the strength-comm law and as the tests' reference.
+Given the atoms its caller will read, the reach, partial_derivative pulls
+the reach back through the word, last letter first, and each letter builds
+only the monomials that can still land inside it.
 A law draws its case through LawEnv and fails by raising LawFailure;
 check_axioms records the first failing case's message and stops the law.
 """
@@ -32,7 +35,7 @@ from typing import Callable, Optional, Sequence
 
 from . import polymap as pm
 from .objects import (
-    Prod, Space, d_space, peel_product, product, space_str,
+    Prod, Space, d_space, embed_slot, peel_product, product, space_str, untag_d,
 )
 from .polymap import PolyMap
 
@@ -200,16 +203,35 @@ class Instance:
         ])
 
     def partial_derivative(
-        self, f: PolyMap, arity: int, word: Sequence[int]
+        self, f: PolyMap, arity: int, word: Sequence[int],
+        reach: Optional[set] = None,
     ) -> PolyMap:
         """Iterated partials D_w f for f out of an arity-fold product,
         applying the first letter first.  Each D_i f = D f . phi_i is
         computed in one pass over f's entries by partial_differential,
-        which peels the slots off the domain the last letter built."""
+        which peels the slots off the domain the last letter built.
+
+        With reach, a set of atoms of the last domain, the result is D_w f
+        restricted to the monomials inside reach.  Letter i pulls reach back
+        by stripping the D tag off the atoms in slot i, and each letter
+        builds only what lies inside the pull-back of the letters after it:
+        a later letter maps an atom only to taggings of itself."""
         for i in word:
             if not 0 <= i < arity:
                 raise IndexError(f"slot {i} out of range for {arity} slots")
-            f = pm.partial_differential(f, arity, i)
+        if not word and reach is not None:
+            kept = {k: c for k, c in f.entries.items() if reach.issuperset(k[0])}
+            return PolyMap(f.dom, f.cod, kept)
+        # within[j] filters letter j's output; it is within[j + 1] pulled
+        # back through letter j + 1.
+        within = [reach] * len(word)
+        if reach is not None:
+            for j in range(len(word) - 1, 0, -1):
+                prefix = embed_slot(word[j], arity, "")
+                within[j - 1] = {untag_d(a)[1] if a.startswith(prefix) else a
+                                 for a in within[j]}
+        for i, r in zip(word, within):
+            f = pm.partial_differential(f, arity, i, r)
         return f
 
     def c_n_inv(self, slots: Sequence[Space]) -> PolyMap:

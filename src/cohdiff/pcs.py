@@ -313,12 +313,14 @@ def _parse_rational(text: str) -> int | Fraction:
     text = text.strip()
     try:
         if "/" in text:
-            num, den = text.split("/")
+            num, den = text.split("/", 1)
             value = Fraction(int(num), int(den))
             return value.numerator if value.denominator == 1 else value
         return int(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ModelError(f"bad rational {text!r}: {exc}") from None
+    except ValueError:
+        raise ModelError(f"bad rational {text!r}") from None
+    except ZeroDivisionError:
+        raise ModelError(f"zero denominator in {text!r}") from None
 
 
 def _parse_atom(text: str) -> Atom:

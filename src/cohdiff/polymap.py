@@ -28,8 +28,11 @@ There is one differentiation loop, partial_differential(f, arity, i).  It
 peels f's domain into its arity slots and builds the partial derivative
 D_i f = Df . phi_i in one pass over f's entries: atoms of slot i are
 0-tagged, the others kept, and only slot i's atoms give derivative
-monomials.  differential(f) is its one-slot case.  is_multilinear(f, arity),
-which Model asks of each symbol's map, reads slots the same way, by prefix.
+monomials.  Given a reach, a set of atoms of the new domain, it builds no
+monomial with an atom outside the reach: compose after a map that produces
+only the reach's atoms would skip exactly those monomials.
+differential(f) is its one-slot case.  is_multilinear(f, arity), which
+Model asks of each symbol's map, reads slots the same way, by prefix.
 
 On the series path each monomial p of g is multiplied out on its own: its
 coefficient times f's series for each atom of p in turn, a repeated atom
@@ -250,12 +253,16 @@ def differential(f: PolyMap) -> PolyMap:
     return partial_differential(f, 1, 0)
 
 
-def partial_differential(f: PolyMap, arity: int, i: int) -> PolyMap:
+def partial_differential(
+    f: PolyMap, arity: int, i: int, reach: Optional[set] = None
+) -> PolyMap:
     """D_i f : D at slot i of f's domain -> D(cod), for f out of an
     arity-fold product, its slots peeled off f.dom.
 
     D f . phi_i in one pass: slot i's atoms are 0-tagged and the others kept,
-    and only slot i's atoms a give the 1-tagged terms m(a) x^(m-[a]) u_a."""
+    and only slot i's atoms a give the 1-tagged terms m(a) x^(m-[a]) u_a.
+    With reach, a set of atoms of the new domain, only the monomials whose
+    atoms all lie in reach are built."""
     slots = peel_product(f.dom, arity)
     # None when the whole domain is slot i, so no atom needs the test.
     in_slot = (
@@ -273,12 +280,23 @@ def partial_differential(f: PolyMap, arity: int, i: int) -> PolyMap:
             base = tuple([tag_d(0, a) for a in m])
         else:
             base = tuple([tag_d(0, a) if a in in_slot else a for a in m])
-        entries[(base, tag_d(0, b))] = c
+        lost = None  # base's one atom outside reach; two leave nothing
+        if reach is not None:
+            missing = [x for x in base if x not in reach]
+            if len(missing) > 1:
+                continue  # a derivative monomial replaces one atom of base
+            lost = missing[0] if missing else None
+        if lost is None:
+            entries[(base, tag_d(0, b))] = c
         d_out = tag_d(1, b)
         for idx, a in enumerate(m):
             if idx and m[idx - 1] == a:
                 continue  # equal atoms are adjacent; count each once
             if in_slot is not None and a not in in_slot:
+                continue
+            if reach is not None and (
+                tag_d(1, a) not in reach or lost not in (None, base[idx])
+            ):
                 continue
             if len(m) == 1:
                 mm = (tag_d(1, a),)

@@ -4,7 +4,10 @@ Ground symbols go to objects and user function symbols to multilinear
 morphisms; Model checks these for every backend, raising ModelError.  Every
 application f^w(t1, ..., tn) follows one rule: the iterated partial
 derivative D_w of its head's map at arity n, composed with the pairing
-<t1, ..., tn> of the argument interpretations.  Every head, built-ins
+<t1, ..., tn> of the argument interpretations.  The pairing is built
+first and the head lifted only over the atoms it produces, since compose
+skips every monomial that reads another; the differential theorem's
+right-hand side, its reference, is lifted in full.  Every head, built-ins
 included, has one slot per argument, read off the domain of its map.  A
 built-in takes one argument, so f^(0...0) is D^d f; its object is read off
 the codomain of its argument's morphism by stripping the word's D's and the
@@ -167,11 +170,12 @@ def _interp_app(model: Model, ctx: Context, t: App) -> PolyMap:
             base = pm.prod_proj(f.i, x.left, x.right)
         else:
             raise TypeCheckError(f"pr applied to non-product {space_str(x)}")
-    lifted = inst.partial_derivative(base, len(t.args), t.word)
     if arg_maps:
         pairing = pm.prod_pair(*arg_maps)
     else:
         pairing = pm.zero(interp_ctx(model, ctx), prodn([]))
+    reach = {b for _, b in pairing.entries} if t.word else None
+    lifted = inst.partial_derivative(base, len(t.args), t.word, reach)
     return pm.compose(lifted, pairing)
 
 

@@ -139,15 +139,16 @@ def test_eval_model_error_exit_code(tmp_path):
     "at, message",
     [
         ("L.0=abc", "bad rational 'abc'"),
-        ("L.0=1/0", "bad rational '1/0'"),
-        ("Q.0=1", "unknown atom tag 'Q'"),
+        ("L.0=1/2/3", "bad rational '1/2/3'"),
+        ("L.0=1/0", "zero denominator in '1/0'"),
+        ("Q.0=1", "unknown atom tag 'Q' in 'Q.0'"),
         ("L.9=1", "point atom outside the context web: L.9"),
         ("L.0=-1", "negative coordinate at L.0"),
         ("L.0=1,L.0=2", "point gives L.0 twice"),
         ("=1", "bad point entry '=1', want atom=p/q"),
         # A negative coordinate is reported only once the whole point parses.
         ("L.0=-1,L.0=2", "point gives L.0 twice"),
-        ("L.0=-1,Q.0=1", "unknown atom tag 'Q'"),
+        ("L.0=-1,Q.0=1", "unknown atom tag 'Q' in 'Q.0'"),
     ],
 )
 def test_eval_bad_point_is_model_error(at, message):
@@ -163,9 +164,7 @@ def test_eval_bad_point_is_model_error(at, message):
     )
     assert code == 3
     # The point is checked before the map is printed.
-    lines = text.strip().splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("model error: ") and message in lines[0]
+    assert text.strip().splitlines() == [f"model error: {message}"]
 
 
 def test_model_file_unknown_atom_tag_is_model_error(tmp_path):

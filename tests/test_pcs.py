@@ -506,6 +506,8 @@ def test_parse_model_file_errors():
         ("object S { web = [a.b]; predual = [[1]]; }",
          "1:20: expected ']', found '.'"),
         ("object N { web = [a]; predual = [[1]]; stray }", "1:40: "),
+        ("object N { web = [a]; predual = [[1/0]]; }",
+         "1:35: zero denominator in '1/0'"),
         (
             "object N { web = [a];\n web = [b]; predual = [[1]]; }",
             "2:2: object 'N' has a second web",

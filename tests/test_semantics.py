@@ -9,6 +9,7 @@ import pytest
 import cohdiff
 from cohdiff import polymap as pm
 from cohdiff import rewrite
+from cohdiff.ccdc import Instance
 from cohdiff.cli import main
 from cohdiff.gen import (
     DEFAULT_CONTEXT,
@@ -444,6 +445,43 @@ def test_poly_constant_is_a_map_out_of_the_empty_product(poly):
     assert got == pm.PolyMap(interp_ctx(model, ctx), base, {((), "1"): F(1, 2)})
     succ = interp_term(model, ctx, App(UserFn("lin"), (), (App(UserFn("k")),)))
     assert succ == pm.PolyMap(interp_ctx(model, ctx), base, {((), "0"): F(1, 2)})
+
+
+def _interpret_corpus(models, cases):
+    """Each case's map, or its DegreeCapError text, on each model."""
+    out = []
+    for model in models:
+        model._cache.clear()
+        for ctx, t in cases:
+            try:
+                out.append(interp_term(model, ctx, t))
+            except pm.DegreeCapError as exc:
+                out.append(str(exc))
+        model._cache.clear()
+    return out
+
+
+@pytest.mark.parametrize("cap", [pm.DEGREE_CAP, 3])
+def test_heads_lifted_within_the_pairings_reach_give_the_same_maps(
+    pcs, poly, monkeypatch, cap
+):
+    names = [v for v, _ in DEFAULT_CONTEXT]
+    cases = []
+    for i, (ctx, t, _) in enumerate(generate_typed_terms(200, seed=202)):
+        x = names[i % len(names)]
+        dctx = tuple((v, d_type(ty) if v == x else ty) for v, ty in ctx)
+        cases += [(ctx, t), (dctx, differentiate(t, x))]
+    monkeypatch.setattr(pm, "DEGREE_CAP", cap)
+    pruned = _interpret_corpus((pcs, poly), cases)
+    full_head = Instance.partial_derivative
+    monkeypatch.setattr(
+        Instance,
+        "partial_derivative",
+        lambda self, f, arity, word, reach=None: full_head(self, f, arity, word),
+    )
+    assert _interpret_corpus((pcs, poly), cases) == pruned
+    capped = sum(isinstance(r, str) for r in pruned)
+    assert (capped > 0) == (cap == 3)
 
 
 # ---------------------------------------------------------------------------

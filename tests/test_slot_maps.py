@@ -8,7 +8,10 @@ through the code it checks.
 
 partial_differential builds D_i f = Df . phi_i in one pass, and differential is
 its one-slot case, so its reference is the composite itself over a copy of
-the whole-domain differential loop it replaced.
+the whole-domain differential loop it replaced.  Given a reach, a set of
+atoms of the last domain, partial_derivative builds D_w f only over that
+reach; its reference is the unpruned D_w f with every monomial that reads an
+atom outside the reach dropped.
 """
 
 import itertools
@@ -16,6 +19,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cohdiff import polymap as pm
 from cohdiff.ccdc import Instance
@@ -249,3 +253,33 @@ def test_partial_derivative_reads_its_slots_off_the_domain():
     # tri's domain (N & N) & N is also a 2-fold product, a valid coarser view.
     nn = product(BASE, BASE)
     assert inst.partial_derivative(tri, 2, (0,)) == ref_partial(tri, [nn, BASE], 0)
+
+
+# (head, arity): the default symbols, and the built-in bases over N, D N and
+# N & N, which take one argument.
+REACH_HEADS = [
+    (MODEL.symbols[name], n) for name, n in (("lin", 1), ("bil", 2), ("tri", 3))
+] + [
+    (head, 1)
+    for x in PARTIAL_OBJECTS[:3]
+    for k in (0, 1)
+    for head in (pm.proj(k, x), pm.prod_proj(k, x, x), MODEL.inst.inj(k, x))
+] + [(MODEL.inst.theta_pow(x, k), 1) for x in PARTIAL_OBJECTS[:3] for k in (0, 1, 2)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_partial_derivative_within_a_reach_is_the_full_one_restricted(data):
+    f, n = data.draw(st.sampled_from(REACH_HEADS))
+    word = data.draw(st.lists(st.integers(0, n - 1), max_size=3))
+    inst = Instance()
+    full = inst.partial_derivative(f, n, word)
+    atoms = web(full.dom)
+    reach = data.draw(
+        st.one_of(st.just(set(atoms)), st.sets(st.sampled_from(atoms)))
+    )
+    got = inst.partial_derivative(f, n, word, reach)
+    assert (got.dom, got.cod) == (full.dom, full.cod)
+    assert got.entries == {
+        k: c for k, c in full.entries.items() if set(k[0]) <= reach
+    }
