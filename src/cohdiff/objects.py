@@ -29,7 +29,9 @@ Spaces key the web() cache and every derived-morphism cache, and a ground
 space's hash walks its predual, so each space computes its hash once, at
 construction.  The value and equality are the dataclass defaults.  A ground
 space stores its predual as Fraction, whatever rationals it was given (ints
-compare and hash alike), since the vertex enumeration divides by them.
+compare and hash alike), since the vertex enumeration divides by them, and
+equal preduals share one interned tuple, so comparing two equal grounds built
+apart never compares their Fractions.
 """
 
 from __future__ import annotations
@@ -45,6 +47,10 @@ _D_TAGS = ("0.", "1.")
 _PROD_TAGS = ("L.", "R.")
 
 
+# One predual tuple per value, so that equal grounds compare theirs by identity.
+_PREDUALS: dict = {}
+
+
 @dataclass(frozen=True)
 class Ground:
     """A named finite web; predual rows align with the web tuple order."""
@@ -58,6 +64,7 @@ class Ground:
         if not all(self.web) or any("." in a for a in self.web):
             raise ValueError(f"web of {self.name!r} has an empty or dotted name")
         predual = tuple(tuple(map(Fraction, row)) for row in self.predual)
+        predual = _PREDUALS.setdefault(predual, predual)
         object.__setattr__(self, "predual", predual)
         object.__setattr__(self, "_hash", hash((self.name, self.web, predual)))
 

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -308,19 +309,21 @@ def corrupted_sigma_instance() -> PcsInstance:
 # Model files
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def _parse_rational(text: str) -> int | Fraction:
-    """p/q or n, as an int when integral (polymap's coefficient rule)."""
+    """n or p/q in ASCII digits, p and n optionally negative, as an int when
+    integral (polymap's coefficient rule)."""
     text = text.strip()
+    if not _RATIONAL.fullmatch(text):
+        raise ModelError(f"bad rational {text!r}")
+    num, _, den = text.partition("/")
     try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            value = Fraction(int(num), int(den))
-            return value.numerator if value.denominator == 1 else value
-        return int(text)
-    except ValueError:
-        raise ModelError(f"bad rational {text!r}") from None
+        value = Fraction(int(num), int(den or 1))
     except ZeroDivisionError:
         raise ModelError(f"zero denominator in {text!r}") from None
+    return value.numerator if value.denominator == 1 else value
 
 
 def _parse_atom(text: str) -> Atom:

@@ -11,6 +11,11 @@ real denominator appears.  The two compare, hash and print alike, and the
 engine only adds and multiplies, so results stay exact, never float, and
 integral arithmetic runs on ints.
 
+A map is never mutated, so it hashes its content, (dom, cod, the set of its
+entries), once, on first use, and keeps the hash in a slot.  The hash agrees
+with ==: entries compare as dicts, whatever their insertion order, and an
+integral Fraction hashes as its int.
+
 Composition has a fast path for substitutions: when every entry of f is a
 one-atom monomial with coefficient 1 and no output atom repeats (projections,
 injections, the strengths and their pairings), g . f renames the
@@ -88,12 +93,13 @@ def mono(atoms: Iterable[Atom]) -> Mono:
 class PolyMap:
     """An exact sparse power-series map between two spaces."""
 
-    __slots__ = ("dom", "cod", "entries")
+    __slots__ = ("dom", "cod", "entries", "_hash")
 
     def __init__(self, dom: Space, cod: Space, entries: Entries):
         self.dom = dom
         self.cod = cod
         self.entries = {k: v for k, v in entries.items() if v != 0}
+        self._hash = None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyMap):
@@ -103,6 +109,11 @@ class PolyMap:
             and self.cod == other.cod
             and self.entries == other.entries
         )
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.dom, self.cod, frozenset(self.entries.items())))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"PolyMap({space_str(self.dom)} -> {space_str(self.cod)}, {len(self.entries)} entries)"
@@ -137,7 +148,7 @@ class PolyMap:
 def _trusted(dom: Space, cod: Space, entries: Entries) -> PolyMap:
     """A map over entries that hold no zero, kept without the filter's copy."""
     f = PolyMap.__new__(PolyMap)
-    f.dom, f.cod, f.entries = dom, cod, entries
+    f.dom, f.cod, f.entries, f._hash = dom, cod, entries, None
     return f
 
 

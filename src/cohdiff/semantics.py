@@ -14,6 +14,17 @@ the codomain of its argument's morphism by stripping the word's D's and the
 built-in's own strips, as typecheck does.  A constant has no slot, and the
 pairing of no arguments is the zero map into the terminal object.
 The interpretation is compositional and types nothing.
+The rule's tail, the lift of the head and its composite with the pairing,
+is computed once per content: one module-level LRU of the last
+APP_MEMO_SIZE (256) tails is keyed on (head, arity, word, pairing,
+DEGREE_CAP), maps by their content hash, so two models with equal grounds
+and symbols share their composites, and a map computed under one degree cap
+is not served under another.  The instance is not in the key: the lift and
+the composition never call certify, and the head is built first through the
+instance's own derived-morphism cache (iota, theta, pi and pr alike), so
+each backend still certifies its own structural maps.  Building a Model
+empties the memo, so a run that builds its models first (a CLI command, a
+benchmark round) computes the same tails whatever ran before it.
 A variable and pr_i are both prod_proj out of a product of slots.  So
 interp_term takes a term that typechecks in its context, as every caller
 checks first; an ill-typed built-in raises ShapeError or TypeCheckError.
@@ -24,6 +35,7 @@ invariant along reduction, with every multiset along the way summable.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -82,6 +94,7 @@ class Model:
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
+        _APP_MEMO.clear()
         for name, ftype in self.sig.decls.items():
             if name not in self.symbols:
                 raise ModelError(f"symbol {name!r} has no matrix")
@@ -161,22 +174,44 @@ def _interp_app(model: Model, ctx: Context, t: App) -> PolyMap:
         for _ in range(len(t.word) + f.strips):
             x = pm.strip_d_space(x)
         if isinstance(f, DProj):
-            base = pm.proj(f.i, x)
+            base = inst._cache(("proj", f.i, x), lambda: pm.proj(f.i, x))
         elif isinstance(f, DInj):
             base = inst.inj(f.i, x)
         elif isinstance(f, Theta):
             base = inst.theta_pow(x, f.n)
         elif isinstance(x, Prod):
-            base = pm.prod_proj(f.i, x.left, x.right)
+            base = inst._cache(
+                ("prod_proj", f.i, x), lambda: pm.prod_proj(f.i, x.left, x.right)
+            )
         else:
             raise TypeCheckError(f"pr applied to non-product {space_str(x)}")
     if arg_maps:
         pairing = pm.prod_pair(*arg_maps)
     else:
         pairing = pm.zero(interp_ctx(model, ctx), prodn([]))
-    reach = {b for _, b in pairing.entries} if t.word else None
-    lifted = inst.partial_derivative(base, len(t.args), t.word, reach)
-    return pm.compose(lifted, pairing)
+    return _lift_and_compose(inst, base, len(t.args), t.word, pairing)
+
+
+# The last APP_MEMO_SIZE application tails, least recently used first.
+APP_MEMO_SIZE = 256
+_APP_MEMO: OrderedDict = OrderedDict()
+
+
+def _lift_and_compose(
+    inst: Instance, base: PolyMap, arity: int, word: tuple, pairing: PolyMap
+) -> PolyMap:
+    """D_w base composed with pairing, computed once per content."""
+    key = (base, arity, word, pairing, pm.DEGREE_CAP)
+    result = _APP_MEMO.get(key)
+    if result is not None:
+        _APP_MEMO.move_to_end(key)
+        return result
+    reach = {b for _, b in pairing.entries} if word else None
+    result = pm.compose(inst.partial_derivative(base, arity, word, reach), pairing)
+    _APP_MEMO[key] = result
+    if len(_APP_MEMO) > APP_MEMO_SIZE:
+        _APP_MEMO.popitem(last=False)
+    return result
 
 
 def interp_multiset(

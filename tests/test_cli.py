@@ -141,6 +141,11 @@ def test_eval_model_error_exit_code(tmp_path):
         ("L.0=abc", "bad rational 'abc'"),
         ("L.0=1/2/3", "bad rational '1/2/3'"),
         ("L.0=1/0", "zero denominator in '1/0'"),
+        # Only an optional "-" and ASCII digits, as int() alone would allow
+        # more.
+        ("L.0=1_0", "bad rational '1_0'"),
+        ("L.0=\uff11", "bad rational '\uff11'"),
+        ("L.0=+1/ 2", "bad rational '+1/ 2'"),
         ("Q.0=1", "unknown atom tag 'Q' in 'Q.0'"),
         ("L.9=1", "point atom outside the context web: L.9"),
         ("L.0=-1", "negative coordinate at L.0"),
@@ -411,6 +416,21 @@ def test_theorems_verbose_matches_golden():
     assert code == 0
     golden = ROOT / "tests" / "golden" / "theorems_both_seed0.txt"
     assert text == golden.read_text()
+
+
+@pytest.mark.parametrize("backend", ["pcs", "poly"])
+def test_theorems_on_one_backend_print_its_lines_of_both(backend):
+    # Alone, a backend prints what it prints when it shares the application
+    # memo with the other.
+    code, text = run(
+        "theorems", "--backend", backend, "--cases", "50", "--seed", "0",
+        "--verbose",
+    )
+    assert code == 0
+    golden = (ROOT / "tests" / "golden" / "theorems_both_seed0.txt").read_text()
+    lines = golden.splitlines()
+    own = [line for line in lines if line.startswith(f"[{backend}] ")]
+    assert text.splitlines() == own + lines[-1:]
 
 
 def test_unknown_term_is_usage_error():

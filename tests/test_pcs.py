@@ -133,6 +133,13 @@ def test_int_predual_keeps_exact_vertices(inst, kind):
     assert inst.certify(pm.PolyMap(g, ONE, {(("a",), "*"): 2, (("b",), "*"): 2}))
 
 
+def test_equal_grounds_share_one_predual():
+    # So comparing them never compares Fractions.
+    a, b = truncated_nat(), truncated_nat()
+    assert a == b and a is not b
+    assert a.predual is b.predual
+
+
 def _solve(rows, rhs):
     """Exact Gauss-Jordan solution of a square system, or None if singular."""
     k = len(rows)

@@ -475,3 +475,25 @@ def test_is_multilinear_matches_a_brute_force_slot_search(data):
 
     expected = all(sorted(map(slot, m)) == list(range(n)) for m in monos)
     assert pm.is_multilinear(f, n) == expected
+
+
+@given(st.data())
+def test_equal_maps_hash_equal(data):
+    # Whatever the insertion order and whether an integral coefficient is an
+    # int or a Fraction; with_map of one map rebuilds it without the filter.
+    space = data.draw(st.sampled_from(SLOT_KINDS))
+    atoms = web(space)
+    key = st.tuples(
+        st.lists(st.sampled_from(atoms), max_size=3).map(pm.mono),
+        st.sampled_from(atoms),
+    )
+    entries = data.draw(
+        st.dictionaries(key, st.integers(-3, 3).filter(bool), max_size=8)
+    )
+    order = data.draw(st.permutations(list(entries)))
+    kinds = data.draw(st.lists(st.sampled_from([int, F]), min_size=len(order),
+                               max_size=len(order)))
+    f = pm.PolyMap(space, N, entries)
+    g = pm.PolyMap(space, N, {k: kind(entries[k]) for k, kind in zip(order, kinds)})
+    assert f == g == pm.with_map(g)
+    assert hash(f) == hash(g) == hash(pm.with_map(g))

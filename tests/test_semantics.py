@@ -8,7 +8,7 @@ import pytest
 
 import cohdiff
 from cohdiff import polymap as pm
-from cohdiff import rewrite
+from cohdiff import rewrite, semantics
 from cohdiff.ccdc import Instance
 from cohdiff.cli import main
 from cohdiff.gen import (
@@ -448,29 +448,42 @@ def test_poly_constant_is_a_map_out_of_the_empty_product(poly):
 
 
 def _interpret_corpus(models, cases):
-    """Each case's map, or its DegreeCapError text, on each model."""
+    """Each case's map, or its DegreeCapError text, on each model, computed
+    afresh: the model's cache and the application memo start empty."""
     out = []
     for model in models:
         model._cache.clear()
+        semantics._APP_MEMO.clear()
         for ctx, t in cases:
-            try:
-                out.append(interp_term(model, ctx, t))
-            except pm.DegreeCapError as exc:
-                out.append(str(exc))
+            out.append(_map_or_cap(model, ctx, t))
         model._cache.clear()
+        semantics._APP_MEMO.clear()
     return out
 
 
-@pytest.mark.parametrize("cap", [pm.DEGREE_CAP, 3])
-def test_heads_lifted_within_the_pairings_reach_give_the_same_maps(
-    pcs, poly, monkeypatch, cap
-):
+def _map_or_cap(model, ctx, t):
+    try:
+        return interp_term(model, ctx, t)
+    except pm.DegreeCapError as exc:
+        return str(exc)
+
+
+def _acceptance_cases():
+    """The acceptance corpus (seed 202), each term followed by its derivative."""
     names = [v for v, _ in DEFAULT_CONTEXT]
     cases = []
     for i, (ctx, t, _) in enumerate(generate_typed_terms(200, seed=202)):
         x = names[i % len(names)]
         dctx = tuple((v, d_type(ty) if v == x else ty) for v, ty in ctx)
         cases += [(ctx, t), (dctx, differentiate(t, x))]
+    return cases
+
+
+@pytest.mark.parametrize("cap", [pm.DEGREE_CAP, 3])
+def test_heads_lifted_within_the_pairings_reach_give_the_same_maps(
+    pcs, poly, monkeypatch, cap
+):
+    cases = _acceptance_cases()
     monkeypatch.setattr(pm, "DEGREE_CAP", cap)
     pruned = _interpret_corpus((pcs, poly), cases)
     full_head = Instance.partial_derivative
@@ -482,6 +495,40 @@ def test_heads_lifted_within_the_pairings_reach_give_the_same_maps(
     assert _interpret_corpus((pcs, poly), cases) == pruned
     capped = sum(isinstance(r, str) for r in pruned)
     assert (capped > 0) == (cap == 3)
+
+
+def test_memoized_applications_give_the_maps_computed_afresh(pcs, poly):
+    # One memo serves pcs and then poly; the reference clears it before
+    # every term.
+    cases = _acceptance_cases()
+    semantics._APP_MEMO.clear()
+    shared = []
+    for model in (pcs, poly):
+        model._cache.clear()
+        shared += [_map_or_cap(model, ctx, t) for ctx, t in cases]
+        model._cache.clear()
+    fresh = [
+        got for model in (pcs, poly) for case in cases
+        for got in _interpret_corpus((model,), [case])
+    ]
+    assert shared == fresh
+
+
+def test_a_map_memoized_under_one_cap_is_not_served_under_a_lower_one(
+    pcs, monkeypatch
+):
+    # tri(tri(x, x, x), x, x) has degree 5; its inner application degree 3.
+    x = Var("x")
+    inner = App(UserFn("tri"), (), (x, x, x))
+    t = App(UserFn("tri"), (), (inner, x, x))
+    ctx = (("x", N),)
+    pcs._cache.clear()
+    assert interp_term(pcs, ctx, t).max_degree() == 5
+    pcs._cache.clear()
+    monkeypatch.setattr(pm, "DEGREE_CAP", 3)
+    with pytest.raises(pm.DegreeCapError, match="degree 5 exceeds cap 3"):
+        interp_term(pcs, ctx, t)
+    pcs._cache.clear()
 
 
 # ---------------------------------------------------------------------------
