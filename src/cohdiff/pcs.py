@@ -16,18 +16,29 @@ pointwise total certifies.  A total equal to a compositionally known
 morphism is decided before certify, in Instance.family_sum, on every
 backend.
 
-certify is exact when every monomial has degree <= 1.  An affine
-f(x) = k + Lx is a morphism exactly when <k, r> + sup_x <x, L^T r> <= 1 for
-every row r of the codomain's structural predual; the sup (space_sup) is a
-sum over a product, a coordinatewise max over the two D tags, and a max
-over the enumerated vertices of a ground space.
+certify is exact over a domain whose ground spaces are enumerable
+(_VERTEX_BASES) for two kinds of candidate.  The domain splits into blocks
+(_layout), the atoms under one L/R path: D^k of a ground leaf G, whose
+points spread a point of G over the 2^k D-tag chains.
+- An affine f(x) = k + Lx is a morphism exactly when
+  <k, r> + sup_x <x, L^T r> <= 1 for every row r of the codomain's
+  structural predual; the sup (space_sup) folds each atom to its max over
+  the D tags, then adds up one max over G's vertices per block.
+- A block-multilinear f, each monomial reading each block at most once, is
+  affine in each block, so it is a morphism exactly when it maps every
+  product of block vertices into the codomain (vertex_points), checked when
+  there are at most _VERTEX_PRODUCTS of them.  Model-file symbols are
+  multilinear, so loading one is exact within these caps.
 
 Everything else is a documented semi-decision: a candidate of degree >= 2
-(model-file symbols of arity >= 2 included), and an affine one whose
-domain has a ground space too large to enumerate (_VERTEX_BASES).  It is
-evaluated at a deterministic probe set (zero, the per-coordinate suprema,
-seeded boundary and interior rationals) and each result is tested for
+that reads a block twice or has too many vertex products, and any
+candidate over a ground space too large to enumerate.  It is evaluated at
+a deterministic probe set (zero, the per-coordinate suprema, seeded
+boundary and interior rationals) and each result is tested for
 membership.  A probe failure refutes exactly; survival certifies.
+
+Predual rows and vertex coordinates are ints when integral, as map
+coefficients are; the vertex enumeration divides Fractions, never ints.
 
 Model files are read with the program tokenizer (parse_model_file), so their
 errors carry line:col, and turned into certified matrices by
@@ -44,7 +55,7 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations, product
 from math import comb
 from typing import Optional
 
@@ -60,14 +71,12 @@ from .objects import (
     fingerprint,
     prodn,
     tag_d,
-    untag_d,
     web,
 )
 from .parser import ParseError, _Parser, tokenize
 from .polymap import PolyMap
 from .semantics import ModelError
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -81,13 +90,18 @@ def validate_space(space: Ground) -> None:
         if any(c < 0 for c in row):
             raise ModelError(f"negative predual entry in {space.name!r}")
     for idx, a in enumerate(space.web):
-        if max((row[idx] for row in space.predual), default=_ZERO) <= 0:
+        if max((row[idx] for row in space.predual), default=0) <= 0:
             raise ModelError(
                 f"coordinate {a!r} of {space.name!r} is unbounded "
                 "(no predual vector is positive there)"
             )
     if len(set(space.web)) != len(space.web):
         raise ModelError(f"duplicate atoms in web of {space.name!r}")
+
+
+def _num(c: Fraction) -> int | Fraction:
+    """c as an int when integral (polymap's coefficient rule)."""
+    return c.numerator if c.denominator == 1 else c
 
 
 @lru_cache(maxsize=None)
@@ -99,7 +113,8 @@ def functionals(space: Space) -> tuple[dict, ...]:
     is at most 1."""
     if isinstance(space, Ground):
         return tuple(
-            {a: c for a, c in zip(space.web, row) if c} for row in space.predual
+            {a: _num(c) for a, c in zip(space.web, row) if c}
+            for row in space.predual
         )
     if isinstance(space, Prod):
         return tuple(
@@ -113,15 +128,19 @@ def functionals(space: Space) -> tuple[dict, ...]:
     )
 
 
-def sup_norm(space: Space, vec: dict) -> Fraction:
+def _dot(row: dict, vec: dict) -> int | Fraction:
+    """<row, vec> for sparse vectors; a coefficient 1 multiplies nothing."""
+    total = 0
+    for a, c in row.items():
+        x = vec.get(a)
+        if x:
+            total += x if c == 1 else c * x
+    return total
+
+
+def sup_norm(space: Space, vec: dict) -> int | Fraction:
     """max over functionals(space) of <vec, row>; membership is <= 1."""
-    return max(
-        (
-            sum((c * vec[a] for a, c in row.items() if a in vec), _ZERO)
-            for row in functionals(space)
-        ),
-        default=_ZERO,
-    )
+    return max((_dot(row, vec) for row in functionals(space)), default=0)
 
 
 def membership(space: Space, vec: dict) -> bool:
@@ -134,6 +153,10 @@ def membership(space: Space, vec: dict) -> bool:
 # A ground space with more candidate bases than this, C(|web| + |predual|,
 # |web|), is not enumerated; maps out of it keep the probe path.
 _VERTEX_BASES = 4096
+
+# A candidate of degree >= 2 with more products of block vertices than this
+# keeps the probe path.
+_VERTEX_PRODUCTS = 256
 
 
 def _solve_ones(a: list[list[Fraction]]) -> Optional[list[Fraction]]:
@@ -172,48 +195,84 @@ def _vertices(space: Ground) -> Optional[tuple[dict, ...]]:
                 if x is None or any(c < 0 for c in x):
                     continue
                 if all(
-                    sum((row[j] * c for j, c in zip(cols, x)), _ZERO) <= 1
+                    sum(row[j] * c for j, c in zip(cols, x)) <= 1
                     for row in space.predual
                 ):
-                    found[tuple((space.web[j], c) for j, c in zip(cols, x) if c)] = None
+                    key = tuple((space.web[j], _num(c)) for j, c in zip(cols, x) if c)
+                    found[key] = None
     return tuple(dict(v) for v in found)
 
 
-@lru_cache(maxsize=None)
-def _enumerable(space: Space) -> bool:
-    """Every ground leaf of the space has its vertices enumerated."""
+def _chains(depth: int) -> tuple[str, ...]:
+    """The D-tag chains of length depth: "" for 0, "0." and "1." for 1."""
+    chains = ("",)
+    for _ in range(depth):
+        chains = tuple(tag_d(i, t) for i in (0, 1) for t in chains)
+    return chains
+
+
+def _leaves(space: Space, prefix: str = "", depth: int = 0) -> list:
+    """(prefix, depth, ground) for each ground leaf, whose atoms are the
+    product prefix, a chain of depth D tags, then a web name."""
     if isinstance(space, Ground):
-        return _vertices(space) is not None
+        return [(prefix, depth, space)]
     if isinstance(space, Prod):
-        return _enumerable(space.left) and _enumerable(space.right)
-    return _enumerable(space.inner)
+        return [
+            leaf
+            for side, part in enumerate((space.left, space.right))
+            for leaf in _leaves(part, prefix + embed_slot(side, 2, ""), depth)
+        ]
+    return _leaves(space.inner, prefix, depth + 1)
 
 
-def space_sup(space: Space, v: dict) -> Fraction:
+@lru_cache(maxsize=None)
+def _layout(space: Space) -> Optional[tuple[tuple, dict]]:
+    """The space's blocks (_leaves), and each atom's (block index, web
+    name) (shared; do not mutate); or None when a ground leaf has too many
+    candidate bases."""
+    blocks = tuple(_leaves(space))
+    if any(_vertices(g) is None for _, _, g in blocks):
+        return None
+    where = {
+        prefix + t + name: (i, name)
+        for i, (prefix, depth, g) in enumerate(blocks)
+        for t in _chains(depth)
+        for name in g.web
+    }
+    return blocks, where
+
+
+@lru_cache(maxsize=None)
+def _block_vertices(prefix: str, depth: int, ground: Ground) -> tuple[dict, ...]:
+    """The vertices of a block (shared; do not mutate): a vertex of its
+    ground with each coordinate on one D-tag chain, since a vertex splits
+    no coordinate between two chains."""
+    return tuple(
+        {prefix + t + name: c for t, (name, c) in zip(pick, x.items())}
+        for x in _vertices(ground)
+        for pick in product(_chains(depth), repeat=len(x))
+    )
+
+
+def space_sup(space: Space, v: dict) -> int | Fraction:
     """sup over the points x of the space of <x, v>, for v >= 0.
 
-    A ground space attains it at a vertex; a product is the sum of its two
-    sides' sups; a D-space puts all of x + u on the larger of the 0./1.
-    coefficients, so it is the inner sup of their coordinatewise max.
-    Requires _enumerable(space)."""
-    if isinstance(space, Ground):
-        return max(
-            sum((c * v[a] for a, c in x.items() if a in v), _ZERO)
-            for x in _vertices(space)
-        )
-    if isinstance(space, Prod):
-        total = _ZERO
-        for side, part in enumerate((space.left, space.right)):
-            p = embed_slot(side, 2, "")
-            sub = {a.removeprefix(p): c for a, c in v.items() if a.startswith(p)}
-            total += space_sup(part, sub)
-        return total
-    folded: dict = {}
+    A block's points put a point of its ground on the D-tag chains, so the
+    block's sup puts all of each coordinate on its heaviest chain: each atom
+    is folded by (block, web name) to its max over the D tags, the block
+    takes its max over the ground's vertices, and the blocks add up.
+    Requires _layout(space)."""
+    blocks, where = _layout(space)
+    folded: dict = {}  # block index -> {web name: max weight}
     for a, c in v.items():
-        _, inner = untag_d(a)
-        if c > folded.get(inner, _ZERO):
-            folded[inner] = c
-    return space_sup(space.inner, folded)
+        i, name = where[a]
+        weights = folded.setdefault(i, {})
+        if c > weights.get(name, 0):
+            weights[name] = c
+    return sum(
+        max(_dot(x, weights) for x in _vertices(blocks[i][2]))
+        for i, weights in folded.items()
+    )
 
 
 def affine_morphism(f: PolyMap) -> bool:
@@ -221,7 +280,7 @@ def affine_morphism(f: PolyMap) -> bool:
 
     With f(x) = k + Lx, f maps the domain into the codomain exactly when
     <k, row> + space_sup(dom, L^T row) <= 1 for every row of
-    functionals(cod).  Requires _enumerable(f.dom)."""
+    functionals(cod).  Requires _layout(f.dom)."""
     const: dict = {}
     lin: dict = {}  # output atom -> {input atom: coeff}
     for (m, b), c in f.entries.items():
@@ -233,16 +292,45 @@ def affine_morphism(f: PolyMap) -> bool:
         pulled: dict = {}
         for b, r in row.items():
             for a, c in lin.get(b, {}).items():
-                pulled[a] = pulled.get(a, _ZERO) + r * c
-        offset = sum((r * const[b] for b, r in row.items() if b in const), _ZERO)
-        if offset + space_sup(f.dom, pulled) > 1:
+                if r != 1:
+                    c *= r
+                prev = pulled.get(a)
+                pulled[a] = c if prev is None else prev + c
+        if _dot(row, const) + space_sup(f.dom, pulled) > 1:
             return False
     return True
 
 
+def vertex_points(f: PolyMap) -> Optional[list[dict]]:
+    """The products of block vertices, restricted to the atoms f reads and
+    without a block's zero vertex (f is non-negative, so monotone); None
+    when a monomial of f reads a block twice or there are more than
+    _VERTEX_PRODUCTS products.  Requires _layout(f.dom)."""
+    blocks, where = _layout(f.dom)
+    read: dict = {}  # block index -> the atoms f reads there
+    for m, _ in f.entries:
+        owners = [where[a][0] for a in m]
+        if len(set(owners)) < len(owners):
+            return None
+        for i, a in zip(owners, m):
+            read.setdefault(i, set()).add(a)
+    choices, count = [], 1
+    for i, atoms in read.items():
+        picks = {
+            tuple(item for item in x.items() if item[0] in atoms)
+            for x in _block_vertices(*blocks[i])
+        }
+        picks.discard(())
+        count *= len(picks)
+        if count > _VERTEX_PRODUCTS:
+            return None
+        choices.append(picks)
+    return [dict(chain.from_iterable(pick)) for pick in product(*choices)]
+
+
 def coord_sup(space: Space, atom: Atom) -> Fraction:
     """sup of a single coordinate over the space (finite by validation)."""
-    return _ONE / max(row.get(atom, _ZERO) for row in functionals(space))
+    return _ONE / max(row.get(atom, 0) for row in functionals(space))
 
 
 @lru_cache(maxsize=None)
@@ -279,18 +367,20 @@ class PcsInstance(Instance):
     def certify(self, candidate: PolyMap) -> bool:
         """Whether candidate maps its domain into its codomain.
 
-        Exact when every monomial has degree <= 1 and its domain's ground
-        spaces are enumerable (affine_morphism).  Otherwise, a candidate of
-        degree >= 2 or over too large a ground space, it is tested at the
-        probe points of its domain: a semi-decision."""
+        Exact when its domain's ground spaces are enumerable and it is
+        affine (affine_morphism) or block-multilinear with few enough
+        vertex products (vertex_points).  Any other candidate is tested at
+        the probe points of its domain: a semi-decision."""
         if any(c < 0 for c in candidate.entries.values()):
             return False
-        if candidate.max_degree() <= 1 and _enumerable(candidate.dom):
-            return affine_morphism(candidate)
-        for x in probe_points(candidate.dom):
-            if not membership(candidate.cod, candidate.eval(x)):
-                return False
-        return True
+        points = None
+        if _layout(candidate.dom) is not None:
+            if candidate.max_degree() <= 1:
+                return affine_morphism(candidate)
+            points = vertex_points(candidate)
+        if points is None:
+            points = probe_points(candidate.dom)
+        return all(membership(candidate.cod, candidate.eval(x)) for x in points)
 
 
 def corrupted_sigma_instance() -> PcsInstance:
@@ -323,7 +413,7 @@ def _parse_rational(text: str) -> int | Fraction:
         value = Fraction(int(num), int(den or 1))
     except ZeroDivisionError:
         raise ModelError(f"zero denominator in {text!r}") from None
-    return value.numerator if value.denominator == 1 else value
+    return _num(value)
 
 
 def _parse_atom(text: str) -> Atom:

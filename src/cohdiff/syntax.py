@@ -8,6 +8,9 @@ pr, iota and theta carry no type of their own: typecheck, the only code that
 types a term, reads their object off the argument's type.  Each carries
 strips, the D's it strips from its argument beyond the word's (1 for pi,
 0 for iota and pr, n+1 for theta_n); the interpretation reads it too.
+
+Types and terms key many caches, so each keeps its hash, the dataclass
+default, after its first use, instead of walking its tree on every lookup.
 """
 
 from __future__ import annotations
@@ -20,10 +23,28 @@ class TypeCheckError(Exception):
     pass
 
 
+def _hash_once(cls):
+    """Keep a frozen dataclass's hash, that of its field tuple, after its
+    first use, in an attribute that is not a field."""
+    field_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = field_hash(self)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
 # ---------------------------------------------------------------------------
 # Types
 
 
+@_hash_once
 @dataclass(frozen=True)
 class GroundType:
     """D^depth applied to a ground symbol."""
@@ -32,6 +53,7 @@ class GroundType:
     symbol: str
 
 
+@_hash_once
 @dataclass(frozen=True)
 class ProductType:
     left: "Type"
@@ -174,17 +196,20 @@ def fn_name(f: Function) -> str:
 # Terms
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Var:
     name: str
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Pair:
     t0: "Term"
     t1: "Term"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class App:
     fn: Function

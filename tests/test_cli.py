@@ -325,10 +325,9 @@ def test_linear_interp_escaping_at_a_vertex_is_model_error(tmp_path):
     ]
 
 
-@pytest.mark.xfail(strict=True, reason="probes miss the vertex pair (e_a, e_b)")
 def test_bilinear_interp_escaping_at_a_vertex_pair_is_model_error(tmp_path):
-    # 2 x_a y_b reaches 2 at the vertex pair (e_a, e_b) of N & N, but no
-    # probe of the product comes near it, so the matrix is certified.
+    # 2 x_a y_b reaches 2 at the vertex pair (e_a, e_b) of N & N, which no
+    # probe of the product comes near; the vertex products reach it.
     program = tmp_path / "pair.cohdiff"
     program.write_text("fn f : (N, N) -> N;\nterm t [x: N, y: N] = f(x, y);\n")
     model = tmp_path / "pair.pcsmodel"
@@ -336,11 +335,14 @@ def test_bilinear_interp_escaping_at_a_vertex_pair_is_model_error(tmp_path):
         "object N { web=[a,b,c,d,e]; predual=[[1,1,1,1,1]]; }\n"
         "interp f { entry (a, b) -> a : 2; }\n"
     )
-    code, _ = run(
+    code, out = run(
         "eval", str(program), "--model", str(model), "--term", "t",
         "--at", "L.a=1,R.b=1",
     )
     assert code == 3
+    assert out.strip().splitlines() == [
+        "model error: 2:1: interp 'f' escapes the codomain"
+    ]
 
 
 @pytest.mark.parametrize(

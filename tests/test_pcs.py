@@ -1,9 +1,11 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cohdiff import pcs
 from cohdiff import polymap as pm
@@ -11,10 +13,12 @@ from cohdiff.gen import default_pcs_model, law_generators, truncated_nat
 from cohdiff.objects import (
     DPair,
     Ground,
+    Prod,
     d_space,
     embed_slot,
     prodn,
     product,
+    untag_d,
     web,
 )
 from cohdiff.pcs import (
@@ -102,6 +106,53 @@ def test_space_sup_per_construction():
     assert space_sup(product(ONE, TWO_ROW), {"L.*": F(1), "R.q": F(1)}) == F(2)
 
 
+def _reference_sup(space, v):
+    """space_sup by recursion over the space: a ground space's max over its
+    vertices, the sum of a product's two sides' sups, and a D-space's inner
+    sup of the coordinatewise max over its two D tags."""
+    if isinstance(space, Ground):
+        return max(
+            sum((c * v[a] for a, c in x.items() if a in v), F(0))
+            for x in pcs._vertices(space)
+        )
+    if isinstance(space, Prod):
+        total = F(0)
+        for side, part in enumerate((space.left, space.right)):
+            p = embed_slot(side, 2, "")
+            sub = {a.removeprefix(p): c for a, c in v.items() if a.startswith(p)}
+            total += _reference_sup(part, sub)
+        return total
+    folded = {}
+    for a, c in v.items():
+        _, inner = untag_d(a)
+        if c > folded.get(inner, F(0)):
+            folded[inner] = c
+    return _reference_sup(space.inner, folded)
+
+
+def _d_depth(space):
+    if isinstance(space, Ground):
+        return 0
+    if isinstance(space, Prod):
+        return max(_d_depth(space.left), _d_depth(space.right))
+    return 1 + _d_depth(space.inner)
+
+
+_NESTED = st.recursive(
+    st.sampled_from([ONE, SQUARE, TWO_ROW, prodn([])]),
+    lambda kids: st.builds(product, kids, kids) | kids.map(DPair),
+    max_leaves=4,
+).filter(lambda space: _d_depth(space) <= 2)
+_WEIGHT = st.integers(0, 4) | st.fractions(0, 4, max_denominator=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_NESTED, st.data())
+def test_flat_sup_matches_the_recursive_sup(space, data):
+    v = {a: data.draw(_WEIGHT) for a in web(space) if data.draw(st.booleans())}
+    assert space_sup(space, v) == _reference_sup(space, v)
+
+
 def test_unit_square_sum_escapes(inst):
     # The probes never reach the vertex (1, 1), where 5/9 a + 5/9 b is 10/9.
     f = pm.PolyMap(SQUARE, ONE, {(("a",), "*"): F(5, 9), (("b",), "*"): F(5, 9)})
@@ -121,8 +172,7 @@ def test_int_predual_keeps_exact_vertices(inst, kind):
     assert all(type(c) is F for row in g.predual for c in row)
     assert g == Ground("g", ("a", "b"), rows)
     assert hash(g) == hash(("g", ("a", "b"), rows))
-    for cached in (pcs._vertices, pcs._enumerable, functionals):
-        cached.cache_clear()  # int and Fraction spaces share cache entries
+    _clear_caches()  # int and Fraction spaces share cache entries
     vertices = {tuple(sorted(v.items())) for v in pcs._vertices(g)}
     assert vertices == {
         (), (("a", F(1, 3)),), (("b", F(1, 3)),), (("a", F(1, 4)), ("b", F(1, 4)))
@@ -131,6 +181,33 @@ def test_int_predual_keeps_exact_vertices(inst, kind):
     f = pm.PolyMap(g, ONE, {(("a",), "*"): F(5, 2), (("b",), "*"): F(5, 2)})
     assert not inst.certify(f)
     assert inst.certify(pm.PolyMap(g, ONE, {(("a",), "*"): 2, (("b",), "*"): 2}))
+    # Certification holds integral values as ints, and never a float.
+    for rows in (rows, ((1, 1),), ((2, 1), (1, 2))):
+        g = Ground("g", ("a", "b"), tuple(tuple(map(kind, row)) for row in rows))
+        _clear_caches()
+        spaces = [g, d_space(g), product(g, d_space(d_space(g)))]
+        values = [c for s in spaces for row in functionals(s) for c in row.values()]
+        values += [c for v in pcs._vertices(g) for c in v.values()]
+        values += [c for v in pcs._block_vertices("L.", 2, g) for c in v.values()]
+        assert all(_exact(c) for c in values)
+        int_vertices = all(type(c) is int for v in pcs._vertices(g) for c in v.values())
+        for s in spaces:
+            for weight in (1, 3, F(1, 2), F(4, 2)):
+                sup = space_sup(s, {a: weight for a in web(s)})
+                assert type(sup) in (int, F)
+                if type(weight) is int and int_vertices:
+                    assert type(sup) is int
+
+
+def _clear_caches():
+    for cached in (pcs._vertices, pcs._layout, pcs._block_vertices, functionals):
+        cached.cache_clear()
+
+
+def _exact(c):
+    """An int, or a Fraction with a real denominator: never a float, and
+    never an integral Fraction."""
+    return type(c) is int or (type(c) is F and c.denominator != 1)
 
 
 def test_equal_grounds_share_one_predual():
@@ -211,6 +288,52 @@ def test_affine_certify_matches_flat_vertex_oracle(inst, dom):
     assert verdicts == {True, False}
 
 
+NAT = truncated_nat()
+BLOCK_DOMS = ORACLE_DOMS + [
+    product(NAT, NAT),
+    product(NAT, d_space(NAT)),
+    product(TWO_ROW, d_space(SQUARE)),
+]
+
+
+def _random_block_multilinear(rng, dom, cod):
+    """A non-negative map whose monomials read each block, the atoms under
+    one L/R path, at most once."""
+    blocks: dict = {}
+    for a in web(dom):
+        blocks.setdefault(re.match(r"(?:[LR]\.)*", a).group(), []).append(a)
+    entries = {}
+    for b in web(cod):
+        for _ in range(rng.randint(1, 3)):
+            m = pm.mono(rng.choice(atoms) for atoms in blocks.values() if rng.random() < 0.7)
+            entries[(m, b)] = F(rng.randint(1, 4), rng.randint(2, 7))
+    return pm.PolyMap(dom, cod, entries)
+
+
+@pytest.mark.parametrize(
+    "dom",
+    BLOCK_DOMS,
+    ids=["square", "two-row", "prod", "D", "D-of-prod", "N&N", "N&DN", "two-row&DSQ"],
+)
+def test_block_multilinear_certify_matches_flat_vertex_oracle(inst, dom, monkeypatch):
+    # A block-multilinear map is affine in each block, so it peaks at a
+    # vertex of the domain; certify decides it with no probe.
+    def no_probes(space):
+        raise AssertionError("probed")
+
+    monkeypatch.setattr(pcs, "probe_points", no_probes)
+    rng = random.Random(f"block-{web(dom)}")
+    vertices = _flat_vertices(dom)
+    verdicts = set()
+    for trial in range(40):
+        cod = [ONE, SQUARE, d_space(ONE)][trial % 3]
+        f = _random_block_multilinear(rng, dom, cod)
+        expected = all(membership(cod, f.eval(x)) for x in vertices)
+        assert inst.certify(f) == expected, f.render()
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
 def _random_sparse(rng, dom, cod, degree):
     """A non-negative map with one to three entries, one of them of the
     given degree."""
@@ -225,28 +348,42 @@ def _random_sparse(rng, dom, cod, degree):
 
 def test_pair_witness_certifies_like_the_pointwise_sum(inst, monkeypatch):
     # For non-negative maps the witness <f0, f1> : X -> DY is a morphism
-    # exactly when f0 + f1 : X -> Y is one, on both certification paths.
+    # exactly when f0 + f1 : X -> Y is one, on every certification path.
     paths = []
-    affine, probes = pcs.affine_morphism, pcs.probe_points
+    affine, vertex, probes = pcs.affine_morphism, pcs.vertex_points, pcs.probe_points
+
+    def vertex_points(f):
+        points = vertex(f)
+        if points is not None:
+            paths.append("vertex")
+        return points
+
     monkeypatch.setattr(pcs, "affine_morphism",
                         lambda f: paths.append("exact") or affine(f))
+    monkeypatch.setattr(pcs, "vertex_points", vertex_points)
     monkeypatch.setattr(pcs, "probe_points",
                         lambda space: paths.append("probe") or probes(space))
-    nat = truncated_nat()
-    cases = [(dom, 1) for dom in ORACLE_DOMS] + [(nat, 2), (d_space(nat), 2)]
-    verdicts = {"exact": set(), "probe": set()}
-    for dom, degree in cases:
-        rng = random.Random(f"pair-{degree}-{web(dom)}")
+    def sparse(degree):
+        return lambda rng, dom, cod: _random_sparse(rng, dom, cod, degree)
+
+    cases = [("pair-1", dom, sparse(1)) for dom in ORACLE_DOMS]
+    cases += [("pair-2", dom, sparse(2)) for dom in (NAT, d_space(NAT))]
+    cases += [("pair-block", dom, _random_block_multilinear) for dom in BLOCK_DOMS[5:]]
+    verdicts = {"exact": set(), "vertex": set(), "probe": set()}
+    for seed, dom, make in cases:
+        rng = random.Random(f"{seed}-{web(dom)}")
         for trial in range(30):
-            cod = [ONE, SQUARE, d_space(ONE), nat][trial % 4]
-            f0 = _random_sparse(rng, dom, cod, degree)
-            f1 = _random_sparse(rng, dom, cod, degree)
+            cod = [ONE, SQUARE, d_space(ONE), NAT][trial % 4]
+            f0 = make(rng, dom, cod)
+            f1 = make(rng, dom, cod)
             old = inst.certify(pm.add(f0, f1))
             paths.clear()
             assert (inst.pair_witness(f0, f1) is not None) == old
             (path,) = paths
             verdicts[path].add(old)
-    assert verdicts == {"exact": {True, False}, "probe": {True, False}}
+    assert verdicts == {
+        "exact": {True, False}, "vertex": {True, False}, "probe": {True, False}
+    }
     # Neither map of a pair whose coefficients cancel in the sum is a
     # morphism, so the pair is refused although the sum, id, is one.
     f0 = pm.PolyMap(ONE, ONE, {(("*",), "*"): F(1), ((), "*"): F(-1, 2)})

@@ -1,3 +1,5 @@
+import dataclasses
+
 from hypothesis import given, strategies as st
 import pytest
 
@@ -169,3 +171,22 @@ def test_d_type_iterates_depth(ty, k):
         assert lifted == GroundType(ty.depth + k, ty.symbol)
     assert strip_depth(lifted) == strip_depth(ty) + k
     assert d_type_n(lifted, -k) == ty
+
+
+def test_types_and_terms_hash_once_as_their_fields():
+    def build():
+        x = Var("x")
+        return (
+            App(UserFn("f"), (0,), (Pair(x, App(DProj(0), (), (x,))),)),
+            ProductType(D(A, 2), B),
+        )
+
+    for first, second in zip(build(), build()):
+        assert first == second and first is not second
+        assert hash(first) == hash(second)
+        fields = tuple(getattr(first, f.name) for f in dataclasses.fields(first))
+        assert hash(first) == hash(fields) == hash(first)
+    t, _ = build()
+    assert [f.name for f in dataclasses.fields(t)] == ["fn", "word", "args"]
+    assert repr(Var("x")) == "Var(name='x')"
+    assert repr(GroundType(1, "a")) == "GroundType(depth=1, symbol='a')"
