@@ -16,14 +16,18 @@ pointwise total certifies.  A total equal to a compositionally known
 morphism is decided before certify, in Instance.family_sum, on every
 backend.
 
-certify is exact over a domain whose ground spaces are enumerable
-(_VERTEX_BASES) for two kinds of candidate.  The domain splits into blocks
-(_layout), the atoms under one L/R path: D^k of a ground leaf G, whose
-points spread a point of G over the 2^k D-tag chains.
-- An affine f(x) = k + Lx is a morphism exactly when
-  <k, r> + sup_x <x, L^T r> <= 1 for every row r of the codomain's
-  structural predual; the sup (space_sup) folds each atom to its max over
-  the D tags, then adds up one max over G's vertices per block.
+certify reads a candidate f off the codomain's rows pulled back along it
+once (pulled_rows): q_r = sum over b of r_b f_b for each row r of
+functionals(cod), as int numerators over one denominator, and f(x) lies in
+the codomain exactly when q_r(x) <= 1 for every r.  It is exact over a
+domain whose ground spaces are enumerable (_VERTEX_BASES) for two kinds of
+candidate.  The domain splits into blocks (_layout), the atoms under one
+L/R path: D^k of a ground leaf G, whose points spread a point of G over
+the 2^k D-tag chains.
+- An affine f is a morphism exactly when the constant of each q_r plus the
+  sup over the domain of its linear part is at most 1; the sup (space_sup)
+  folds each atom to its max over the D tags, then adds up one max over
+  G's vertices per block.
 - A block-multilinear f, each monomial reading each block at most once, is
   affine in each block, so it is a morphism exactly when it maps every
   product of block vertices into the codomain (vertex_points), checked when
@@ -32,13 +36,15 @@ points spread a point of G over the 2^k D-tag chains.
 
 Everything else is a documented semi-decision: a candidate of degree >= 2
 that reads a block twice or has too many vertex products, and any
-candidate over a ground space too large to enumerate.  It is evaluated at
-a deterministic probe set (zero, the per-coordinate suprema, seeded
-boundary and interior rationals) and each result is tested for
-membership.  A probe failure refutes exactly; survival certifies.
+candidate over a ground space too large to enumerate.  It is checked at a
+deterministic probe set (zero, the per-coordinate suprema, seeded
+boundary and interior rationals).  A probe failure refutes exactly;
+survival certifies.
 
-Predual rows and vertex coordinates are ints when integral, as map
-coefficients are; the vertex enumeration divides Fractions, never ints.
+Predual rows, vertex coordinates and probe points are ints when integral,
+as map coefficients are, and a point meets the q_r as int numerators over
+one denominator (_scaled); the vertex enumeration divides Fractions, never
+ints.
 
 Model files are read with the program tokenizer (parse_model_file), so their
 errors carry line:col, and turned into certified matrices by
@@ -56,7 +62,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, product
-from math import comb
+from math import comb, lcm
 from typing import Optional
 
 from . import polymap as pm
@@ -275,29 +281,77 @@ def space_sup(space: Space, v: dict) -> int | Fraction:
     )
 
 
-def affine_morphism(f: PolyMap) -> bool:
-    """Exact test that a non-negative f of degree <= 1 is a morphism.
+@lru_cache(maxsize=None)
+def _int_functionals(space: Space) -> tuple[tuple[dict, ...], int]:
+    """functionals(space) as int numerators over one int denominator (shared)."""
+    rows = functionals(space)
+    den = lcm(*{c.denominator for row in rows for c in row.values()})
+    if den > 1:
+        rows = tuple({b: (r * den).numerator for b, r in row.items()} for row in rows)
+    return rows, den
 
-    With f(x) = k + Lx, f maps the domain into the codomain exactly when
-    <k, row> + space_sup(dom, L^T row) <= 1 for every row of
-    functionals(cod).  Requires _layout(f.dom)."""
-    const: dict = {}
-    lin: dict = {}  # output atom -> {input atom: coeff}
+
+def pulled_rows(f: PolyMap) -> tuple[list[dict], int]:
+    """The rows r of functionals(f.cod) that f pulls back to non-zero
+    q_r = sum over b of r_b f_b, each {monomial: int numerator} over one int
+    denominator den.  A non-negative f maps x into its codomain exactly when
+    q_r(x) <= 1 for every r."""
+    rows, d_rows = _int_functionals(f.cod)
+    d_f = lcm(*{c.denominator for c in f.entries.values()})
+    by_out: dict = {}  # output atom -> [(monomial, numerator)]
     for (m, b), c in f.entries.items():
-        if m:
-            lin.setdefault(b, {})[m[0]] = c
-        else:
-            const[b] = c
-    for row in functionals(f.cod):
-        pulled: dict = {}
+        by_out.setdefault(b, []).append((m, c.numerator * (d_f // c.denominator)))
+    pulled = []
+    for row in rows:
+        q: dict = {}
         for b, r in row.items():
-            for a, c in lin.get(b, {}).items():
-                if r != 1:
-                    c *= r
-                prev = pulled.get(a)
-                pulled[a] = c if prev is None else prev + c
-        if _dot(row, const) + space_sup(f.dom, pulled) > 1:
+            for m, c in by_out.get(b, ()):
+                q[m] = q.get(m, 0) + r * c
+        if q:
+            pulled.append(q)
+    return pulled, d_f * d_rows
+
+
+def affine_morphism(f: PolyMap) -> bool:
+    """Exact test that a non-negative f of degree <= 1 is a morphism: each
+    pulled row is (k + <l, x>) / den, and f maps the domain into the codomain
+    exactly when k + space_sup(dom, l) <= den for each.  Requires
+    _layout(f.dom)."""
+    rows, den = pulled_rows(f)
+    for q in rows:
+        lin = {m[0]: w for m, w in q.items() if m}
+        if q.get((), 0) + space_sup(f.dom, lin) > den:
             return False
+    return True
+
+
+def _scaled(x: dict) -> tuple[dict, int]:
+    """A point as int numerators X over one int denominator e, x = X / e."""
+    e = lcm(*{c.denominator for c in x.values()})
+    return {a: c.numerator * (e // c.denominator) for a, c in x.items()}, e
+
+
+def maps_points_into(f: PolyMap, points) -> bool:
+    """Whether a non-negative f maps every point (X, e) (_scaled) into its
+    codomain.  At degree K, a pulled row's monomial m adds up W_m prod X_a
+    e^(K - |m|), to at most den e^K; the first row above that refutes."""
+    rows, den = pulled_rows(f)
+    top = f.max_degree()
+    terms = [[(m, w, top - len(m)) for m, w in q.items()] for q in rows]
+    for x, e in points:
+        powers = [e**k for k in range(top + 1)]
+        for q in terms:
+            total = 0
+            for m, w, k in q:
+                for a in m:
+                    xa = x.get(a)
+                    if not xa:
+                        break  # an absent or zero coordinate zeroes the monomial
+                    w *= xa
+                else:
+                    total += w * powers[k]
+            if total > den * powers[top]:
+                return False
     return True
 
 
@@ -328,9 +382,9 @@ def vertex_points(f: PolyMap) -> Optional[list[dict]]:
     return [dict(chain.from_iterable(pick)) for pick in product(*choices)]
 
 
-def coord_sup(space: Space, atom: Atom) -> Fraction:
+def coord_sup(space: Space, atom: Atom) -> int | Fraction:
     """sup of a single coordinate over the space (finite by validation)."""
-    return _ONE / max(row.get(atom, 0) for row in functionals(space))
+    return _num(_ONE / max(row.get(atom, 0) for row in functionals(space)))
 
 
 @lru_cache(maxsize=None)
@@ -354,9 +408,22 @@ def probe_points(space: Space) -> tuple[dict, ...]:
             continue
         norm = sup_norm(space, raw)
         if norm > 0:
-            points.append({a: c / norm for a, c in raw.items()})
-            points.append({a: c / (2 * norm) for a, c in raw.items()})
+            points.append({a: _num(c / norm) for a, c in raw.items()})
+            points.append({a: _num(c / (2 * norm)) for a, c in raw.items()})
     return tuple(points)
+
+
+_SCALED_PROBES: dict = {}  # space -> (probe_points(space), their _scaled forms)
+
+
+def _scaled_probes(space: Space) -> tuple:
+    """probe_points(space) scaled (_scaled), once per result; probe_points is
+    still called on every use, so each probed candidate makes one call."""
+    points = probe_points(space)
+    kept = _SCALED_PROBES.get(space)
+    if kept is None or kept[0] is not points:
+        kept = _SCALED_PROBES[space] = (points, tuple(map(_scaled, points)))
+    return kept[1]
 
 
 class PcsInstance(Instance):
@@ -365,7 +432,8 @@ class PcsInstance(Instance):
     name = "pcs"
 
     def certify(self, candidate: PolyMap) -> bool:
-        """Whether candidate maps its domain into its codomain.
+        """Whether candidate maps its domain into its codomain, decided on
+        the codomain rows pulled back along it once (pulled_rows).
 
         Exact when its domain's ground spaces are enumerable and it is
         affine (affine_morphism) or block-multilinear with few enough
@@ -379,8 +447,8 @@ class PcsInstance(Instance):
                 return affine_morphism(candidate)
             points = vertex_points(candidate)
         if points is None:
-            points = probe_points(candidate.dom)
-        return all(membership(candidate.cod, candidate.eval(x)) for x in points)
+            return maps_points_into(candidate, _scaled_probes(candidate.dom))
+        return maps_points_into(candidate, map(_scaled, points))
 
 
 def corrupted_sigma_instance() -> PcsInstance:

@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 
@@ -189,7 +190,16 @@ def test_int_predual_keeps_exact_vertices(inst, kind):
         values = [c for s in spaces for row in functionals(s) for c in row.values()]
         values += [c for v in pcs._vertices(g) for c in v.values()]
         values += [c for v in pcs._block_vertices("L.", 2, g) for c in v.values()]
+        values += [pcs.coord_sup(s, a) for s in spaces for a in web(s)]
+        values += [c for s in spaces for x in probe_points(s) for c in x.values()]
         assert all(_exact(c) for c in values)
+        for s in spaces:
+            a = web(s)[0]
+            square = pm.PolyMap(s, s, {((a, a), a): 3, ((a,), a): F(1, 2)})
+            for f in (pm.identity(s), square):
+                rows, den = pcs.pulled_rows(f)
+                assert type(den) is int
+                assert all(type(w) is int for q in rows for w in q.values())
         int_vertices = all(type(c) is int for v in pcs._vertices(g) for c in v.values())
         for s in spaces:
             for weight in (1, 3, F(1, 2), F(4, 2)):
@@ -200,8 +210,12 @@ def test_int_predual_keeps_exact_vertices(inst, kind):
 
 
 def _clear_caches():
-    for cached in (pcs._vertices, pcs._layout, pcs._block_vertices, functionals):
+    for cached in (
+        pcs._vertices, pcs._layout, pcs._block_vertices, functionals,
+        pcs._int_functionals, probe_points,
+    ):
         cached.cache_clear()
+    pcs._SCALED_PROBES.clear()
 
 
 def _exact(c):
@@ -249,6 +263,9 @@ def _flat_vertices(space):
         if all(sum(c * v for c, v in zip(row, x)) <= b for row, b in zip(cons, rhs)):
             found.append({a: v for a, v in zip(atoms, x) if v})
     return found
+
+
+_flat_vertices_once = lru_cache(maxsize=None)(_flat_vertices)
 
 
 def _random_affine(rng, dom, cod):
@@ -332,6 +349,42 @@ def test_block_multilinear_certify_matches_flat_vertex_oracle(inst, dom, monkeyp
         assert inst.certify(f) == expected, f.render()
         verdicts.add(expected)
     assert verdicts == {True, False}
+
+
+_COEFF = st.integers(1, 3) | st.fractions(F(1, 9), 3, max_denominator=9)
+
+
+@st.composite
+def _candidates(draw):
+    """A non-negative map of degree 0 to 3 with int and Fraction coefficients."""
+    dom = draw(st.sampled_from(BLOCK_DOMS + [d_space(NAT)]))
+    cod = draw(st.sampled_from([ONE, SQUARE, TWO_ROW, d_space(ONE)]))
+    entries = {}
+    for _ in range(draw(st.integers(1, 4))):
+        m = pm.mono(draw(st.lists(st.sampled_from(web(dom)), max_size=3)))
+        entries[(m, draw(st.sampled_from(web(cod))))] = draw(_COEFF)
+    return pm.PolyMap(dom, cod, entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_candidates(), st.booleans())
+def test_pulled_rows_decide_points_like_membership(f, at_vertices):
+    # The point check reads f off the codomain rows pulled back once, in int
+    # arithmetic; it must agree with f's image tested row by row, also at
+    # the fractional probe points and exactly on the boundary.
+    points = _flat_vertices_once(f.dom) if at_vertices else probe_points(f.dom)
+    peak = max(sup_norm(f.cod, f.eval(x)) for x in points)
+    maps = [f, pm.scale(f, 1 / F(peak)), pm.scale(f, 2 / F(peak))] if peak else [f]
+    verdicts = set()
+    for g in maps:
+        expected = all(membership(g.cod, g.eval(x)) for x in points)
+        assert pcs.maps_points_into(g, map(pcs._scaled, points)) == expected
+        if g.max_degree() >= 2:  # certify's vertex path, handed these points
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(pcs, "vertex_points", lambda _: points)
+                assert PcsInstance().certify(g) == expected
+        verdicts.add(expected)
+    assert verdicts == ({True, False} if peak else {True})
 
 
 def _random_sparse(rng, dom, cod, degree):
