@@ -15,16 +15,17 @@ built-in's own strips, as typecheck does.  A constant has no slot, and the
 pairing of no arguments is the zero map into the terminal object.
 The interpretation is compositional and types nothing.
 The rule's tail, the lift of the head and its composite with the pairing,
-is computed once per content: one module-level LRU of the last
-APP_MEMO_SIZE (256) tails is keyed on (head, arity, word, pairing,
-DEGREE_CAP), maps by their content hash, so two models with equal grounds
-and symbols share their composites, and a map computed under one degree cap
-is not served under another.  The instance is not in the key: the lift and
-the composition never call certify, and the head is built first through the
-instance's own derived-morphism cache (iota, theta, pi and pr alike), so
-each backend still certifies its own structural maps.  Building a Model
-empties the memo, so a run that builds its models first (a CLI command, a
-benchmark round) computes the same tails whatever ran before it.
+is computed once per content, in one memo that the models alive at the
+same time share and that goes with the last of them.  It is keyed on
+(head, arity, word, pairing, DEGREE_CAP), maps by their content hash, so
+two models with equal grounds and symbols share their composites, and a
+map computed under one degree cap is not served under another.  The
+instance is not in the key: the lift and the composition never call
+certify, and the head is built first through the instance's own
+derived-morphism cache (iota, theta, pi and pr alike), so each backend
+still certifies its own structural maps.  Building a Model empties the
+memo, so a run that builds its models first (a CLI command, a benchmark
+round) computes the same tails whatever ran before it.
 A variable and pr_i are both prod_proj out of a product of slots.  So
 interp_term takes a term that typechecks in its context, as every caller
 checks first; an ill-typed built-in raises ShapeError or TypeCheckError.
@@ -35,7 +36,7 @@ invariant along reduction, with every multiset along the way summable.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -83,6 +84,14 @@ class ModelError(Exception):
     assignment of objects and matrices to a signature."""
 
 
+class _Tails(dict):
+    """The application memo; a dict subclass, so it can be weakly referenced."""
+
+
+# The memo of the live models, gone with the last of them.
+_LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 @dataclass
 class Model:
     """An instance with ground-object and symbol assignments."""
@@ -92,9 +101,13 @@ class Model:
     sig: Signature
     symbols: dict[str, PolyMap]
     _cache: dict = field(default_factory=dict, repr=False)
+    _tails: _Tails = field(
+        init=False, repr=False,
+        default_factory=lambda: _LIVE.setdefault("tails", _Tails()),
+    )
 
     def __post_init__(self):
-        _APP_MEMO.clear()
+        self._tails.clear()
         for name, ftype in self.sig.decls.items():
             if name not in self.symbols:
                 raise ModelError(f"symbol {name!r} has no matrix")
@@ -189,28 +202,13 @@ def _interp_app(model: Model, ctx: Context, t: App) -> PolyMap:
         pairing = pm.prod_pair(*arg_maps)
     else:
         pairing = pm.zero(interp_ctx(model, ctx), prodn([]))
-    return _lift_and_compose(inst, base, len(t.args), t.word, pairing)
-
-
-# The last APP_MEMO_SIZE application tails, least recently used first.
-APP_MEMO_SIZE = 256
-_APP_MEMO: OrderedDict = OrderedDict()
-
-
-def _lift_and_compose(
-    inst: Instance, base: PolyMap, arity: int, word: tuple, pairing: PolyMap
-) -> PolyMap:
-    """D_w base composed with pairing, computed once per content."""
-    key = (base, arity, word, pairing, pm.DEGREE_CAP)
-    result = _APP_MEMO.get(key)
-    if result is not None:
-        _APP_MEMO.move_to_end(key)
-        return result
-    reach = {b for _, b in pairing.entries} if word else None
-    result = pm.compose(inst.partial_derivative(base, arity, word, reach), pairing)
-    _APP_MEMO[key] = result
-    if len(_APP_MEMO) > APP_MEMO_SIZE:
-        _APP_MEMO.popitem(last=False)
+    # The tail D_w base composed with pairing, computed once per content.
+    key = (base, len(t.args), t.word, pairing, pm.DEGREE_CAP)
+    result = model._tails.get(key)
+    if result is None:
+        reach = {b for _, b in pairing.entries} if t.word else None
+        head = inst.partial_derivative(base, len(t.args), t.word, reach)
+        result = model._tails[key] = pm.compose(head, pairing)
     return result
 
 

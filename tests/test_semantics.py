@@ -1,5 +1,8 @@
 import ast
 import io
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -8,7 +11,7 @@ import pytest
 
 import cohdiff
 from cohdiff import polymap as pm
-from cohdiff import rewrite, semantics
+from cohdiff import rewrite
 from cohdiff.ccdc import Instance
 from cohdiff.cli import main
 from cohdiff.gen import (
@@ -453,11 +456,11 @@ def _interpret_corpus(models, cases):
     out = []
     for model in models:
         model._cache.clear()
-        semantics._APP_MEMO.clear()
+        model._tails.clear()
         for ctx, t in cases:
             out.append(_map_or_cap(model, ctx, t))
         model._cache.clear()
-        semantics._APP_MEMO.clear()
+        model._tails.clear()
     return out
 
 
@@ -499,19 +502,59 @@ def test_heads_lifted_within_the_pairings_reach_give_the_same_maps(
 
 def test_memoized_applications_give_the_maps_computed_afresh(pcs, poly):
     # One memo serves pcs and then poly; the reference clears it before
-    # every term.
+    # every term.  The two backends interpret every case alike.
     cases = _acceptance_cases()
-    semantics._APP_MEMO.clear()
+    assert pcs._tails is poly._tails
+    pcs._tails.clear()
     shared = []
     for model in (pcs, poly):
         model._cache.clear()
-        shared += [_map_or_cap(model, ctx, t) for ctx, t in cases]
+        shared.append([_map_or_cap(model, ctx, t) for ctx, t in cases])
         model._cache.clear()
     fresh = [
-        got for model in (pcs, poly) for case in cases
-        for got in _interpret_corpus((model,), [case])
+        [got for case in cases for got in _interpret_corpus((model,), [case])]
+        for model in (pcs, poly)
     ]
     assert shared == fresh
+    assert shared[0] == shared[1]
+
+
+def test_the_memo_keeps_every_tail_while_its_models_live(monkeypatch):
+    model = default_pcs_model()
+    cases = _acceptance_cases()
+    first = [interp_term(model, ctx, t) for ctx, t in cases]
+    model._cache.clear()
+    compose, calls = pm.compose, []
+    monkeypatch.setattr(
+        pm, "compose", lambda f, g: calls.append(1) or compose(f, g)
+    )
+    assert [interp_term(model, ctx, t) for ctx, t in cases] == first
+    assert len(calls) == 0
+
+
+def test_the_memo_goes_with_the_last_of_its_models():
+    # In a fresh interpreter: here the module's fixtures keep a memo alive.
+    script = """
+import weakref
+from cohdiff.gen import default_pcs_model, default_poly_model, generate_typed_terms
+from cohdiff.semantics import interp_term
+pcs, poly = default_pcs_model(), default_poly_model()
+assert pcs._tails is poly._tails
+ctx, t, _ = next(generate_typed_terms(1, seed=202))
+for model in (pcs, poly):
+    interp_term(model, ctx, t)
+assert pcs._tails
+tails = weakref.ref(pcs._tails)
+del pcs, poly, model
+assert tails() is None
+assert not default_pcs_model()._tails
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(cohdiff.__file__).parent.parent)}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_a_map_memoized_under_one_cap_is_not_served_under_a_lower_one(
