@@ -25,18 +25,20 @@ embed_slot(side, 2, -).  prodn, embed_slot and peel_product are the only code
 that knows this layout; other modules place slot i's atoms with the cached
 embed_slot(i, n, -) and read them back by its prefix embed_slot(i, n, "").
 
-Spaces key the web() cache and every derived-morphism cache, and a ground
-space's hash walks its predual, so each space computes its hash once, at
-construction.  The value and equality are the dataclass defaults.  A ground
-space stores its predual as Fraction, whatever rationals it was given (ints
-compare and hash alike), since the vertex enumeration divides by them, and
-equal preduals share one interned tuple, so comparing two equal grounds built
-apart never compares their Fractions.
+Every space is interned: Ground, Prod and DPair each look their arguments
+up in a module-level table and return the one object built for them, so
+equal spaces built apart are the same object and compare by identity.  Each
+keeps its content hash, hash((name, web, predual)), hash((left, right)) or
+hash((inner,)), computed once, so no dict or set order depends on interning.
+A ground space stores its predual as Fraction, whatever rationals it was
+given (ints compare and hash alike), since the vertex enumeration divides by
+them.  The tables are unbounded, like web()'s cache: a space lives as long as
+the process.  d_space and its inverse strip_d_space are cached like web().
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
@@ -47,53 +49,71 @@ _D_TAGS = ("0.", "1.")
 _PROD_TAGS = ("L.", "R.")
 
 
-# One predual tuple per value, so that equal grounds compare theirs by identity.
-_PREDUALS: dict = {}
+class ShapeError(Exception):
+    """Domain/codomain mismatch."""
 
 
-@dataclass(frozen=True)
+_GROUNDS: dict = {}
+_PRODS: dict = {}
+_DPAIRS: dict = {}
+
+
+def _interned(cls: type, table: dict, key, hash_: int, **fields):
+    """A new cls(**fields) with hash hash_, kept in table under key."""
+    self = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(self, name, value)
+    object.__setattr__(self, "_hash", hash_)
+    table[key] = self
+    return self
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Ground:
     """A named finite web; predual rows align with the web tuple order."""
 
     name: str
     web: tuple[str, ...]
-    predual: tuple[tuple[Fraction, ...], ...] = ()
-    _hash: int = field(init=False, repr=False, compare=False)
+    predual: tuple[tuple[Fraction, ...], ...]
 
-    def __post_init__(self):
-        if not all(self.web) or any("." in a for a in self.web):
-            raise ValueError(f"web of {self.name!r} has an empty or dotted name")
-        predual = tuple(tuple(map(Fraction, row)) for row in self.predual)
-        predual = _PREDUALS.setdefault(predual, predual)
-        object.__setattr__(self, "predual", predual)
-        object.__setattr__(self, "_hash", hash((self.name, self.web, predual)))
+    def __new__(cls, name: str, web: tuple[str, ...], predual=()):
+        if not all(web) or any("." in a for a in web):
+            raise ValueError(f"web of {name!r} has an empty or dotted name")
+        predual = tuple(tuple(map(Fraction, row)) for row in predual)
+        key = (name, web, predual)
+        return _GROUNDS.get(key) or _interned(
+            cls, _GROUNDS, key, hash(key), name=name, web=web, predual=predual
+        )
 
     def __hash__(self) -> int:
         return self._hash
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Prod:
     left: "Space"
     right: "Space"
-    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+    def __new__(cls, left: "Space", right: "Space"):
+        key = (left, right)
+        return _PRODS.get(key) or _interned(
+            cls, _PRODS, key, hash(key), left=left, right=right
+        )
 
     def __hash__(self) -> int:
         return self._hash
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class DPair:
     """Space of pairs (x, u) with x + u in the inner space."""
 
     inner: "Space"
-    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.inner,)))
+    def __new__(cls, inner: "Space"):
+        return _DPAIRS.get(inner) or _interned(
+            cls, _DPAIRS, inner, hash((inner,)), inner=inner
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -102,11 +122,22 @@ class DPair:
 Space = Union[Ground, Prod, DPair]
 
 
+@lru_cache(maxsize=None)
 def d_space(x: Space) -> Space:
     """D on objects; distributes over products so atoms stay canonical."""
     if isinstance(x, Prod):
         return Prod(d_space(x.left), d_space(x.right))
     return DPair(x)
+
+
+@lru_cache(maxsize=None)
+def strip_d_space(space: Space) -> Space:
+    """Inverse of d_space; a space that is not a D-space raises ShapeError."""
+    if isinstance(space, DPair):
+        return space.inner
+    if isinstance(space, Prod):
+        return Prod(strip_d_space(space.left), strip_d_space(space.right))
+    raise ShapeError(f"{space_str(space)} is not a D-space")
 
 
 def product(left: Space, right: Space) -> Space:

@@ -60,8 +60,7 @@ from typing import Iterable, Optional
 
 from .objects import (
     Atom,
-    DPair,
-    Prod,
+    ShapeError,
     Space,
     d_space,
     embed_slot,
@@ -80,10 +79,6 @@ DEGREE_CAP = 16
 
 class DegreeCapError(Exception):
     """Composition produced a monomial of degree above DEGREE_CAP."""
-
-
-class ShapeError(Exception):
-    """Domain/codomain mismatch."""
 
 
 def mono(atoms: Iterable[Atom]) -> Mono:
@@ -390,10 +385,3 @@ def pair_witness_matrix(f0: PolyMap, f1: PolyMap) -> PolyMap:
         entries[(m, tag_d(1, b))] = c
     return _trusted(f0.dom, d_space(f0.cod), entries)
 
-
-def strip_d_space(space: Space) -> Space:
-    if isinstance(space, DPair):
-        return space.inner
-    if isinstance(space, Prod):
-        return Prod(strip_d_space(space.left), strip_d_space(space.right))
-    raise ShapeError(f"{space_str(space)} is not a D-space")

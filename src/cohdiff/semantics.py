@@ -49,6 +49,7 @@ from .objects import (
     prodn,
     product,
     space_str,
+    strip_d_space,
 )
 from .polymap import PolyMap, is_multilinear
 from .rewrite import (
@@ -185,7 +186,7 @@ def _interp_app(model: Model, ctx: Context, t: App) -> PolyMap:
         # word's D's and the built-in's own strips stripped.
         x = arg_maps[0].cod
         for _ in range(len(t.word) + f.strips):
-            x = pm.strip_d_space(x)
+            x = strip_d_space(x)
         if isinstance(f, DProj):
             base = inst._cache(("proj", f.i, x), lambda: pm.proj(f.i, x))
         elif isinstance(f, DInj):

@@ -22,7 +22,7 @@ from cohdiff.gen import (
     generate_typed_terms,
     truncated_nat,
 )
-from cohdiff.objects import d_space, prodn, product
+from cohdiff.objects import d_space, prodn, product, strip_d_space
 from cohdiff.pcs import PcsInstance, corrupted_sigma_instance
 from cohdiff.rewrite import TermMultiset
 from cohdiff.semantics import (
@@ -131,7 +131,7 @@ def _builtin_by_iterated_differential(model, ctx, t):
     arg = interp_term(model, ctx, t.args[0])
     x = arg.cod
     for _ in range(d + f.strips):
-        x = pm.strip_d_space(x)
+        x = strip_d_space(x)
     if isinstance(f, DProj):
         base = pm.proj(f.i, x)
     elif isinstance(f, DInj):
