@@ -39,15 +39,22 @@ only the reach's atoms would skip exactly those monomials.
 differential(f) is its one-slot case.  is_multilinear(f, arity), which
 Model asks of each symbol's map, reads slots the same way, by prefix.
 
-On the series path each monomial p of g is multiplied out on its own: its
-coefficient times f's series for each atom of p in turn, a repeated atom
-once per copy.  The degree cap is one rule on p.  With deg_b the largest
-monomial degree in f's series for b, substituting p gives a polynomial of
-degree exactly d = sum of deg_b over the atoms of p, copies included: over
-the rationals the top terms of nonzero series never cancel.  compose raises
-DegreeCapError naming d when d > DEGREE_CAP (16), before it multiplies
-anything.  It reads the module constant at call time, so a test can lower it
-with monkeypatch.
+On the series path a monomial p = (b,) of one atom adds its coefficient
+times f's series for b to the entries, with no product, and multiplies only
+when that coefficient is not 1.  Every other monomial is multiplied out on
+its own: its coefficient times f's series for each atom of p in turn, a
+repeated atom once per copy.  The degree cap is one rule on p, checked first
+on both branches.  With deg_b the largest monomial degree in f's series for
+b, substituting p gives a polynomial of degree exactly d = sum of deg_b over
+the atoms of p, copies included: over the rationals the top terms of nonzero
+series never cancel.  compose raises DegreeCapError naming d when
+d > DEGREE_CAP (16), before it multiplies anything.  It reads the module
+constant at call time, so a test can lower it with monkeypatch.
+
+A map holds no zero.  PolyMap() drops the zeros it is given; past that, an
+entry is dropped only where a sum cancels to 0 (_add_to, inlined in the
+compose loops and _poly_mul), so compose, add and eval copy no result
+through a zero filter.
 
 The probabilistic backend restricts coefficients to be positive; the
 polynomial backend allows any nonzero rational.  Both use the same engine.
@@ -128,7 +135,7 @@ class PolyMap:
                 val *= xa
             else:
                 _add_to(out, b, val)
-        return {b: v for b, v in out.items() if v != 0}
+        return out
 
     def render(self, limit: Optional[int] = None) -> str:
         lines = [f"map {space_str(self.dom)} -> {space_str(self.cod)}"]
@@ -161,7 +168,7 @@ def add(f: PolyMap, g: PolyMap) -> PolyMap:
     entries = dict(f.entries)
     for k, c in g.entries.items():
         _add_to(entries, k, c)
-    return PolyMap(f.dom, f.cod, entries)
+    return _trusted(f.dom, f.cod, entries)
 
 
 def scale(f: PolyMap, factor: int | Fraction) -> PolyMap:
@@ -169,9 +176,15 @@ def scale(f: PolyMap, factor: int | Fraction) -> PolyMap:
 
 
 def _add_to(acc: dict, key, c) -> None:
-    """acc[key] += c, without the Fraction addition to zero for a new key."""
+    """acc[key] += c, deleting the entry if the sum cancels to 0.  The compose
+    loops and _poly_mul inline this rule."""
     prev = acc.get(key)
-    acc[key] = c if prev is None else prev + c
+    if prev is not None:
+        c = prev + c
+        if not c:
+            del acc[key]
+            return
+    acc[key] = c
 
 
 def _poly_mul(p: dict, q: dict) -> dict:
@@ -181,7 +194,12 @@ def _poly_mul(p: dict, q: dict) -> dict:
             m = tuple(sorted(m1 + m2)) if m1 and m2 else m1 or m2
             c = c1 * c2
             prev = out.get(m)
-            out[m] = c if prev is None else prev + c
+            if prev is not None:
+                c = prev + c
+                if not c:
+                    del out[m]
+                    continue
+            out[m] = c
     return out
 
 
@@ -196,11 +214,11 @@ def compose(g: PolyMap, f: PolyMap) -> PolyMap:
         entries = _series_entries(g, f, DEGREE_CAP)
     else:
         entries = _renamed_entries(g, renaming, DEGREE_CAP)
-    return PolyMap(f.dom, g.cod, entries)
+    return _trusted(f.dom, g.cod, entries)
 
 
 def _series_entries(g: PolyMap, f: PolyMap, cap: int) -> Entries:
-    """The entries of g . f by multiplying out f's coordinate series."""
+    """The entries of g . f by substituting f's coordinate series."""
     f_polys: dict = {}  # {b: {mono: coeff}}
     for (m, b), c in f.entries.items():
         f_polys.setdefault(b, {})[m] = c
@@ -212,13 +230,24 @@ def _series_entries(g: PolyMap, f: PolyMap, cap: int) -> Entries:
         d = sum([degree[b] for b in p])
         if d > cap:
             raise _cap_error(d, cap)
-        acc = {(): coeff}
-        for b in p:
-            acc = _poly_mul(acc, f_polys[b])
-        for m, c in acc.items():
+        if len(p) == 1:  # coeff times one series: no product to multiply out
+            terms = f_polys[p[0]].items()
+            if coeff != 1:
+                terms = [(m, c * coeff) for m, c in terms]
+        else:
+            acc = {(): coeff}
+            for b in p:
+                acc = _poly_mul(acc, f_polys[b])
+            terms = acc.items()
+        for m, c in terms:
             key = (m, c_out)
             prev = entries.get(key)
-            entries[key] = c if prev is None else prev + c
+            if prev is not None:
+                c = prev + c
+                if not c:
+                    del entries[key]
+                    continue
+            entries[key] = c
     return entries
 
 
@@ -246,7 +275,12 @@ def _renamed_entries(g: PolyMap, renaming: dict, cap: int) -> Entries:
             m = tuple(sorted(m))
         key = (m, c_out)
         prev = entries.get(key)
-        entries[key] = coeff if prev is None else prev + coeff
+        if prev is not None:
+            coeff = prev + coeff
+            if not coeff:
+                del entries[key]
+                continue
+        entries[key] = coeff
     return entries
 
 

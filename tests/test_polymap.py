@@ -349,6 +349,92 @@ def test_series_cancellation_leaves_no_zero_entry():
     assert pm.compose(uv, f).entries == {((x, x), "*"): 1, ((y, y), "*"): -1}
 
 
+# ---------------------------------------------------------------------------
+# compose against the reference: every monomial of g multiplied out
+
+
+def _reference_poly_mul(p, q):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = tuple(sorted(m1 + m2)) if m1 and m2 else m1 or m2
+            c = c1 * c2
+            prev = out.get(m)
+            out[m] = c if prev is None else prev + c
+    return out
+
+
+def _reference_series_entries(g, f, cap=pm.DEGREE_CAP):
+    """The entries of g . f with each monomial p of g multiplied out on its
+    own, one-atom monomials included; a sum that cancels stays as 0."""
+    f_polys = {}  # {b: {mono: coeff}}
+    for (m, b), c in f.entries.items():
+        f_polys.setdefault(b, {})[m] = c
+    degree = {b: max(map(len, poly)) for b, poly in f_polys.items()}
+    entries = {}
+    for (p, c_out), coeff in g.entries.items():
+        if not all(b in degree for b in p):
+            continue  # p reads a coordinate f does not produce
+        d = sum([degree[b] for b in p])
+        if d > cap:
+            raise pm._cap_error(d, cap)
+        acc = {(): coeff}
+        for b in p:
+            acc = _reference_poly_mul(acc, f_polys[b])
+        for m, c in acc.items():
+            key = (m, c_out)
+            prev = entries.get(key)
+            entries[key] = c if prev is None else prev + c
+    return entries
+
+
+MIXED_COEFFS = [1, 1, -1, 2, -3, F(1), F(1, 2), F(-2, 3), F(5, 4)]
+
+
+def _mixed_entries(rng, ins, outs, degrees, coeffs):
+    entries = {}
+    for _ in range(rng.randint(1, 8)):
+        m = pm.mono(rng.choice(ins) for _ in range(rng.choice(degrees)))
+        entries[(m, rng.choice(outs))] = rng.choice(coeffs)
+    return entries
+
+
+def test_compose_matches_the_multiplied_out_reference():
+    # g is linear on odd trials.  f's rows b0 and b1 are equal, and g reads
+    # them in two monomials with opposite coefficients, so sums cancel.
+    rng = random.Random(29)
+    linear = cancelled = 0
+    for trial in range(400):
+        whole = trial % 3 == 0  # all-int inputs
+        coeffs = [c for c in MIXED_COEFFS if type(c) is int] if whole else MIXED_COEFFS
+        x, y, z = (rng.choice(SPACES) for _ in range(3))
+        b0, b1, b2 = rng.sample(web(y), 3)
+        f_entries = _mixed_entries(rng, web(x), [b0, b2], [0, 1, 1, 2], coeffs)
+        f_entries.update({(m, b1): c for (m, b), c in f_entries.items() if b == b0})
+        degrees = [1] if trial % 2 else [0, 1, 1, 2, 3]
+        g_entries = _mixed_entries(rng, web(y), web(z), degrees, coeffs)
+        rest = [rng.choice(web(y)) for _ in range(max(rng.choice(degrees) - 1, 0))]
+        c, out = rng.choice(coeffs), rng.choice(web(z))
+        g_entries[(pm.mono([b0] + rest), out)] = c
+        g_entries[(pm.mono([b1] + rest), out)] = -c
+        f, g = pm.PolyMap(x, y, f_entries), pm.PolyMap(y, z, g_entries)
+        ref_entries = _reference_series_entries(g, f)
+        gf = pm.compose(g, f)
+        assert gf == pm.PolyMap(f.dom, g.cod, ref_entries)
+        assert 0 not in gf.entries.values()
+        if whole:
+            assert all(type(c) is int for c in gf.entries.values())
+        for _ in range(2):
+            p = _random_point(rng, x)
+            value = gf.eval(p)
+            assert value == g.eval(f.eval(p))
+            assert 0 not in value.values()
+        linear += pm._substitution(f) is None and any(
+            len(m) == 1 and coeff != 1 for (m, _), coeff in g.entries.items())
+        cancelled += 0 in ref_entries.values()
+    assert linear > 100 and cancelled > 100
+
+
 def test_order_reversing_substitutions_sort_like_series():
     # Both swaps send an earlier atom past a later one, so renamed monomials
     # must be re-sorted; entries and their order must match the series path.
