@@ -11,10 +11,13 @@ asking certify, when it equals the expected morphism its caller already
 knows: a known morphism is one on every backend.  certify is always true here,
 so sums are total, as in a cartesian differential category (Blute, Cockett
 and Seely); a backend with partial sums overrides certify alone.  sigma is a
-method so that a negative control can corrupt it.  Everything else
-(injections, the monad sum theta, the lift l, the swap c, strengths, partial
-derivatives, n-ary sums) is derived here, and check_axioms verifies the
-axioms and the derived theorems on any instance by exact morphism equality.
+method so that a negative control can corrupt it.  The maps built through
+witnesses and sigma (the injections, the monad sum theta, the lift l, the
+swap c and the inverse of c_n) are derived on the instance and kept in its
+derived-morphism cache, beside partial derivatives and n-ary sums; the slot
+maps that read no instance, c_with, single_app and the strength phi_i, are
+module-level functions beside the laws.  check_axioms verifies the axioms
+and the derived theorems on any instance by exact morphism equality.
 A partial derivative takes the arity of its map's domain and a word of
 slots, and each D_i f = Df . phi_i is computed in one pass by
 polymap.partial_differential, without building Df or the strength phi_i;
@@ -176,31 +179,17 @@ class Instance:
 
         return self._cache(("swap", x), build)
 
-    # -- cartesian compatibility ---------------------------------------------
+    def c_n_inv(self, slots: Sequence[Space]) -> PolyMap:
+        """<pi0 & ... & pi0, pi1 & ... & pi1> : DX0 & ... & DXn -> D(prod);
+        for two slots, the inverse of c_with."""
 
-    def c_with(self, x: Space, y: Space) -> PolyMap:
-        """<D pr0, D pr1> : D(X & Y) -> DX & DY."""
-        return pm.prod_pair(
-            pm.differential(pm.prod_proj(0, x, y)),
-            pm.differential(pm.prod_proj(1, x, y)),
-        )
+        def build() -> PolyMap:
+            halves = [pm.with_map(*[pm.proj(k, s) for s in slots]) for k in (0, 1)]
+            return self._require(self.pair_witness(*halves), "c_n inverse")
 
-    def single_app(self, slots: Sequence[Space], i: int, g: PolyMap) -> PolyMap:
-        """g at slot i, identities elsewhere; slot i's object is g's own."""
-        return pm.with_map(*[
-            g if j == i else pm.identity(s) for j, s in enumerate(slots)
-        ])
+        return self._cache(("c_n_inv", tuple(slots)), build)
 
-    def strength(self, slots: Sequence[Space], i: int) -> PolyMap:
-        """phi_i = <(id ... pi0 at i ... id), (0 ... pi1 at i ... 0)>: the
-        identity of D slots[i] at i, iota_0 = <id, 0> elsewhere.
-        partial_derivative does not build it; the strength-comm law and
-        the tests' reference for D_i f do."""
-        return pm.with_map(*[
-            pm.identity(d_space(s)) if j == i
-            else pm.pair_witness_matrix(pm.identity(s), pm.zero(s, s))
-            for j, s in enumerate(slots)
-        ])
+    # -- partial derivatives ------------------------------------------------
 
     def partial_derivative(
         self, f: PolyMap, arity: int, word: Sequence[int],
@@ -234,15 +223,36 @@ class Instance:
             f = pm.partial_differential(f, arity, i, r)
         return f
 
-    def c_n_inv(self, slots: Sequence[Space]) -> PolyMap:
-        """<pi0 & ... & pi0, pi1 & ... & pi1> : DX0 & ... & DXn -> D(prod);
-        for two slots, the inverse of c_with."""
 
-        def build() -> PolyMap:
-            halves = [pm.with_map(*[pm.proj(k, s) for s in slots]) for k in (0, 1)]
-            return self._require(self.pair_witness(*halves), "c_n inverse")
+# ---------------------------------------------------------------------------
+# Cartesian compatibility: slot maps that read no instance
 
-        return self._cache(("c_n_inv", tuple(slots)), build)
+
+def c_with(x: Space, y: Space) -> PolyMap:
+    """<D pr0, D pr1> : D(X & Y) -> DX & DY."""
+    return pm.prod_pair(
+        pm.differential(pm.prod_proj(0, x, y)),
+        pm.differential(pm.prod_proj(1, x, y)),
+    )
+
+
+def single_app(slots: Sequence[Space], i: int, g: PolyMap) -> PolyMap:
+    """g at slot i, identities elsewhere; slot i's object is g's own."""
+    return pm.with_map(*[
+        g if j == i else pm.identity(s) for j, s in enumerate(slots)
+    ])
+
+
+def strength(slots: Sequence[Space], i: int) -> PolyMap:
+    """phi_i = <(id ... pi0 at i ... id), (0 ... pi1 at i ... 0)>: the
+    identity of D slots[i] at i, iota_0 = <id, 0> elsewhere.
+    partial_derivative does not build it; the strength-comm law and
+    the tests' reference for D_i f do."""
+    return pm.with_map(*[
+        pm.identity(d_space(s)) if j == i
+        else pm.pair_witness_matrix(pm.identity(s), pm.zero(s, s))
+        for j, s in enumerate(slots)
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +533,7 @@ def _law_monad_assoc(env: LawEnv) -> None:
 def _law_c_with_iso(env: LawEnv) -> None:
     inst = env.inst
     x, y = env.pick_object(), env.pick_object()
-    fwd = inst.c_with(x, y)
+    fwd = c_with(x, y)
     inv = inst.c_n_inv([x, y])
     _eq(
         "c_with . inv = id",
@@ -543,10 +553,10 @@ def _law_strength_comm(env: LawEnv) -> None:
     dx, dy = d_space(x), d_space(y)
     # Both paths start at DX & DY and land in D^2 (X & Y).
     via_left = pm.compose(
-        pm.differential(inst.strength([x, y], 1)), inst.strength([x, dy], 0)
+        pm.differential(strength([x, y], 1)), strength([x, dy], 0)
     )
     via_right = pm.compose(
-        pm.differential(inst.strength([x, y], 0)), inst.strength([dx, y], 1)
+        pm.differential(strength([x, y], 0)), strength([dx, y], 1)
     )
     _eq(
         "c . (D phi1 . phi0) = D phi0 . phi1",
@@ -598,7 +608,7 @@ def _law_partial_proj0(env: LawEnv) -> None:
     for i in (0, 1):
         di = inst.partial_derivative(f, 2, (i,))
         lhs = pm.compose(pm.proj(0, f.cod), di)
-        rhs = pm.compose(f, inst.single_app(slots, i, pm.proj(0, slots[i])))
+        rhs = pm.compose(f, single_app(slots, i, pm.proj(0, slots[i])))
         _eq(f"pi0 . D{i} f = f . (pi0 at {i})", lhs, rhs)
 
 
@@ -815,7 +825,7 @@ def _multilinear_equation(
     for i in range(arity):
         di = inst.partial_derivative(f, arity, (i,))
         lhs = pm.compose(pm.proj(1, f.cod), di)
-        rhs = pm.compose(f, inst.single_app(slots, i, pm.proj(1, slots[i])))
+        rhs = pm.compose(f, single_app(slots, i, pm.proj(1, slots[i])))
         if lhs != rhs:
             raise LawFailure(f"{what} lost linearity in slot {i}")
 
@@ -856,7 +866,7 @@ def _law_proj_commute(env: LawEnv) -> None:
         rhs_slots = peel_product(rhs_inner.dom, n)
         pk_i = pm.proj(k, slots[i])
         pk_h = inst.partial_derivative(pk_i, 1, (0,) * h)
-        rhs = pm.compose(rhs_inner, inst.single_app(rhs_slots, i, pk_h))
+        rhs = pm.compose(rhs_inner, single_app(rhs_slots, i, pk_h))
         if lhs != rhs:
             raise LawFailure(
                 f"projection commutation failed: k={k} d={d} i={i} tail={tail}"

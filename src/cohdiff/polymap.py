@@ -6,15 +6,20 @@ of X (a tuple sorted in the atom order of objects).  Evaluation reads the
 entry (m, b) as the coefficient of x^m in the power series for coordinate b.
 Composition is formal substitution of series.
 
-A coefficient is a plain int when it is integral and a Fraction only where a
-real denominator appears.  The two compare, hash and print alike, and the
-engine only adds and multiplies, so results stay exact, never float, and
-integral arithmetic runs on ints.
+A coefficient is an int or a Fraction.  Integral inputs are ints (the
+structural maps hold 1, and a model file's integral coefficient is read as
+an int), and int arithmetic stays int.  A result of Fraction arithmetic
+stays a Fraction even when it is integral: half plus half is Fraction(1, 1).
+The two compare, hash and print alike, and the engine only adds and
+multiplies, so results stay exact, never float.
 
 A map is never mutated, so it hashes its content, (dom, cod, the set of its
 entries), once, on first use, and keeps the hash in a slot.  The hash agrees
 with ==: entries compare as dicts, whatever their insertion order, and an
-integral Fraction hashes as its int.
+integral Fraction hashes as its int.  So the structural maps identity, proj,
+sigma and prod_proj are built once per argument and shared: each is an
+unbounded lru_cache, like objects.web, since its entries depend only on its
+interned spaces.
 
 Composition has a fast path for substitutions: when every entry of f is a
 one-atom monomial with coefficient 1 and no output atom repeats (projections,
@@ -63,6 +68,7 @@ polynomial backend allows any nonzero rational.  Both use the same engine.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from .objects import (
@@ -154,6 +160,7 @@ def _trusted(dom: Space, cod: Space, entries: Entries) -> PolyMap:
     return f
 
 
+@lru_cache(maxsize=None)
 def identity(x: Space) -> PolyMap:
     return _trusted(x, x, {((a,), a): 1 for a in web(x)})
 
@@ -358,11 +365,13 @@ def is_multilinear(f: PolyMap, arity: int) -> bool:
     )
 
 
+@lru_cache(maxsize=None)
 def proj(i: int, x: Space) -> PolyMap:
     """pi_i : DX -> X."""
     return _trusted(d_space(x), x, {((tag_d(i, a),), a): 1 for a in web(x)})
 
 
+@lru_cache(maxsize=None)
 def sigma(x: Space) -> PolyMap:
     """sigma : DX -> X, the sum of the two projections."""
     entries: Entries = {}
@@ -372,6 +381,7 @@ def sigma(x: Space) -> PolyMap:
     return _trusted(d_space(x), x, entries)
 
 
+@lru_cache(maxsize=None)
 def prod_proj(i: int, *slots: Space) -> PolyMap:
     """pr_i : prodn(slots) -> slots[i], slot i's atoms placed by embed_slot."""
     n = len(slots)

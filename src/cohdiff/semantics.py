@@ -21,11 +21,12 @@ same time share and that goes with the last of them.  It is keyed on
 two models with equal grounds and symbols share their composites, and a
 map computed under one degree cap is not served under another.  The
 instance is not in the key: the lift and the composition never call
-certify, and the head is built first through the instance's own
-derived-morphism cache (iota, theta, pi and pr alike), so each backend
-still certifies its own structural maps.  Building a Model empties the
-memo, so a run that builds its models first (a CLI command, a benchmark
-round) computes the same tails whatever ran before it.
+certify, and the head is built first, pi and pr from polymap, built once
+per space, and iota and theta from the instance, through its own witnesses
+and sigma, so each backend still certifies its own structural maps.
+Building a Model empties the memo, so a run that builds its models first
+(a CLI command, a benchmark round) computes the same tails whatever ran
+before it.
 A variable and pr_i are both prod_proj out of a product of slots.  So
 interp_term takes a term that typechecks in its context, as every caller
 checks first; an ill-typed built-in raises ShapeError or TypeCheckError.
@@ -188,15 +189,13 @@ def _interp_app(model: Model, ctx: Context, t: App) -> PolyMap:
         for _ in range(len(t.word) + f.strips):
             x = strip_d_space(x)
         if isinstance(f, DProj):
-            base = inst._cache(("proj", f.i, x), lambda: pm.proj(f.i, x))
+            base = pm.proj(f.i, x)
         elif isinstance(f, DInj):
             base = inst.inj(f.i, x)
         elif isinstance(f, Theta):
             base = inst.theta_pow(x, f.n)
         elif isinstance(x, Prod):
-            base = inst._cache(
-                ("prod_proj", f.i, x), lambda: pm.prod_proj(f.i, x.left, x.right)
-            )
+            base = pm.prod_proj(f.i, x.left, x.right)
         else:
             raise TypeCheckError(f"pr applied to non-product {space_str(x)}")
     if arg_maps:

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from cohdiff import polymap as pm
-from cohdiff.ccdc import LawConfig, check_axioms
+from cohdiff.ccdc import LawConfig, check_axioms, single_app
 from cohdiff.gen import (
     DEFAULT_CONTEXT,
     _build_model,
@@ -222,7 +222,7 @@ def test_criterion_6_multilinearity_theorems(pcs_model):
                 pk_i = pm.proj(k, slots3[i])
                 pk_h = inst.partial_derivative(pk_i, 1, (0,) * h)
                 rhs = pm.compose(
-                    rhs_inner, inst.single_app(rhs_slots, i, pk_h)
+                    rhs_inner, single_app(rhs_slots, i, pk_h)
                 )
                 assert lhs == rhs, f"k={k} d={d} i={i} tail={tail}"
     budget.done()

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from cohdiff import polymap as pm
-from cohdiff.ccdc import LawConfig, check_axioms
+from cohdiff.ccdc import LawConfig, check_axioms, strength
 from cohdiff.cli import main
 from cohdiff.gen import (
     _build_model,
@@ -91,9 +91,8 @@ def test_witness_uniqueness_on_representation():
 
 
 def test_strength_formula():
-    inst = PcsInstance()
     x, y = ONE, truncated_nat(1)
-    phi0 = inst.strength([x, y], 0)
+    phi0 = strength([x, y], 0)
     dx = d_space(x)
     lhs = pm.compose(pm.proj(0, product(x, y)), phi0)
     assert lhs == pm.with_map(pm.proj(0, x), pm.identity(y))

@@ -523,6 +523,24 @@ def test_structural_and_default_maps_hold_ints():
     assert all(type(c) is F for row in model.grounds["N"].predual for c in row)
 
 
+def test_an_integral_fraction_result_equals_the_int_map():
+    # Fraction arithmetic keeps its type: half plus half is Fraction(1, 1).
+    half = pm.scale(pm.identity(N), F(1, 2))
+    whole = pm.add(half, half)
+    assert all(type(c) is F for c in whole.entries.values())
+    assert whole == pm.identity(N)
+    assert hash(whole) == hash(pm.identity(N))
+    assert whole.render() == pm.identity(N).render()
+
+
+def test_structural_maps_are_built_once_per_argument():
+    dn = d_space(N)
+    assert pm.identity(N) is pm.identity(N)
+    assert pm.proj(0, N) is pm.proj(0, N)
+    assert pm.sigma(N) is pm.sigma(N)
+    assert pm.prod_proj(0, N, dn) is pm.prod_proj(0, N, dn)
+
+
 def test_d_tag_zero_keeps_monomials_sorted():
     rng = random.Random(22)
     for space in SPACES:

@@ -308,6 +308,50 @@ def test_invariance_verdict_render_format(pcs):
 
 
 # ---------------------------------------------------------------------------
+# Structural maps: pi and pr are polymap's shared maps, iota and theta the
+# instance's.
+
+STRUCTURAL_BUILDERS = ("identity", "proj", "sigma", "prod_proj")
+
+
+def test_no_run_mutates_a_shared_structural_map(monkeypatch):
+    built = {}
+    for name in STRUCTURAL_BUILDERS:
+        def record(*args, _name=name, _build=getattr(pm, name)):
+            f = built[(_name, args)] = _build(*args)
+            return f
+
+        monkeypatch.setattr(pm, name, record)
+    laws = ["laws", "--backend", "poly", "--seed", "7", "--cases", "20"]
+    theorems = ["theorems", "--backend", "both", "--cases", "200", "--seed", "202"]
+    assert main(laws, out=io.StringIO()) == 0
+    assert main(theorems, out=io.StringIO()) == 0
+    monkeypatch.undo()
+    assert {name for name, _ in built} == set(STRUCTURAL_BUILDERS)
+    for (name, args), f in built.items():
+        build = getattr(pm, name)
+        assert build(*args) is f, (name, args)
+        assert f == build.__wrapped__(*args), (name, args)
+
+
+def test_pi_and_pr_are_not_kept_on_the_instance_but_iota_is():
+    model = default_pcs_model()
+    inst = model.inst
+    ctx = (("y", d_type(N)), ("p", ProductType(N, N)), ("x", N))
+    before = set(inst._derived)
+    for t in (
+        App(DProj(0), (), (Var("y"),)),
+        App(ProdProj(0), (), (Var("p"),)),
+    ):
+        interp_term(model, ctx, t)
+    assert set(inst._derived) == before
+    iota = ("inj", 0, model.grounds["N"])
+    assert iota not in before
+    interp_term(model, ctx, App(DInj(0), (), (Var("x"),)))
+    assert iota in inst._derived
+
+
+# ---------------------------------------------------------------------------
 # Negative controls: each theorem check reaches VIOLATED on a broken model or
 # a broken rewrite rule.
 

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cohdiff import polymap as pm
-from cohdiff.ccdc import Instance
+from cohdiff.ccdc import Instance, single_app, strength
 from cohdiff.gen import default_pcs_model, law_generators
 from cohdiff.objects import d_space, embed_slot, prodn, product, tag_d, web
 
@@ -108,21 +108,20 @@ def test_derived_slot_maps_match_the_folds(n):
         assert inst.c_n_inv(list(slots)) == ref_c_n_inv(slots), slots
         for i, s in enumerate(slots):
             assert pm.prod_proj(i, *slots) == ref_prod_proj(slots, i), (slots, i)
-            assert inst.strength(slots, i) == ref_strength(slots, i), (slots, i)
+            assert strength(slots, i) == ref_strength(slots, i), (slots, i)
             lifted = pm.differential(pm.proj(1, s))
             for g in (pm.proj(0, s), pm.proj(1, s), lifted):
                 gslots = list(slots)
                 gslots[i] = g.dom
                 want = ref_single_app(gslots, i, g, "id")
-                assert inst.single_app(slots, i, g) == want, (slots, i, g)
+                assert single_app(slots, i, g) == want, (slots, i, g)
 
 
 def test_one_slot_maps_are_the_plain_maps():
-    inst = Instance()
     for x in OBJECTS:
         assert pm.prod_proj(0, x) == pm.identity(x)
-        assert inst.strength([x], 0) == pm.identity(d_space(x))
-        assert inst.single_app([x], 0, pm.sigma(x)) == pm.sigma(x)
+        assert strength([x], 0) == pm.identity(d_space(x))
+        assert single_app([x], 0, pm.sigma(x)) == pm.sigma(x)
         f = pm.proj(1, x)
         assert pm.with_map(f) == f
         assert pm.prod_pair(f) is f
@@ -170,7 +169,7 @@ def ref_differential(f):
 
 
 def ref_partial(f, slots, i):
-    return pm.compose(ref_differential(f), Instance().strength(slots, i))
+    return pm.compose(ref_differential(f), strength(slots, i))
 
 
 BASE = MODEL.grounds["N"]
