@@ -16,10 +16,18 @@ pairing of no arguments is the zero map into the terminal object.
 The interpretation is compositional and types nothing.
 The rule's tail, the lift of the head and its composite with the pairing,
 is computed once per content, in one memo that the models alive at the
-same time share and that goes with the last of them.  It is keyed on
-(head, arity, word, pairing, DEGREE_CAP), maps by their content hash, so
-two models with equal grounds and symbols share their composites, and a
+same time share and that goes with the last of them.  It is keyed on what
+the rule holds before it pairs anything, (head, word, DEGREE_CAP, *argument
+maps), maps by their content hash, and the pairing is built only on a miss;
+the arity is the number of argument maps, and a constant, which has none,
+is keyed on its context's space, the domain of its zero pairing, instead.
+So two models with equal grounds and symbols share their composites, and a
 map computed under one degree cap is not served under another.  The
+differential theorem's reference, D_i of the term's map at the slot of its
+variable, is kept in the same memo under (map, arity, (i,)): three fields,
+where a tail's key has four or more, so the two never collide.  In
+theorems --backend both the poly pass finds every tail and reference the
+pcs pass computed, and pairs nothing and lifts no head.  The
 instance is not in the key: the lift and the composition never call
 certify, and the head is built first, pi and pr from polymap, built once
 per space, and iota and theta from the instance, through its own witnesses
@@ -27,6 +35,8 @@ and sigma, so each backend still certifies its own structural maps.
 Building a Model empties the memo, so a run that builds its models first
 (a CLI command, a benchmark round) computes the same tails whatever ran
 before it.
+Each model's own memo, interp_term's, is keyed on (ctx, term); terms are
+interned, so the key hashes each node's stored hash.
 A variable and pr_i are both prod_proj out of a product of slots.  So
 interp_term takes a term that typechecks in its context, as every caller
 checks first; an ill-typed built-in raises ShapeError or TypeCheckError.
@@ -87,7 +97,8 @@ class ModelError(Exception):
 
 
 class _Tails(dict):
-    """The application memo; a dict subclass, so it can be weakly referenced."""
+    """The memo of tails and references; a dict subclass, so it can be
+    weakly referenced."""
 
 
 # The memo of the live models, gone with the last of them.
@@ -198,14 +209,19 @@ def _interp_app(model: Model, ctx: Context, t: App) -> PolyMap:
             base = pm.prod_proj(f.i, x.left, x.right)
         else:
             raise TypeCheckError(f"pr applied to non-product {space_str(x)}")
+    # The tail D_w base composed with the pairing of the arguments, computed
+    # once per content; a constant pairs no arguments out of its context.
     if arg_maps:
-        pairing = pm.prod_pair(*arg_maps)
+        key = (base, t.word, pm.DEGREE_CAP, *arg_maps)
     else:
-        pairing = pm.zero(interp_ctx(model, ctx), prodn([]))
-    # The tail D_w base composed with pairing, computed once per content.
-    key = (base, len(t.args), t.word, pairing, pm.DEGREE_CAP)
+        dom = interp_ctx(model, ctx)
+        key = (base, t.word, pm.DEGREE_CAP, dom)
     result = model._tails.get(key)
     if result is None:
+        if arg_maps:
+            pairing = pm.prod_pair(*arg_maps)
+        else:
+            pairing = pm.zero(dom, prodn([]))
         reach = {b for _, b in pairing.entries} if t.word else None
         head = inst.partial_derivative(base, len(t.args), t.word, reach)
         result = model._tails[key] = pm.compose(head, pairing)
@@ -268,7 +284,13 @@ def check_diff_theorem(model: Model, ctx: Context, t: Term, x: str) -> TheoremVe
     )
     lhs = interp_term(model, dctx, differentiate(t, x))
     base = interp_term(model, ctx, t)
-    rhs = model.inst.partial_derivative(base, len(ctx), (slot,))
+    # The reference, once per content, in the memo of the tails.
+    key = (base, len(ctx), (slot,))
+    rhs = model._tails.get(key)
+    if rhs is None:
+        rhs = model._tails[key] = model.inst.partial_derivative(
+            base, len(ctx), (slot,)
+        )
     if lhs == rhs:
         return TheoremVerdict(name, True, printed)
     return TheoremVerdict(

@@ -9,12 +9,25 @@ types a term, reads their object off the argument's type.  Each carries
 strips, the D's it strips from its argument beyond the word's (1 for pi,
 0 for iota and pr, n+1 for theta_n); the interpretation reads it too.
 
-Types and terms key many caches, so each keeps its hash, the dataclass
-default, after its first use, instead of walking its tree on every lookup.
+Types and terms are hash-consed, as spaces are in objects: GroundType,
+ProductType, Var, Pair and App each look their fields up in a table of
+their own and return the one node built for them, so equal nodes built
+apart are the same object and compare by identity.  A table holds its nodes
+weakly, so a term that nobody holds leaves it, and a run's memory follows
+the terms it keeps, not every term it ever built.  Each node keeps its
+content hash, that of its field tuple, computed once at construction, so no
+dict or set order depends on interning.  A term prints once: term_str and
+term_key are kept on the node, and a rebuilt sub-term is the node already
+printed.  A type keeps its strip_depth and the types d_type and d_type_n
+have built from it, so they live only as long as the type.  typecheck
+keeps the type of each (context, term) it has typed on the Signature, and
+declare empties that memo; a term that fails is typed again, and raises
+again, on every call.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -23,41 +36,89 @@ class TypeCheckError(Exception):
     pass
 
 
-def _hash_once(cls):
-    """Keep a frozen dataclass's hash, that of its field tuple, after its
-    first use, in an attribute that is not a field."""
-    field_hash = cls.__hash__
+class _Ref(weakref.ref):
+    """A table's reference to its node: a weakref.KeyedRef built without
+    KeyedRef's Python-level constructor.  The table's callback, which drops
+    the entry when the node dies, reads only .key."""
 
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = field_hash(self)
-            object.__setattr__(self, "_hash", h)
-            return h
+    __slots__ = ("key",)
 
-    cls.__hash__ = __hash__
+
+def _stored_hash(node) -> int:
+    return node._hash
+
+
+def _node(cls: type) -> type:
+    """Make cls hash as the hash stored in its _hash slot, and give it _put,
+    the __set__ of each of its slots but __weakref__, in order; a slot's own
+    __set__ skips the frozen dataclass's __setattr__, as object.__setattr__
+    does, with no lookup by name."""
+    cls.__hash__ = _stored_hash
+    cls._put = tuple(
+        getattr(cls, name).__set__ for name in cls.__slots__[:-1]
+    )
     return cls
+
+
+def _interned(cls: type, table: weakref.WeakValueDictionary, key, *values):
+    """A new cls whose slots take values in order, kept weakly in table
+    under key."""
+    self = object.__new__(cls)
+    for put, value in zip(cls._put, values):
+        put(self, value)
+    ref = _Ref(self, table._remove)
+    ref.key = key
+    table.data[key] = ref
+    return self
+
+
+# One table per node class.  Each constructor reads the table's dict of weak
+# references itself, one C call on a hit, instead of through the table's get.
+# A node's slots are its fields and its hash; a type's also hold its
+# strip_depth and its d_type_n results by n, and a term's its term_str and
+# term_key, which stay None until their first call.
+_GROUND_TYPES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_PRODUCT_TYPES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_VARS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_PAIRS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_APPS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 # ---------------------------------------------------------------------------
 # Types
 
 
-@_hash_once
-@dataclass(frozen=True)
+@_node
+@dataclass(frozen=True, eq=False, init=False)
 class GroundType:
     """D^depth applied to a ground symbol."""
 
+    __slots__ = ("depth", "symbol", "_hash", "_strip", "_shifted", "__weakref__")
     depth: int
     symbol: str
 
+    def __new__(cls, depth: int, symbol: str):
+        key = (depth, symbol)
+        ref = _GROUND_TYPES.data.get(key)
+        return (ref and ref()) or _interned(
+            cls, _GROUND_TYPES, key, depth, symbol, hash(key), depth, {}
+        )
 
-@_hash_once
-@dataclass(frozen=True)
+
+@_node
+@dataclass(frozen=True, eq=False, init=False)
 class ProductType:
+    __slots__ = ("left", "right", "_hash", "_strip", "_shifted", "__weakref__")
     left: "Type"
     right: "Type"
+
+    def __new__(cls, left: "Type", right: "Type"):
+        key = (left, right)
+        ref = _PRODUCT_TYPES.data.get(key)
+        return (ref and ref()) or _interned(
+            cls, _PRODUCT_TYPES, key, left, right, hash(key),
+            min(left._strip, right._strip), {},
+        )
 
 
 Type = Union[GroundType, ProductType]
@@ -69,26 +130,27 @@ def ground(symbol: str) -> GroundType:
 
 def d_type(a: Type) -> Type:
     """D on types; raises ground depths, distributes over products."""
-    if isinstance(a, GroundType):
-        return GroundType(a.depth + 1, a.symbol)
-    return ProductType(d_type(a.left), d_type(a.right))
+    return d_type_n(a, 1)
 
 
 def d_type_n(a: Type, n: int) -> Type:
     """Add n to every ground depth: D^n, or for negative n the inverse of
-    D^-n, which needs strip_depth(a) >= -n."""
+    D^-n, which needs strip_depth(a) >= -n.  Kept on a, under n."""
     if n == 0:
         return a
-    if isinstance(a, GroundType):
-        return GroundType(a.depth + n, a.symbol)
-    return ProductType(d_type_n(a.left, n), d_type_n(a.right, n))
+    b = a._shifted.get(n)
+    if b is None:
+        if isinstance(a, GroundType):
+            b = GroundType(a.depth + n, a.symbol)
+        else:
+            b = ProductType(d_type_n(a.left, n), d_type_n(a.right, n))
+        a._shifted[n] = b
+    return b
 
 
 def strip_depth(a: Type) -> int:
-    """How many times d_type can be undone."""
-    if isinstance(a, GroundType):
-        return a.depth
-    return min(strip_depth(a.left), strip_depth(a.right))
+    """How many times d_type can be undone; kept on the type when built."""
+    return a._strip
 
 
 def type_str(a: Type) -> str:
@@ -163,13 +225,16 @@ Function = Union[UserFn, DProj, ProdProj, DInj, Theta]
 
 
 class Signature:
-    """Function-type assignment for user symbols."""
+    """Function-type assignment for user symbols, and the memo of the
+    types typecheck has found under them."""
 
     def __init__(self, decls: Optional[dict[str, FunctionType]] = None):
         self.decls: dict[str, FunctionType] = dict(decls or {})
+        self._typed: dict = {}
 
     def declare(self, name: str, ftype: FunctionType) -> None:
         self.decls[name] = ftype
+        self._typed.clear()
 
     def lookup(self, name: str) -> FunctionType:
         if name not in self.decls:
@@ -196,25 +261,49 @@ def fn_name(f: Function) -> str:
 # Terms
 
 
-@_hash_once
-@dataclass(frozen=True)
+@_node
+@dataclass(frozen=True, eq=False, init=False)
 class Var:
+    __slots__ = ("name", "_hash", "_str", "_key", "__weakref__")
     name: str
 
+    def __new__(cls, name: str):
+        ref = _VARS.data.get(name)
+        return (ref and ref()) or _interned(
+            cls, _VARS, name, name, hash((name,)), None, None
+        )
 
-@_hash_once
-@dataclass(frozen=True)
+
+@_node
+@dataclass(frozen=True, eq=False, init=False)
 class Pair:
+    __slots__ = ("t0", "t1", "_hash", "_str", "_key", "__weakref__")
     t0: "Term"
     t1: "Term"
 
+    def __new__(cls, t0: "Term", t1: "Term"):
+        key = (t0, t1)
+        ref = _PAIRS.data.get(key)
+        return (ref and ref()) or _interned(
+            cls, _PAIRS, key, t0, t1, hash(key), None, None
+        )
 
-@_hash_once
-@dataclass(frozen=True)
+
+@_node
+@dataclass(frozen=True, eq=False, init=False)
 class App:
+    __slots__ = ("fn", "word", "args", "_hash", "_str", "_key", "__weakref__")
     fn: Function
-    word: tuple[int, ...] = ()
-    args: tuple["Term", ...] = ()
+    word: tuple[int, ...]
+    args: tuple["Term", ...]
+
+    def __new__(cls, fn: Function, word: tuple[int, ...] = (),
+                args: tuple["Term", ...] = ()):
+        key = (fn, word, args)
+        ref = _APPS.data.get(key)
+        return (ref and ref()) or _interned(
+            cls, _APPS, key, fn, word, args, hash(key), None, None
+        )
 
 
 Term = Union[Var, Pair, App]
@@ -223,36 +312,47 @@ Context = tuple[tuple[str, Type], ...]
 
 
 def term_str(t: Term) -> str:
+    s = t._str
+    if s is not None:
+        return s
     if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Pair):
-        return f"<{term_str(t.t0)}, {term_str(t.t1)}>"
-    name = fn_name(t.fn)
-    sup = ""
-    if t.word:
-        sup = "^[" + ",".join(str(i) for i in t.word) + "]"
-    args = ", ".join(term_str(a) for a in t.args)
-    return f"{name}{sup}({args})"
+        s = t.name
+    elif isinstance(t, Pair):
+        s = f"<{term_str(t.t0)}, {term_str(t.t1)}>"
+    else:
+        sup = ""
+        if t.word:
+            sup = "^[" + ",".join(str(i) for i in t.word) + "]"
+        args = ", ".join(term_str(a) for a in t.args)
+        s = f"{fn_name(t.fn)}{sup}({args})"
+    object.__setattr__(t, "_str", s)
+    return s
 
 
 def term_key(t: Term):
     """Total order on terms; used for canonical multisets and traces."""
+    k = t._key
+    if k is not None:
+        return k
     if isinstance(t, Var):
-        return (0, t.name)
-    if isinstance(t, Pair):
-        return (1, term_key(t.t0), term_key(t.t1))
-    f = t.fn
-    if isinstance(f, DProj):
-        fk = (0, f.i)
-    elif isinstance(f, ProdProj):
-        fk = (1, f.i)
-    elif isinstance(f, DInj):
-        fk = (2, f.i)
-    elif isinstance(f, Theta):
-        fk = (3, f.n)
+        k = (0, t.name)
+    elif isinstance(t, Pair):
+        k = (1, term_key(t.t0), term_key(t.t1))
     else:
-        fk = (4, f.name)
-    return (2, fk, t.word, tuple(term_key(a) for a in t.args))
+        f = t.fn
+        if isinstance(f, DProj):
+            fk = (0, f.i)
+        elif isinstance(f, ProdProj):
+            fk = (1, f.i)
+        elif isinstance(f, DInj):
+            fk = (2, f.i)
+        elif isinstance(f, Theta):
+            fk = (3, f.n)
+        else:
+            fk = (4, f.name)
+        k = (2, fk, t.word, tuple(term_key(a) for a in t.args))
+    object.__setattr__(t, "_key", k)
+    return k
 
 
 def context_lookup(ctx: Context, name: str) -> Type:
@@ -263,12 +363,19 @@ def context_lookup(ctx: Context, name: str) -> Type:
 
 
 def typecheck(sig: Signature, ctx: Context, t: Term) -> Type:
-    """The unique type of t in ctx, or a TypeCheckError describing why not."""
-    if isinstance(t, Var):
-        return context_lookup(ctx, t.name)
-    if isinstance(t, Pair):
-        return ProductType(typecheck(sig, ctx, t.t0), typecheck(sig, ctx, t.t1))
-    return _check_app(sig, ctx, t)
+    """The unique type of t in ctx, or a TypeCheckError describing why not.
+    A type found is kept in sig's memo under (ctx, t)."""
+    key = (ctx, t)
+    ty = sig._typed.get(key)
+    if ty is None:
+        if isinstance(t, Var):
+            ty = context_lookup(ctx, t.name)
+        elif isinstance(t, Pair):
+            ty = ProductType(typecheck(sig, ctx, t.t0), typecheck(sig, ctx, t.t1))
+        else:
+            ty = _check_app(sig, ctx, t)
+        sig._typed[key] = ty
+    return ty
 
 
 def _expect(actual: Type, expected: Type, what: str) -> None:

@@ -11,7 +11,7 @@ import pytest
 
 import cohdiff
 from cohdiff import polymap as pm
-from cohdiff import rewrite
+from cohdiff import cli, rewrite, syntax
 from cohdiff.ccdc import Instance
 from cohdiff.cli import main
 from cohdiff.gen import (
@@ -574,6 +574,54 @@ def test_the_memo_keeps_every_tail_while_its_models_live(monkeypatch):
     )
     assert [interp_term(model, ctx, t) for ctx, t in cases] == first
     assert len(calls) == 0
+
+
+def test_typecheck_types_each_application_once_per_context(monkeypatch):
+    # The acceptance corpus through both theorems: every (ctx, node) that
+    # reaches _check_app is typed once and then read from the memo.
+    model = default_pcs_model()
+    check_app, seen = syntax._check_app, {}
+
+    def counted(sig, ctx, t):
+        key = (id(sig), ctx, t)
+        seen[key] = seen.get(key, 0) + 1
+        return check_app(sig, ctx, t)
+
+    monkeypatch.setattr(syntax, "_check_app", counted)
+    names = [v for v, _ in DEFAULT_CONTEXT]
+    for i, (ctx, t, _) in enumerate(generate_typed_terms(200, seed=202)):
+        assert check_diff_theorem(model, ctx, t, names[i % len(names)]).holds
+        assert check_invariance(model, ctx, t).holds
+    assert len(seen) > 1000
+    assert max(seen.values()) == 1
+
+
+def test_the_poly_pass_adds_nothing_to_the_memo(monkeypatch):
+    # In theorems --backend both, each term is interpreted on pcs first; the
+    # poly pass finds every tail and reference derivative already there, so
+    # it lifts no head and grows no memo.
+    sizes = {"pcs": [], "poly": []}
+    lifts = {"pcs": 0, "poly": 0}
+    check, lift = cli.check_diff_theorem, Instance.partial_derivative
+
+    def counted(self, *args):
+        lifts[self.name] += 1
+        return lift(self, *args)
+
+    def sized(model, ctx, t, x):
+        before = len(model._tails)
+        verdict = check(model, ctx, t, x)
+        sizes[model.inst.name].append(len(model._tails) - before)
+        return verdict
+
+    monkeypatch.setattr(cli, "check_diff_theorem", sized)
+    monkeypatch.setattr(Instance, "partial_derivative", counted)
+    out = io.StringIO()
+    args = ["theorems", "--backend", "both", "--cases", "200", "--seed", "202"]
+    assert main(args, out=out) == 0
+    assert len(sizes["poly"]) == 200 and not any(sizes["poly"])
+    assert lifts["poly"] == 0
+    assert sum(sizes["pcs"]) > 0 and lifts["pcs"] > 0
 
 
 def test_the_memo_goes_with_the_last_of_its_models():

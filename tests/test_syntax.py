@@ -1,8 +1,12 @@
 import dataclasses
+import gc
+import weakref
 
 from hypothesis import given, strategies as st
 import pytest
 
+from cohdiff import syntax
+from cohdiff.parser import parse_program
 from cohdiff.syntax import (
     App,
     UserFn,
@@ -21,6 +25,7 @@ from cohdiff.syntax import (
     differentiate,
     ground,
     strip_depth,
+    term_key,
     term_str,
     type_str,
     typecheck,
@@ -182,7 +187,7 @@ def test_types_and_terms_hash_once_as_their_fields():
         )
 
     for first, second in zip(build(), build()):
-        assert first == second and first is not second
+        assert first == second and first is second
         assert hash(first) == hash(second)
         fields = tuple(getattr(first, f.name) for f in dataclasses.fields(first))
         assert hash(first) == hash(fields) == hash(first)
@@ -190,3 +195,85 @@ def test_types_and_terms_hash_once_as_their_fields():
     assert [f.name for f in dataclasses.fields(t)] == ["fn", "word", "args"]
     assert repr(Var("x")) == "Var(name='x')"
     assert repr(GroundType(1, "a")) == "GroundType(depth=1, symbol='a')"
+
+
+def test_equal_nodes_built_apart_are_one_object():
+    # Through every constructor path: the parser's, d_type's, differentiate's.
+    assert d_type(A) is GroundType(1, "a") is D(A)
+    assert d_type(ProductType(A, B)) is ProductType(D(A), D(B))
+    t = App(UserFn("f"), (), (Var("x"), Var("y")))
+    program = parse_program("fn f : (a, b) -> c;\nterm t [x: a, y: b] = f(x, y);\n")
+    assert program.terms["t"] == ((("x", A), ("y", B)), t)
+    assert program.terms["t"][1] is t
+    assert differentiate(t, "x") is App(
+        Theta(1),
+        (),
+        (App(UserFn("f"), (1, 0), (Var("x"), App(DInj(0), (), (Var("y"),)))),),
+    )
+    assert Var("x") is not Var("y") and Var("x") != Var("y")
+    assert Pair(Var("x"), Var("y")) is not Pair(Var("y"), Var("x"))
+
+
+def test_a_term_prints_once():
+    x = Var("x")
+    t = App(DProj(0), (0,), (Pair(x, x),))
+    printed, key = term_str(t), term_key(t)
+    assert printed == "pi0^[0](<x, x>)"
+    assert key == (2, (0, 0), (0,), ((1, (0, "x"), (0, "x")),))
+    assert term_str(t) is printed and term_key(t) is key
+    # A sub-term rebuilt elsewhere is the node already printed.
+    assert term_str(Pair(Var("x"), Var("x"))) is term_str(t.args[0])
+
+
+def test_a_term_that_nobody_holds_leaves_its_table():
+    name = "held_by_nobody"
+    t = App(UserFn(name), (), (Var(name),))
+    gone = weakref.ref(t)
+    assert syntax._APPS[(UserFn(name), (), (Var(name),))] is t
+    assert name in syntax._VARS
+    del t
+    gc.collect()
+    assert gone() is None
+    assert UserFn(name) not in {fn for fn, _, _ in syntax._APPS.keys()}
+    assert name not in syntax._VARS
+
+
+def test_an_ill_typed_term_raises_on_every_call():
+    sig = Signature({"f": FunctionType((A,), B)})
+    ctx = (("x", B),)
+    t = App(UserFn("f"), (), (Var("x"),))
+    for _ in range(3):
+        with pytest.raises(TypeCheckError, match="argument 0 of f"):
+            typecheck(sig, ctx, t)
+    assert typecheck(sig, (("x", A),), t) is B
+
+
+def test_declare_empties_the_typecheck_memo():
+    sig = Signature({"f": FunctionType((A,), B)})
+    ctx = (("x", A),)
+    t = App(UserFn("f"), (), (Var("x"),))
+    assert typecheck(sig, ctx, t) is B
+    sig.declare("f", FunctionType((A,), C))
+    assert typecheck(sig, ctx, t) is C
+    sig.declare("f", FunctionType((B,), C))
+    with pytest.raises(TypeCheckError):
+        typecheck(sig, ctx, t)
+
+
+def test_a_type_keeps_what_is_built_from_it_and_leaves_with_it():
+    def build():
+        # In a frame of its own, which keeps no checked value once it returns.
+        a = ProductType(GroundType(2, "held_by_nobody"), B)
+        da = d_type(a)
+        assert d_type(a) is da is d_type_n(a, 1) and d_type_n(da, -1) is a
+        assert strip_depth(a) == 0 and strip_depth(da) == 1
+        assert strip_depth(d_type_n(a.left, -1)) == 1
+        return weakref.ref(da)
+
+    gone = build()
+    # D a and a hold each other, as their grounds do; the first pass frees the
+    # products, whose table keys held the grounds, and the second the grounds.
+    gc.collect()
+    gc.collect()
+    assert gone() is None
+    assert all(g.symbol != "held_by_nobody" for g in syntax._GROUND_TYPES.values())
