@@ -12,12 +12,16 @@ knows: a known morphism is one on every backend.  certify is always true here,
 so sums are total, as in a cartesian differential category (Blute, Cockett
 and Seely); a backend with partial sums overrides certify alone.  sigma is a
 method so that a negative control can corrupt it.  The maps built through
-witnesses and sigma (the injections, the monad sum theta, the lift l, the
-swap c and the inverse of c_n) are derived on the instance and kept in its
-derived-morphism cache, beside partial derivatives and n-ary sums; the slot
-maps that read no instance, c_with, single_app and the strength phi_i, are
-module-level functions beside the laws.  check_axioms verifies the axioms
-and the derived theorems on any instance by exact morphism equality.
+witnesses and sigma (the injections, the monad sum theta and its powers, the
+lift l, the swap c and the inverse of c_n) are derived on the instance: each
+is a method decorated with derived_morphism, whose body is its defining
+pairing, and each is built once per instance and argument tuple, kept in
+_derived under the key (method name, *args), e.g. ("inj", i, x),
+("theta_pow", x, n) or ("c_n_inv", *slots), through the one entry point
+_cache.  The slot maps that read no instance, c_with, single_app and the
+strength phi_i, are module-level functions beside the laws.  check_axioms
+verifies the axioms and the derived theorems on any instance by exact
+morphism equality.
 A partial derivative takes the arity of its map's domain and a word of
 slots, and each D_i f = Df . phi_i is computed in one pass by
 polymap.partial_differential, without building Df or the strength phi_i;
@@ -31,6 +35,7 @@ check_axioms records the first failing case's message and stops the law.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -48,6 +53,17 @@ QUARTER = Fraction(1, 4)
 
 class StructureError(Exception):
     """A summability required by the structure itself failed to certify."""
+
+
+def derived_morphism(build: Callable[..., PolyMap]) -> Callable[..., PolyMap]:
+    """The method that keeps build(self, *args) in the instance's
+    derived-morphism cache under (build's name, *args)."""
+
+    @functools.wraps(build)
+    def method(self, *args):
+        return self._cache((build.__name__, *args), lambda: build(self, *args))
+
+    return method
 
 
 class Instance:
@@ -109,85 +125,67 @@ class Instance:
             raise StructureError(f"required summability failed: {what}")
         return w
 
+    @derived_morphism
     def inj(self, i: int, x: Space) -> PolyMap:
         """iota_i = <id, 0> (resp. <0, id>), from the D-zero axiom."""
+        one = pm.identity(x)
+        nil = pm.zero(x, x)
+        pair = (one, nil) if i == 0 else (nil, one)
+        return self._require(self.pair_witness(*pair), f"iota_{i}")
 
-        def build() -> PolyMap:
-            one = pm.identity(x)
-            nil = pm.zero(x, x)
-            pair = (one, nil) if i == 0 else (nil, one)
-            return self._require(self.pair_witness(*pair), f"iota_{i}")
-
-        return self._cache(("inj", i, x), build)
-
+    @derived_morphism
     def theta(self, x: Space) -> PolyMap:
         """theta = <pi0 pi0, pi1 pi0 + pi0 pi1> : D^2 X -> DX."""
+        dx = d_space(x)
+        p0, p1 = pm.proj(0, x), pm.proj(1, x)
+        q0, q1 = pm.proj(0, dx), pm.proj(1, dx)
+        inner = self.sum2(pm.compose(p1, q0), pm.compose(p0, q1))
+        inner = self._require(inner, "theta inner sum")
+        return self._require(
+            self.pair_witness(pm.compose(p0, q0), inner), "theta"
+        )
 
-        def build() -> PolyMap:
-            dx = d_space(x)
-            p0, p1 = pm.proj(0, x), pm.proj(1, x)
-            q0, q1 = pm.proj(0, dx), pm.proj(1, dx)
-            inner = self.sum2(pm.compose(p1, q0), pm.compose(p0, q1))
-            inner = self._require(inner, "theta inner sum")
-            return self._require(
-                self.pair_witness(pm.compose(p0, q0), inner), "theta"
-            )
-
-        return self._cache(("theta", x), build)
-
+    @derived_morphism
     def theta_pow(self, x: Space, n: int) -> PolyMap:
         """theta^n : D^(n+1) X -> DX, the n-fold monad sum."""
+        acc = self.theta(x) if n else pm.identity(d_space(x))
+        level = d_space(x)
+        for _ in range(n - 1):
+            acc = pm.compose(acc, self.theta(level))
+            level = d_space(level)
+        return acc
 
-        def build() -> PolyMap:
-            acc = self.theta(x) if n else pm.identity(d_space(x))
-            level = d_space(x)
-            for _ in range(n - 1):
-                acc = pm.compose(acc, self.theta(level))
-                level = d_space(level)
-            return acc
-
-        return self._cache(("theta_pow", x, n), build)
-
+    @derived_morphism
     def lift(self, x: Space) -> PolyMap:
         """l = <<pi0, 0>, <0, pi1>> : DX -> D^2 X."""
+        p0, p1 = pm.proj(0, x), pm.proj(1, x)
+        nil = pm.zero(d_space(x), x)
+        left = self._require(self.pair_witness(p0, nil), "lift left")
+        right = self._require(self.pair_witness(nil, p1), "lift right")
+        return self._require(self.pair_witness(left, right), "lift")
 
-        def build() -> PolyMap:
-            p0, p1 = pm.proj(0, x), pm.proj(1, x)
-            nil = pm.zero(d_space(x), x)
-            left = self._require(self.pair_witness(p0, nil), "lift left")
-            right = self._require(self.pair_witness(nil, p1), "lift right")
-            return self._require(self.pair_witness(left, right), "lift")
-
-        return self._cache(("lift", x), build)
-
+    @derived_morphism
     def swap(self, x: Space) -> PolyMap:
         """c = <<pi0 pi0, pi0 pi1>, <pi1 pi0, pi1 pi1>> : D^2 X -> D^2 X."""
+        dx = d_space(x)
+        p0, p1 = pm.proj(0, x), pm.proj(1, x)
+        q0, q1 = pm.proj(0, dx), pm.proj(1, dx)
+        top = self._require(
+            self.pair_witness(pm.compose(p0, q0), pm.compose(p0, q1)),
+            "swap top",
+        )
+        bot = self._require(
+            self.pair_witness(pm.compose(p1, q0), pm.compose(p1, q1)),
+            "swap bottom",
+        )
+        return self._require(self.pair_witness(top, bot), "swap")
 
-        def build() -> PolyMap:
-            dx = d_space(x)
-            p0, p1 = pm.proj(0, x), pm.proj(1, x)
-            q0, q1 = pm.proj(0, dx), pm.proj(1, dx)
-            top = self._require(
-                self.pair_witness(pm.compose(p0, q0), pm.compose(p0, q1)),
-                "swap top",
-            )
-            bot = self._require(
-                self.pair_witness(pm.compose(p1, q0), pm.compose(p1, q1)),
-                "swap bottom",
-            )
-            return self._require(self.pair_witness(top, bot), "swap")
-
-        return self._cache(("swap", x), build)
-
-    def c_n_inv(self, slots: Sequence[Space]) -> PolyMap:
+    @derived_morphism
+    def c_n_inv(self, *slots: Space) -> PolyMap:
         """<pi0 & ... & pi0, pi1 & ... & pi1> : DX0 & ... & DXn -> D(prod);
         for two slots, the inverse of c_with."""
-
-        def build() -> PolyMap:
-            halves = [pm.with_map(*[pm.proj(k, s) for s in slots]) for k in (0, 1)]
-            return self._require(self.pair_witness(*halves), "c_n inverse")
-
-        return self._cache(("c_n_inv", tuple(slots)), build)
+        halves = [pm.with_map(*[pm.proj(k, s) for s in slots]) for k in (0, 1)]
+        return self._require(self.pair_witness(*halves), "c_n inverse")
 
     # -- partial derivatives ------------------------------------------------
 
@@ -534,7 +532,7 @@ def _law_c_with_iso(env: LawEnv) -> None:
     inst = env.inst
     x, y = env.pick_object(), env.pick_object()
     fwd = c_with(x, y)
-    inv = inst.c_n_inv([x, y])
+    inv = inst.c_n_inv(x, y)
     _eq(
         "c_with . inv = id",
         pm.compose(fwd, inv),
@@ -564,7 +562,7 @@ def _law_strength_comm(env: LawEnv) -> None:
         via_right,
     )
     p = product(x, y)
-    inv = inst.c_n_inv([x, y])
+    inv = inst.c_n_inv(x, y)
     _eq(
         "theta . D phi0 . phi1 = c_with_inv",
         pm.compose(inst.theta(p), via_right),
@@ -580,7 +578,7 @@ def _law_strength_comm(env: LawEnv) -> None:
 def _law_leibniz(env: LawEnv) -> None:
     inst = env.inst
     f, (x, y) = env.pick_product_map()
-    inv = inst.c_n_inv([x, y])
+    inv = inst.c_n_inv(x, y)
     lhs = pm.compose(pm.differential(f), inv)
     d0d1 = inst.partial_derivative(f, 2, (1, 0))
     d1d0 = inst.partial_derivative(f, 2, (0, 1))
@@ -881,7 +879,7 @@ def _law_leibniz_n(env: LawEnv) -> None:
         return
     alpha = list(range(n + 1))
     env.rng.shuffle(alpha)
-    lhs = pm.compose(pm.differential(f), inst.c_n_inv(slots))
+    lhs = pm.compose(pm.differential(f), inst.c_n_inv(*slots))
     rhs = pm.compose(
         inst.theta_pow(f.cod, n),
         inst.partial_derivative(f, len(slots), alpha),
@@ -897,7 +895,7 @@ def _law_bilinear_expansion(env: LawEnv) -> None:
     f, (x, y) = env.rng.choice(candidates)
     lhs = pm.compose(
         pm.proj(1, f.cod),
-        pm.compose(pm.differential(f), inst.c_n_inv([x, y])),
+        pm.compose(pm.differential(f), inst.c_n_inv(x, y)),
     )
     term0 = pm.compose(f, pm.with_map(pm.proj(1, x), pm.proj(0, y)))
     term1 = pm.compose(f, pm.with_map(pm.proj(0, x), pm.proj(1, y)))

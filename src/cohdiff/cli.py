@@ -17,10 +17,12 @@ import sys
 from .ccdc import LawConfig, check_axioms
 from .gen import (
     DEFAULT_CONTEXT,
+    _build_model,
     default_pcs_model,
     default_poly_model,
     generate_typed_terms,
     law_generators,
+    truncated_nat,
 )
 from .objects import space_str, web
 from .parser import ParseError, parse_program
@@ -90,12 +92,6 @@ def _read_text(path: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _named_term(program, name: str):
-    if name not in program.terms:
-        raise KeyError(name)
-    return program.terms[name]
-
-
 def cmd_check(args, out) -> int:
     program = parse_program(_read_text(args.file))
     for name, (ctx, t) in program.terms.items():
@@ -106,7 +102,7 @@ def cmd_check(args, out) -> int:
 
 def cmd_diff(args, out) -> int:
     program = parse_program(_read_text(args.file))
-    ctx, t = _named_term(program, args.term)
+    ctx, t = program.terms[args.term]
     if all(v != args.var for v, _ in ctx):
         print(f"error: variable {args.var!r} not in the context of {args.term!r}",
               file=out)
@@ -124,7 +120,7 @@ def cmd_diff(args, out) -> int:
 
 def cmd_reduce(args, out) -> int:
     program = parse_program(_read_text(args.file))
-    ctx, t = _named_term(program, args.term)
+    ctx, t = program.terms[args.term]
     typecheck(program.signature, ctx, t)
     try:
         final, trace = normalize(t, args.fuel)
@@ -192,7 +188,7 @@ def _parse_point(text: str, known: set) -> dict:
 def cmd_eval(args, out) -> int:
     program = parse_program(_read_text(args.file))
     model = _build_model_from_files(program, args.model)
-    ctx, t = _named_term(program, args.term)
+    ctx, t = program.terms[args.term]
     ty = typecheck(program.signature, ctx, t)
     matrix = interp_term(model, ctx, t)
     if args.at is not None:  # a faulty point fails before any output
@@ -215,16 +211,11 @@ def cmd_eval(args, out) -> int:
 
 def _make_backend(name: str):
     if name == "pcs":
-        model = default_pcs_model()
-    elif name == "poly":
-        model = default_poly_model()
-    elif name == "pcs-corrupt-sigma":
-        from .gen import _build_model, truncated_nat
-
-        model = _build_model(corrupted_sigma_instance(), truncated_nat())
-    else:
-        raise ValueError(name)
-    return model
+        return default_pcs_model()
+    if name == "poly":
+        return default_poly_model()
+    # "pcs-corrupt-sigma": the parser's choices refuse every other name.
+    return _build_model(corrupted_sigma_instance(), truncated_nat())
 
 
 def cmd_laws(args, out) -> int:

@@ -25,19 +25,25 @@ embed_slot(side, 2, -).  prodn, embed_slot and peel_product are the only code
 that knows this layout; other modules place slot i's atoms with the cached
 embed_slot(i, n, -) and read them back by its prefix embed_slot(i, n, "").
 
-Every space is interned: Ground, Prod and DPair each look their arguments
-up in a module-level table and return the one object built for them, so
-equal spaces built apart are the same object and compare by identity.  Each
-keeps its content hash, hash((name, web, predual)), hash((left, right)) or
-hash((inner,)), computed once, so no dict or set order depends on interning.
-A ground space stores its predual as Fraction, whatever rationals it was
-given (ints compare and hash alike), since the vertex enumeration divides by
-them.  The tables are unbounded, like web()'s cache: a space lives as long as
-the process.  d_space and its inverse strip_d_space are cached like web().
+Spaces, like the types and terms of syntax, are hash-consed by one rule.
+A node class is a frozen dataclass whose __slots__ are its fields, its hash,
+any caches kept on the node, then __weakref__; _node makes it hash as its
+stored hash, and its __new__ looks its key up in the .data of its own
+weakref.WeakValueDictionary, one C call on a hit, and builds the node with
+_interned only on a miss.  So equal nodes built apart are one object and
+compare by identity; each keeps the hash of its field tuple, computed once,
+so no dict or set order depends on interning; and a node lives as long as
+something holds it, since one that nobody holds leaves its table.  Ground,
+Prod and DPair hash as hash((name, web, predual)), hash((left, right)) and
+hash((inner,)).  A ground space stores its predual as Fraction, whatever
+rationals it was given (ints compare and hash alike), since the vertex
+enumeration divides by them.  d_space and its inverse strip_d_space are
+cached like web(), in unbounded caches that hold the spaces they have seen.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -53,25 +59,53 @@ class ShapeError(Exception):
     """Domain/codomain mismatch."""
 
 
-_GROUNDS: dict = {}
-_PRODS: dict = {}
-_DPAIRS: dict = {}
+class _Ref(weakref.ref):
+    """A table's reference to its node: a weakref.KeyedRef built without
+    KeyedRef's Python-level constructor.  The table's callback, which drops
+    the entry when the node dies, reads only .key."""
+
+    __slots__ = ("key",)
 
 
-def _interned(cls: type, table: dict, key, hash_: int, **fields):
-    """A new cls(**fields) with hash hash_, kept in table under key."""
+def _stored_hash(node) -> int:
+    return node._hash
+
+
+def _node(cls: type) -> type:
+    """Make cls hash as the hash stored in its _hash slot, and give it _put,
+    the __set__ of each of its slots but __weakref__, in order; a slot's own
+    __set__ skips the frozen dataclass's __setattr__, as object.__setattr__
+    does, with no lookup by name."""
+    cls.__hash__ = _stored_hash
+    cls._put = tuple(
+        getattr(cls, name).__set__ for name in cls.__slots__[:-1]
+    )
+    return cls
+
+
+def _interned(cls: type, table: weakref.WeakValueDictionary, key, *values):
+    """A new cls whose slots take values in order, kept weakly in table
+    under key."""
     self = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(self, name, value)
-    object.__setattr__(self, "_hash", hash_)
-    table[key] = self
+    for put, value in zip(cls._put, values):
+        put(self, value)
+    ref = _Ref(self, table._remove)
+    ref.key = key
+    table.data[key] = ref
     return self
 
 
+_GROUNDS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_PRODS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_DPAIRS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+@_node
 @dataclass(frozen=True, eq=False, init=False)
 class Ground:
     """A named finite web; predual rows align with the web tuple order."""
 
+    __slots__ = ("name", "web", "predual", "_hash", "__weakref__")
     name: str
     web: tuple[str, ...]
     predual: tuple[tuple[Fraction, ...], ...]
@@ -81,42 +115,40 @@ class Ground:
             raise ValueError(f"web of {name!r} has an empty or dotted name")
         predual = tuple(tuple(map(Fraction, row)) for row in predual)
         key = (name, web, predual)
-        return _GROUNDS.get(key) or _interned(
-            cls, _GROUNDS, key, hash(key), name=name, web=web, predual=predual
+        ref = _GROUNDS.data.get(key)
+        return (ref and ref()) or _interned(
+            cls, _GROUNDS, key, name, web, predual, hash(key)
         )
 
-    def __hash__(self) -> int:
-        return self._hash
 
-
+@_node
 @dataclass(frozen=True, eq=False, init=False)
 class Prod:
+    __slots__ = ("left", "right", "_hash", "__weakref__")
     left: "Space"
     right: "Space"
 
     def __new__(cls, left: "Space", right: "Space"):
         key = (left, right)
-        return _PRODS.get(key) or _interned(
-            cls, _PRODS, key, hash(key), left=left, right=right
+        ref = _PRODS.data.get(key)
+        return (ref and ref()) or _interned(
+            cls, _PRODS, key, left, right, hash(key)
         )
 
-    def __hash__(self) -> int:
-        return self._hash
 
-
+@_node
 @dataclass(frozen=True, eq=False, init=False)
 class DPair:
     """Space of pairs (x, u) with x + u in the inner space."""
 
+    __slots__ = ("inner", "_hash", "__weakref__")
     inner: "Space"
 
     def __new__(cls, inner: "Space"):
-        return _DPAIRS.get(inner) or _interned(
-            cls, _DPAIRS, inner, hash((inner,)), inner=inner
+        ref = _DPAIRS.data.get(inner)
+        return (ref and ref()) or _interned(
+            cls, _DPAIRS, inner, inner, hash((inner,))
         )
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 Space = Union[Ground, Prod, DPair]

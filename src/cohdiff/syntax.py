@@ -9,20 +9,17 @@ types a term, reads their object off the argument's type.  Each carries
 strips, the D's it strips from its argument beyond the word's (1 for pi,
 0 for iota and pr, n+1 for theta_n); the interpretation reads it too.
 
-Types and terms are hash-consed, as spaces are in objects: GroundType,
-ProductType, Var, Pair and App each look their fields up in a table of
-their own and return the one node built for them, so equal nodes built
-apart are the same object and compare by identity.  A table holds its nodes
-weakly, so a term that nobody holds leaves it, and a run's memory follows
-the terms it keeps, not every term it ever built.  Each node keeps its
-content hash, that of its field tuple, computed once at construction, so no
-dict or set order depends on interning.  A term prints once: term_str and
-term_key are kept on the node, and a rebuilt sub-term is the node already
-printed.  A type keeps its strip_depth and the types d_type and d_type_n
-have built from it, so they live only as long as the type.  typecheck
-keeps the type of each (context, term) it has typed on the Signature, and
-declare empties that memo; a term that fails is typed again, and raises
-again, on every call.
+Types and terms are hash-consed by the one rule of objects, with its
+helpers, as spaces are: GroundType, ProductType, Var, Pair and App each keep
+one node per field tuple in a weak table of their own, so equal nodes are
+one object, each hashes as its field tuple, and a term that nobody holds
+leaves its table; a run's memory follows the terms it keeps, not every term
+it ever built.  A term prints once: term_str and term_key are kept on the
+node, and a rebuilt sub-term is the node already printed.  A type keeps its
+strip_depth and the types d_type and d_type_n have built from it, so they
+live only as long as the type.  typecheck keeps the type of each (context,
+term) it has typed on the Signature, and declare empties that memo; a term
+that fails is typed again, and raises again, on every call.
 """
 
 from __future__ import annotations
@@ -31,52 +28,16 @@ import weakref
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from .objects import _interned, _node
+
 
 class TypeCheckError(Exception):
     pass
 
 
-class _Ref(weakref.ref):
-    """A table's reference to its node: a weakref.KeyedRef built without
-    KeyedRef's Python-level constructor.  The table's callback, which drops
-    the entry when the node dies, reads only .key."""
-
-    __slots__ = ("key",)
-
-
-def _stored_hash(node) -> int:
-    return node._hash
-
-
-def _node(cls: type) -> type:
-    """Make cls hash as the hash stored in its _hash slot, and give it _put,
-    the __set__ of each of its slots but __weakref__, in order; a slot's own
-    __set__ skips the frozen dataclass's __setattr__, as object.__setattr__
-    does, with no lookup by name."""
-    cls.__hash__ = _stored_hash
-    cls._put = tuple(
-        getattr(cls, name).__set__ for name in cls.__slots__[:-1]
-    )
-    return cls
-
-
-def _interned(cls: type, table: weakref.WeakValueDictionary, key, *values):
-    """A new cls whose slots take values in order, kept weakly in table
-    under key."""
-    self = object.__new__(cls)
-    for put, value in zip(cls._put, values):
-        put(self, value)
-    ref = _Ref(self, table._remove)
-    ref.key = key
-    table.data[key] = ref
-    return self
-
-
-# One table per node class.  Each constructor reads the table's dict of weak
-# references itself, one C call on a hit, instead of through the table's get.
-# A node's slots are its fields and its hash; a type's also hold its
-# strip_depth and its d_type_n results by n, and a term's its term_str and
-# term_key, which stay None until their first call.
+# One table per node class.  A node's slots are its fields and its hash; a
+# type's also hold its strip_depth and its d_type_n results by n, and a
+# term's its term_str and term_key, which stay None until their first call.
 _GROUND_TYPES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _PRODUCT_TYPES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _VARS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()

@@ -72,6 +72,22 @@ def test_derived_morphisms_built_from_witnesses():
     assert pm.compose(inst.sigma(ONE), w) == inst.sigma(ONE)
 
 
+def test_derived_morphisms_are_built_once_under_their_name_and_arguments():
+    inst = PcsInstance()
+    dx = d_space(ONE)
+    calls = [
+        ("inj", 0, ONE), ("inj", 1, ONE), ("theta", ONE), ("theta", dx),
+        ("theta_pow", ONE, 0), ("theta_pow", ONE, 2), ("lift", ONE),
+        ("swap", ONE), ("c_n_inv", ONE, ONE), ("c_n_inv", ONE, dx, ONE),
+    ]
+    first = {call: getattr(inst, call[0])(*call[1:]) for call in calls}
+    # theta_pow(ONE, 2) is theta(ONE) . theta(DX): no key beyond the calls.
+    assert set(inst._derived) == set(calls)
+    for call, f in first.items():
+        assert getattr(inst, call[0])(*call[1:]) is f, call
+        assert inst._derived[call] is f
+
+
 def test_pair_witness_rejects_mismatched_shapes():
     inst = PcsInstance()
     with pytest.raises(pm.ShapeError):

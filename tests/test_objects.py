@@ -4,9 +4,12 @@ Ground, Prod and DPair return one object per space, so equal spaces built
 apart are the same object and compare by identity.  Each keeps the hash of
 its fields as a tuple, so no dict or set order depends on interning;
 strip_d_space inverts d_space on the nose; a ground with a bad web name
-interns nothing; and no field can be assigned.
+interns nothing; a space that nobody holds leaves its table; and no field
+can be assigned.
 """
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -94,6 +97,25 @@ def test_bad_web_name_interns_nothing(web):
     with pytest.raises(ValueError, match="empty or dotted name"):
         Ground("never-interned", web, ((1,) * len(web),))
     assert objects._GROUNDS == before
+
+
+def test_a_space_that_nobody_holds_leaves_its_table():
+    def build():
+        # In a frame of its own, which keeps no space once it returns.
+        g = Ground("held_by_nobody", ("a",), ((1,),))
+        d = DPair(Prod(g, g))
+        assert objects._GROUNDS[("held_by_nobody", ("a",), ((1,),))] is g
+        assert objects._DPAIRS[Prod(g, g)] is d
+        return weakref.ref(g), weakref.ref(d)
+
+    gone = build()
+    gc.collect()
+    assert all(ref() is None for ref in gone)
+    assert all(g.name != "held_by_nobody" for g in objects._GROUNDS.values())
+    assert all(
+        p.left.name != "held_by_nobody"
+        for p in objects._PRODS.values() if isinstance(p.left, Ground)
+    )
 
 
 def test_fields_cannot_be_assigned():

@@ -30,7 +30,7 @@ def golden_text() -> str:
     base = model.grounds["N"]
     blocks = [f"# D {name}\n{pm.differential(model.symbols[name]).render()}"
               for name in ("lin", "bil", "tri")]
-    c_inv = model.inst.c_n_inv([base, product(base, base)])
+    c_inv = model.inst.c_n_inv(base, product(base, base))
     blocks.append(f"# c_n_inv N, N & N\n{c_inv.render()}")
     return "\n".join(blocks) + "\n"
 

@@ -105,7 +105,7 @@ def ref_c_n_inv(slots):
 def test_derived_slot_maps_match_the_folds(n):
     inst = Instance()
     for slots in (s for s in SLOT_TUPLES if len(s) == n):
-        assert inst.c_n_inv(list(slots)) == ref_c_n_inv(slots), slots
+        assert inst.c_n_inv(*slots) == ref_c_n_inv(slots), slots
         for i, s in enumerate(slots):
             assert pm.prod_proj(i, *slots) == ref_prod_proj(slots, i), (slots, i)
             assert strength(slots, i) == ref_strength(slots, i), (slots, i)
