@@ -28,7 +28,9 @@ atoms of g's monomials and sums their coefficients, with no series
 multiplication.  Every renamed monomial of two or more atoms is sorted again,
 since a renaming need not keep the atom order (a swap of product sides, say).
 Every other map takes the series path.  On both paths a monomial of g that
-reads a coordinate f does not produce substitutes to 0 and is skipped first.
+reads a coordinate f does not produce substitutes to 0 and is skipped first,
+found by a lookup that misses (renaming.get, or f's series by output atom),
+with no exception raised; a one-atom monomial makes that one lookup.
 
 with_map, prod_pair and prod_proj are n-ary: they build f0 & ... & fn,
 <f0, ..., fn> and pr_i out of prodn(slots) in one pass with embed_slot; the
@@ -38,9 +40,16 @@ There is one differentiation loop, partial_differential(f, arity, i).  It
 peels f's domain into its arity slots and builds the partial derivative
 D_i f = Df . phi_i in one pass over f's entries: atoms of slot i are
 0-tagged, the others kept, and only slot i's atoms give derivative
-monomials.  Given a reach, a set of atoms of the new domain, it builds no
-monomial with an atom outside the reach: compose after a map that produces
-only the reach's atoms would skip exactly those monomials.
+monomials.  Its per-atom work is dict lookups in tag tables, {a: tag_d(0, a)}
+and {a: tag_d(1, a)}, built once with the lifted domain in an unbounded
+cache like web(), keyed on (dom, arity, i): one pair over slot i's atoms,
+and one over the codomain's web, read as the one slot (cod, 1, 0).  So a
+space's tables serve D in both roles, domain and codomain.  An atom that
+misses slot i's table lies in another slot and is kept.  A one-atom
+monomial, the most common kind, has its own branch with no sort.  Given a
+reach, a set of atoms of the new domain, it builds no monomial with an atom
+outside the reach: compose after a map that produces only the reach's atoms
+would skip exactly those monomials.
 differential(f) is its one-slot case.  is_multilinear(f, arity), which
 Model asks of each symbol's map, reads slots the same way, by prefix.
 
@@ -232,16 +241,22 @@ def _series_entries(g: PolyMap, f: PolyMap, cap: int) -> Entries:
     degree = {b: max(map(len, poly)) for b, poly in f_polys.items()}
     entries: Entries = {}
     for (p, c_out), coeff in g.entries.items():
-        if not all(b in degree for b in p):
-            continue  # p reads a coordinate f does not produce
-        d = sum([degree[b] for b in p])
-        if d > cap:
-            raise _cap_error(d, cap)
         if len(p) == 1:  # coeff times one series: no product to multiply out
-            terms = f_polys[p[0]].items()
+            poly = f_polys.get(p[0])
+            if poly is None:
+                continue  # p reads a coordinate f does not produce
+            d = degree[p[0]]
+            if d > cap:
+                raise _cap_error(d, cap)
+            terms = poly.items()
             if coeff != 1:
                 terms = [(m, c * coeff) for m, c in terms]
         else:
+            if not all(b in degree for b in p):
+                continue
+            d = sum([degree[b] for b in p])
+            if d > cap:
+                raise _cap_error(d, cap)
             acc = {(): coeff}
             for b in p:
                 acc = _poly_mul(acc, f_polys[b])
@@ -270,16 +285,22 @@ def _substitution(f: PolyMap) -> Optional[dict]:
 
 def _renamed_entries(g: PolyMap, renaming: dict, cap: int) -> Entries:
     """The entries of g . f for a substitution f, in the series path's order."""
+    rename = renaming.get
     entries: Entries = {}
     for (p, c_out), coeff in g.entries.items():
-        try:
-            m = tuple([renaming[b] for b in p])
-        except KeyError:
-            continue  # p reads a coordinate f does not produce
+        if len(p) == 1:
+            a = rename(p[0])
+            if a is None:
+                continue  # p reads a coordinate f does not produce
+            m = (a,)
+        else:
+            m = tuple(map(rename, p))
+            if None in m:
+                continue
+            if len(m) > 1:
+                m = tuple(sorted(m))
         if len(m) > cap:
             raise _cap_error(len(m), cap)
-        if len(m) > 1:
-            m = tuple(sorted(m))
         key = (m, c_out)
         prev = entries.get(key)
         if prev is not None:
@@ -300,6 +321,24 @@ def differential(f: PolyMap) -> PolyMap:
     return partial_differential(f, 1, 0)
 
 
+@lru_cache(maxsize=None)
+def _d_tags(dom: Space, arity: int, i: int) -> tuple[Space, dict, dict]:
+    """D at slot i of an arity-fold dom: the lifted domain and the tables
+    {a: tag_d(0, a)} and {a: tag_d(1, a)} over slot i's atoms.  A codomain
+    reads its one-slot tables, (cod, 1, 0), so one space's tables serve D in
+    both roles."""
+    slots = peel_product(dom, arity)
+    atoms = web(slots[i])
+    if arity > 1:
+        atoms = [embed_slot(i, arity, a) for a in atoms]
+    slots[i] = d_space(slots[i])
+    return (
+        prodn(slots),
+        {a: tag_d(0, a) for a in atoms},
+        {a: tag_d(1, a) for a in atoms},
+    )
+
+
 def partial_differential(
     f: PolyMap, arity: int, i: int, reach: Optional[set] = None
 ) -> PolyMap:
@@ -309,24 +348,30 @@ def partial_differential(
     D f . phi_i in one pass: slot i's atoms are 0-tagged and the others kept,
     and only slot i's atoms a give the 1-tagged terms m(a) x^(m-[a]) u_a.
     With reach, a set of atoms of the new domain, only the monomials whose
-    atoms all lie in reach are built."""
-    slots = peel_product(f.dom, arity)
-    # None when the whole domain is slot i, so no atom needs the test.
-    in_slot = (
-        None if arity == 1
-        else {embed_slot(i, arity, a) for a in web(slots[i])}
-    )
-    slots[i] = d_space(slots[i])
+    atoms all lie in reach are built.  f's atoms lie in the webs of its
+    spaces, as in every map the package builds or reads from a model file."""
+    dom, tag0, tag1 = _d_tags(f.dom, arity, i)
+    cod, out0, out1 = _d_tags(f.cod, 1, 0)
     # No key repeats: tag_d is injective, and a derivative monomial's one
     # 1-tagged atom names the atom a it came from.
     entries: Entries = {}
     for (m, b), c in f.entries.items():
+        if len(m) == 1:  # x_a gives x_a, or 0.a and 1.a in slot i
+            a = m[0]
+            t = tag0.get(a)
+            if t is None:
+                if reach is None or a in reach:
+                    entries[(m, out0[b])] = c
+                continue
+            if reach is None or t in reach:
+                entries[((t,), out0[b])] = c
+            u = tag1[a]
+            if reach is None or u in reach:
+                entries[((u,), out1[b])] = c
+            continue
         # Stays sorted: tag_d(0, -) keeps the order within slot i, and
         # atoms of different slots differ at a product tag.
-        if in_slot is None:
-            base = tuple([tag_d(0, a) for a in m])
-        else:
-            base = tuple([tag_d(0, a) if a in in_slot else a for a in m])
+        base = tuple(map(tag0.get, m, m))
         lost = None  # base's one atom outside reach; two leave nothing
         if reach is not None:
             missing = [x for x in base if x not in reach]
@@ -334,24 +379,22 @@ def partial_differential(
                 continue  # a derivative monomial replaces one atom of base
             lost = missing[0] if missing else None
         if lost is None:
-            entries[(base, tag_d(0, b))] = c
-        d_out = tag_d(1, b)
+            entries[(base, out0[b])] = c
+        d_out = out1[b]
         for idx, a in enumerate(m):
             if idx and m[idx - 1] == a:
                 continue  # equal atoms are adjacent; count each once
-            if in_slot is not None and a not in in_slot:
-                continue
+            u = tag1.get(a)
+            if u is None:
+                continue  # a lies outside slot i
             if reach is not None and (
-                tag_d(1, a) not in reach or lost not in (None, base[idx])
+                u not in reach or lost not in (None, base[idx])
             ):
                 continue
-            if len(m) == 1:
-                mm = (tag_d(1, a),)
-            else:
-                mm = mono(base[:idx] + base[idx + 1 :] + (tag_d(1, a),))
+            mm = mono(base[:idx] + base[idx + 1 :] + (u,))
             mult = m.count(a)
             entries[(mm, d_out)] = c * mult if mult > 1 else c
-    return _trusted(prodn(slots), d_space(f.cod), entries)
+    return _trusted(dom, cod, entries)
 
 
 def is_multilinear(f: PolyMap, arity: int) -> bool:

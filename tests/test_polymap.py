@@ -312,6 +312,8 @@ def test_substitution_degree_cap_matches_series(monkeypatch):
     # f_a = a + a^2 has degree 2 and f_b = b degree 1, so a^2 b substitutes
     # to degree 2 * 2 + 1; curved takes the series path only.
     curved = pm.PolyMap(N, N, {((a,), a): F(1), ((a, a), a): F(1), ((b,), b): F(1)})
+    # f_a = a^4 alone is over the cap, so even the one-atom monomial a is.
+    steep = pm.PolyMap(N, N, {((a,) * 4, a): F(1), ((b,), b): F(1)})
 
     def g(m):
         return pm.PolyMap(N, ONE, {(m, "*"): F(1)})
@@ -327,6 +329,10 @@ def test_substitution_degree_cap_matches_series(monkeypatch):
         (only_a, (a, a, b, b, b), pm.zero(N, ONE)),
         (only_a, (a, a, a), g((a, a, a))),  # at the cap
         (curved, (a, a, b), cap(5)),
+        (only_a, (b,), pm.zero(N, ONE)),  # one atom, unproduced: skipped
+        (curved, (b,), g((b,))),
+        (steep, (a,), cap(4)),  # one atom over a series above the cap
+        (steep, (b,), g((b,))),
     ]
     with monkeypatch.context() as patch:
         patch.setattr(pm, "DEGREE_CAP", 3)

@@ -11,7 +11,10 @@ its one-slot case, so its reference is the composite itself over a copy of
 the whole-domain differential loop it replaced.  Given a reach, a set of
 atoms of the last domain, partial_derivative builds D_w f only over that
 reach; its reference is the unpruned D_w f with every monomial that reads an
-atom outside the reach dropped.
+atom outside the reach dropped.  partial_differential reads its D tags from
+tables built once per space; _reference_partial_differential is the loop
+that called tag_d per atom before, and the two must build equal entries in
+equal order over the same interned spaces.
 """
 
 import itertools
@@ -24,7 +27,9 @@ from hypothesis import given, settings, strategies as st
 from cohdiff import polymap as pm
 from cohdiff.ccdc import Instance, single_app, strength
 from cohdiff.gen import default_pcs_model, law_generators
-from cohdiff.objects import d_space, embed_slot, prodn, product, tag_d, web
+from cohdiff.objects import (
+    d_space, embed_slot, peel_product, prodn, product, tag_d, web
+)
 
 MODEL = default_pcs_model()
 GENS, _, OBJECTS = law_generators(MODEL, seed=404)  # unit, N, N&N, DN, N&DN
@@ -221,6 +226,68 @@ def test_partial_differential_is_df_after_the_strength(n):
                 want = ref_partial(f, slots, i)
                 assert pm.partial_differential(f, n, i) == want, (
                     slots, i, f.entries
+                )
+
+
+def _reference_partial_differential(f, arity, i, reach=None):
+    """The partial_differential loop that called tag_d per atom and tested
+    slot membership in a set built on each call."""
+    slots = peel_product(f.dom, arity)
+    in_slot = (
+        None if arity == 1
+        else {embed_slot(i, arity, a) for a in web(slots[i])}
+    )
+    slots[i] = d_space(slots[i])
+    entries = {}
+    for (m, b), c in f.entries.items():
+        if in_slot is None:
+            base = tuple([tag_d(0, a) for a in m])
+        else:
+            base = tuple([tag_d(0, a) if a in in_slot else a for a in m])
+        lost = None
+        if reach is not None:
+            missing = [x for x in base if x not in reach]
+            if len(missing) > 1:
+                continue
+            lost = missing[0] if missing else None
+        if lost is None:
+            entries[(base, tag_d(0, b))] = c
+        d_out = tag_d(1, b)
+        for idx, a in enumerate(m):
+            if idx and m[idx - 1] == a:
+                continue
+            if in_slot is not None and a not in in_slot:
+                continue
+            if reach is not None and (
+                tag_d(1, a) not in reach or lost not in (None, base[idx])
+            ):
+                continue
+            if len(m) == 1:
+                mm = (tag_d(1, a),)
+            else:
+                mm = pm.mono(base[:idx] + base[idx + 1 :] + (tag_d(1, a),))
+            mult = m.count(a)
+            entries[(mm, d_out)] = c * mult if mult > 1 else c
+    return pm.PolyMap(prodn(slots), d_space(f.cod), entries)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_partial_differential_matches_the_tag_d_loop_in_order(n):
+    rng = random.Random(70 + n)
+    for slots in (s for s in PARTIAL_SLOTS if len(s) == n):
+        for i in range(n):
+            f = seeded_map(rng, slots)
+            atoms = web(_reference_partial_differential(f, n, i).dom)
+            reaches = [None, set(atoms)] + [
+                {a for a in atoms if rng.random() < share}
+                for share in (0.3, 0.6, 0.9)
+            ]
+            for reach in reaches:
+                got = pm.partial_differential(f, n, i, reach)
+                want = _reference_partial_differential(f, n, i, reach)
+                assert got.dom is want.dom and got.cod is want.cod
+                assert list(got.entries.items()) == list(want.entries.items()), (
+                    slots, i, reach, f.entries
                 )
 
 
